@@ -17,6 +17,7 @@ from dataclasses import asdict
 from . import __version__
 from .boundaries import SOLVABLE, all_boundaries, boundary_GR, boundary_R, boundary_SI
 from .errors import NhjcError, SweepSpecError, ValidationError
+from .oscillator import N_MAX
 from .params import LevelIndex, load_params
 from .spectrum import block_quantities, eigen_solution, gaps
 from .sweep import SweepSpec, run_sweep
@@ -118,9 +119,18 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
+def _oscillator_level(args) -> LevelIndex:
+    """The --n/--eta level of a command that samples oscillator functions."""
+    if args.n > N_MAX:
+        raise ValidationError(f"--n must be <= {N_MAX} (validity domain), got {args.n}")
+    return LevelIndex(args.n, args.eta)
+
+
 def _cmd_texture(args) -> int:
     params = load_params(args.params)
-    level = LevelIndex(args.n, args.eta)
+    level = _oscillator_level(args)
+    if args.grid_points < 2:
+        raise ValidationError(f"--grid-points must be >= 2, got {args.grid_points}")
     grid = standard_grid(level.n, args.grid_points)
     tex = texture_closed_form(params, level, grid)
     if args.format == "json":
@@ -141,7 +151,7 @@ def _cmd_texture(args) -> int:
 
 def _cmd_winding(args) -> int:
     params = load_params(args.params)
-    level = LevelIndex(args.n, args.eta)
+    level = _oscillator_level(args)
     planes = ("zx", "yx") if args.plane == "both" else (args.plane,)
     payload = {"n": level.n, "eta": level.eta, "planes": {}}
     for plane in planes:

@@ -29,11 +29,14 @@ import threading
 
 import numpy as np
 
-__all__ = ["phi", "phi_pair", "phi_ratio", "hermite_roots", "domain_cutoff", "ROOT_TOL"]
+__all__ = ["phi", "phi_pair", "phi_ratio", "hermite_roots", "domain_cutoff", "ROOT_TOL", "N_MAX"]
 
 _PI_QUARTER = math.pi ** -0.25
 
 ROOT_TOL = 1e-12
+
+# highest level of the validity domain (n <= 200, |x| <= 40)
+N_MAX = 200
 
 
 def domain_cutoff(n: int) -> float:
@@ -102,11 +105,11 @@ def _bisect_phi(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def hermite_roots(n: int) -> np.ndarray:
     """All n roots of H_n, strictly increasing, symmetric about 0.
 
-    Valid for 1 <= n <= 200; absolute accuracy ~1e-12. The returned array is
+    Valid for 1 <= n <= N_MAX; absolute accuracy ~1e-12. The returned array is
     read-only and cached (population is idempotent, safe under concurrency).
     """
-    if not 1 <= n <= 200:
-        raise ValueError(f"n must be in [1, 200], got {n}")
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
     cached = _roots_cache.get(n)
     if cached is not None:
         return cached

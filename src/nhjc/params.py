@@ -147,22 +147,31 @@ def params_from_dict(data: dict) -> ModelParams:
     has_g, has_rel = "g" in data, "g_rel" in data
     if has_g == has_rel:
         raise ValidationError("exactly one of 'g' and 'g_rel' must be given")
-    omega = float(data["omega"])
-    Omega = float(data["Omega"])
+    omega = _number(data, "omega")
+    Omega = _number(data, "Omega")
     if has_rel:
         if not (omega > 0.0 and Omega > 0.0):
             raise ValidationError("g_rel requires positive omega and Omega")
-        g = float(data["g_rel"]) * coupling_scale(omega, Omega)
+        g = _number(data, "g_rel") * coupling_scale(omega, Omega)
     else:
-        g = float(data["g"])
+        g = _number(data, "g")
     return ModelParams(
         omega=omega,
         Omega=Omega,
         g=g,
-        kappa=float(data.get("kappa", 0.0)),
-        gamma=float(data.get("gamma", 0.0)),
-        Gamma=float(data.get("Gamma", 0.0)),
+        kappa=_number(data, "kappa"),
+        gamma=_number(data, "gamma"),
+        Gamma=_number(data, "Gamma"),
     )
+
+
+def _number(data: dict, key: str) -> float:
+    """data[key] (0 when absent) as a float; anything non-numeric is a ValidationError."""
+    value = data.get(key, 0.0)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"parameter {key!r} must be a number, got {value!r}") from None
 
 
 def load_params(path: str | Path) -> ModelParams:

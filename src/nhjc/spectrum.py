@@ -57,7 +57,17 @@ _DEGENERATE_RTOL = 1e-24
 
 @dataclass(frozen=True)
 class BlockQuantities:
-    """Branch-split data of one 2x2 excitation block."""
+    """Everything block n fixes: the branch split, the per-branch terms and
+    the natural scales that normalise the distances to the R/GR/SI sets.
+
+    Branch eta adds eta * r_cos to Re e+ and eta * r_sin to Im e+. The scales
+    are the sums of the absolute terms of B, Cz, Cy and R^2 (+1e-300):
+
+        scale_B  = |2n g Gamma| + |d_kg d_Ww / 2|
+        scale_Cz = |g d_Ww| + |Gamma d_kg| + 2R (|g| + |Gamma|)
+        scale_Cy = |Gamma d_Ww| + |g d_kg| + 2R (|g| + |Gamma|)
+        scale_A  = n (g^2 + Gamma^2) + (d_Ww^2 + d_kg^2) / 4
+    """
 
     n: int
     e_plus: complex
@@ -67,11 +77,28 @@ class BlockQuantities:
     R: float
     vartheta: float
     exceptional: bool
+    r_cos: float  # R cos(vartheta/2)
+    r_sin: float  # R sin(vartheta/2)
+    off: complex  # off-diagonal element g~ sqrt(n)
+    scale_B: float
+    scale_Cz: float
+    scale_Cy: float
+    scale_A: float
 
     @property
     def root(self) -> complex:
         """Branch root S = R exp(i*vartheta/2) for eta = +1."""
         return self.R * cmath.exp(0.5j * self.vartheta)
+
+    def re_energy(self, eta: int) -> float:
+        """Re E = (n - 1/2) omega + eta R cos(vartheta/2) of branch eta."""
+        return self.e_plus.real + eta * self.r_cos
+
+    def distances(self, c_z: float, c_y: float) -> tuple[float, float, float]:
+        """Normalised distances to R (|B|, only under A < 0; inf otherwise),
+        GR (|Cz|) and SI (|Cy|) for a branch with coefficients c_z, c_y."""
+        d_r = abs(self.B) / self.scale_B if self.A < 0.0 else math.inf
+        return d_r, abs(c_z) / self.scale_Cz, abs(c_y) / self.scale_Cy
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,7 @@ class GapPair:
 
 
 def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
-    """Branch invariants A, B, R, vartheta of block n >= 1.
+    """Branch invariants and scales of block n >= 1 (see BlockQuantities).
 
     vartheta is the principal argument of A - iB; when both A and B vanish to
     float resolution the block is flagged exceptional (branch split singular,
@@ -119,7 +146,7 @@ def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
     vartheta = math.atan2(im, A)
     R = math.sqrt(math.hypot(A, B))
     scale_sq = max(1.0, n * (g * g + Gamma * Gamma), d_Ww * d_Ww, d_kg * d_kg)
-    exceptional = abs(A) < _EP_RTOL * scale_sq and abs(B) < _EP_RTOL * scale_sq
+    two_r_coupling = 2.0 * R * (abs(g) + abs(Gamma))
     return BlockQuantities(
         n=n,
         e_plus=(n - 0.5) * c.omega_t,
@@ -128,12 +155,21 @@ def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
         B=B,
         R=R,
         vartheta=vartheta,
-        exceptional=exceptional,
+        exceptional=abs(A) < _EP_RTOL * scale_sq and abs(B) < _EP_RTOL * scale_sq,
+        r_cos=R * math.cos(0.5 * vartheta),
+        r_sin=R * math.sin(0.5 * vartheta),
+        off=c.g_t * math.sqrt(n),
+        scale_B=abs(2.0 * n * g * Gamma) + abs(0.5 * d_kg * d_Ww) + 1e-300,
+        scale_Cz=abs(g * d_Ww) + abs(Gamma * d_kg) + two_r_coupling + 1e-300,
+        scale_Cy=abs(Gamma * d_Ww) + abs(g * d_kg) + two_r_coupling + 1e-300,
+        scale_A=abs(n * (g * g + Gamma * Gamma)) + 0.25 * (d_Ww * d_Ww + d_kg * d_kg) + 1e-300,
     )
 
 
-def eigen_solution(params: ModelParams, level: LevelIndex) -> EigenSolution:
-    """Exact eigenstate of the given level.
+def eigen_solution(params: ModelParams, level: LevelIndex,
+                   block: BlockQuantities | None = None) -> EigenSolution:
+    """Exact eigenstate of the given level, read off its block (evaluated
+    here unless the caller passes block n already).
 
     Raises ExceptionalPointError when the block's branch split is singular and
     DegenerateStateError when both coefficients collapse to zero (only
@@ -150,54 +186,50 @@ def eigen_solution(params: ModelParams, level: LevelIndex) -> EigenSolution:
             re_energy=energy.real,
             im_energy=energy.imag,
         )
-    bq = block_quantities(params, level.n)
+    bq = block_quantities(params, level.n) if block is None else block
     if bq.exceptional:
         raise ExceptionalPointError(
             f"block n={level.n} is at an exceptional point (A={bq.A!r}, B={bq.B!r})"
         )
     root = level.eta * bq.root
     c_up = bq.e_minus + root
-    c_down = params.composites().g_t * math.sqrt(level.n)
-    norm = abs(c_up) ** 2 + abs(c_down) ** 2
+    norm = abs(c_up) ** 2 + abs(bq.off) ** 2
     scale = abs(bq.e_minus) ** 2 + level.n * abs(params.composites().g_t) ** 2
     if norm <= _DEGENERATE_RTOL * max(scale, _SUBNORMAL_GUARD):
         raise DegenerateStateError(
             f"state (n={level.n}, eta={level.eta:+d}) has vanishing coefficients"
         )
-    half = 0.5 * bq.vartheta
-    re_e = (level.n - 0.5) * params.omega + level.eta * bq.R * math.cos(half)
-    im_e = -(level.n - 0.5) * params.kappa + level.eta * bq.R * math.sin(half)
     return EigenSolution(
         level=level,
         c_up=c_up,
-        c_down=c_down,
+        c_down=bq.off,
         norm=norm,
         energy=bq.e_plus + root,
-        re_energy=re_e,
-        im_energy=im_e,
+        re_energy=bq.re_energy(level.eta),
+        im_energy=-(level.n - 0.5) * params.kappa + level.eta * bq.r_sin,
     )
 
 
-def _re_energies(params: ModelParams, n: int) -> tuple[float, ...]:
+def _re_energies(params: ModelParams, n: int,
+                 block: BlockQuantities | None = None) -> tuple[float, ...]:
     """Real parts of both branches of block n (single value for n = 0).
 
     Exceptional blocks are fine here: R = 0 makes both branches collapse onto
     Re e+ regardless of vartheta.
     """
     if n == 0:
-        return (-0.5 * params.Omega,)
-    bq = block_quantities(params, n)
-    base = (n - 0.5) * params.omega
-    shift = bq.R * math.cos(0.5 * bq.vartheta)
-    return (base + shift, base - shift)
+        return (eigen_solution(params, LevelIndex(0)).re_energy,)
+    bq = block_quantities(params, n) if block is None else block
+    return (bq.re_energy(1), bq.re_energy(-1))
 
 
-def gaps(params: ModelParams, n: int) -> GapPair:
+def gaps(params: ModelParams, n: int, block: BlockQuantities | None = None) -> GapPair:
     """Intra-block gap delta_minus = |Re E(n,+) - Re E(n,-)| and the smallest
-    real-part distance delta_plus to the blocks n-1 and n+1 (both branches)."""
+    real-part distance delta_plus to the blocks n-1 and n+1 (both branches).
+    Block n is evaluated here unless the caller passes it."""
     if n < 1:
         raise ValidationError(f"block index n must be >= 1, got {n}")
-    own = _re_energies(params, n)
+    own = _re_energies(params, n, block)
     delta_minus = abs(own[0] - own[1])
     neighbors = _re_energies(params, n - 1) + _re_energies(params, n + 1)
     delta_plus = min(abs(a - b) for a in own for b in neighbors)

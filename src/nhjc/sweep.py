@@ -16,7 +16,10 @@ subsample is re-checked with the phase-unwrapping integral and any mismatch
 aborts the sweep naming the offending grid point. Points within 1e-9
 (relative) of a reversal/gapped-reversal/super-invariant boundary are flagged
 on_boundary and their direction-dependent observables are left as nan, since
-the winding direction is genuinely undefined there.
+the winding direction is genuinely undefined there. The distances and their
+normalisers are those of spectrum.BlockQuantities, which verify's draw
+margins use too. Every non-winding observable of a row is read off the
+row's one block; deltaPlus adds the neighbouring blocks n-1 and n+1.
 
 Output is a flat table (one row per grid point per level, levels innermost)
 rendered to CSV with 17-significant-digit floats and 0/1 integer flags, so
@@ -26,6 +29,7 @@ as sibling curves sampled on the same axes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -40,11 +44,12 @@ from .errors import (
     NoBoundaryError,
     SweepConsistencyError,
     SweepSpecError,
+    UndefinedTiltError,
 )
 from .params import SWEEPABLE, LevelIndex, ModelParams, params_from_dict
 from .spectrum import block_quantities, eigen_solution, gaps
 from .texture import nodes, texture_closed_form, texture_coefficients
-from .topology import winding_grid, winding_integral, winding_node_sum
+from .topology import tilting_angle, winding_grid, winding_integral, winding_node_sum
 
 __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
@@ -112,12 +117,13 @@ class SweepSpec:
                            for l in data["levels"])
             observables = tuple(data.get("observables", ["thetaT"]))
             overlays = tuple(data.get("overlays", []))
-        except (KeyError, TypeError) as exc:
+            spot_check_fraction = float(data.get("spot_check_fraction", 0.01))
+        except (KeyError, TypeError, ValueError) as exc:
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
         return cls(base=base, axes=axes, levels=levels,
                    observables=observables, overlays=overlays,
-                   spot_check_fraction=float(data.get("spot_check_fraction", 0.01)),
+                   spot_check_fraction=spot_check_fraction,
                    volumetric=None if volumetric is None else bool(volumetric))
 
     @classmethod
@@ -178,24 +184,6 @@ def _write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _near(value: float, scale: float) -> bool:
-    return abs(value) < _BOUNDARY_RTOL * scale
-
-
-def _boundary_proximity(params: ModelParams, n: int, bq, coeffs) -> bool:
-    """Within float reach of an R (branch cut), GR (Cz=0) or SI (Cy=0) point."""
-    g, Gamma = params.g, params.Gamma
-    c = params.composites()
-    d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
-    scale_b = abs(2.0 * n * g * Gamma) + abs(0.5 * d_kg * d_Ww) + 1e-300
-    if bq.A < 0.0 and _near(bq.B, scale_b):
-        return True
-    two_r = 2.0 * bq.R
-    scale_z = abs(g * d_Ww) + abs(Gamma * d_kg) + two_r * (abs(g) + abs(Gamma)) + 1e-300
-    scale_y = abs(Gamma * d_Ww) + abs(g * d_kg) + two_r * (abs(g) + abs(Gamma)) + 1e-300
-    return _near(coeffs.c_z, scale_z) or _near(coeffs.c_y, scale_y)
-
-
 def _node_sum_winding(params: ModelParams, level: LevelIndex, plane: str) -> int:
     alpha, beta = plane[0], plane[1]
     return winding_node_sum(nodes(params, level, alpha), nodes(params, level, beta)).signed
@@ -218,19 +206,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     winding_rows: list[tuple[int, ModelParams, LevelIndex]] = []
     volumetric = spec.volumetric if spec.volumetric is not None else len(spec.axes) < 3
 
-    for flat_index in range(int(np.prod([a.count for a in spec.axes])) if volumetric else 0):
-        remainder = flat_index
-        coords = []
-        for values in reversed(axis_values):
-            remainder, pos = divmod(remainder, len(values))
-            coords.append(pos)
-        coords.reverse()
-        point = {name: float(vals[pos]) for name, vals, pos in zip(axis_names, axis_values, coords)}
+    for coords in itertools.product(*axis_values) if volumetric else ():
+        point = [float(value) for value in coords]
         params = spec.base
-        for name, value in point.items():
+        for name, value in zip(axis_names, point):
             params = params.with_value(name, value)
         for level in spec.levels:
-            row = [point[name] for name in axis_names] + [level.n, level.eta]
+            row = point + [level.n, level.eta]
             values, flags, check_winding = _evaluate_point(params, level, spec.observables)
             row.extend(values)
             row.extend(flags)
@@ -270,34 +252,33 @@ def _evaluate_point(params: ModelParams, level: LevelIndex, observables):
             elif obs == "deltaMinus":
                 values.append(0.0)
             elif obs == "deltaPlus":
-                values.append(gaps(params, level.n).delta_plus)
+                values.append(gaps(params, level.n, bq).delta_plus)
             else:
                 values.append(nan)
         return values, (False, True, False), False
 
     try:
-        coeffs = texture_coefficients(params, level)
+        coeffs = texture_coefficients(params, level, bq)
     except DegenerateStateError:
         values = [nan] * len(observables)
         return values, (True, False, False), False
-    on_boundary = _boundary_proximity(params, level.n, bq, coeffs)
+    # within float reach of an R (branch cut), GR (Cz = 0) or SI (Cy = 0) point
+    on_boundary = min(bq.distances(coeffs.c_z, coeffs.c_y)) < _BOUNDARY_RTOL
 
     gp = None
     values = []
     for obs in observables:
         if obs == "thetaT":
-            if coeffs.c_z == 0.0 and coeffs.c_y == 0.0:
+            try:
+                values.append(tilting_angle(coeffs).theta_t)
+            except UndefinedTiltError:
                 values.append(nan)
-            elif coeffs.c_z == 0.0:
-                values.append(math.copysign(0.5 * math.pi, coeffs.c_y))
-            else:
-                values.append(math.atan(coeffs.c_y / coeffs.c_z))
         elif obs == "deltaMinus" or obs == "deltaPlus":
             if gp is None:
-                gp = gaps(params, level.n)
+                gp = gaps(params, level.n, bq)
             values.append(gp.delta_minus if obs == "deltaMinus" else gp.delta_plus)
         elif obs == "imE":
-            values.append(eigen_solution(params, level).im_energy)
+            values.append(eigen_solution(params, level, bq).im_energy)
         elif obs == "CtZ":
             values.append(coeffs.c_z)
         elif obs == "CtY":
@@ -348,20 +329,11 @@ def _overlay(spec: SweepSpec, family: str):
     positive_levels = sorted({lvl.n for lvl in spec.levels if lvl.n >= 1})
     levels = positive_levels if family == "R" else [None]
     out: list[tuple] = []
-    other_values = [a.values() for a in other_axes]
-    shape = [len(v) for v in other_values] or [1]
-    for flat in range(int(np.prod(shape))):
-        remainder = flat
-        coords = []
-        for values in reversed(other_values):
-            remainder, pos = divmod(remainder, len(values))
-            coords.append(pos)
-        coords.reverse()
+    for coords in itertools.product(*(a.values() for a in other_axes)):
+        prefix = [float(value) for value in coords]
         params = spec.base
-        prefix = []
-        for axis, values, pos in zip(other_axes, other_values, coords):
-            params = params.with_value(axis.name, float(values[pos]))
-            prefix.append(float(values[pos]))
+        for axis, value in zip(other_axes, prefix):
+            params = params.with_value(axis.name, value)
         for n in levels:
             try:
                 if family == "R":

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio
 from .params import LevelIndex, ModelParams
-from .spectrum import block_quantities, eigen_solution
+from .spectrum import BlockQuantities, block_quantities, eigen_solution
 
 __all__ = [
     "TextureCoefficients",
@@ -67,7 +67,6 @@ class TextureCoefficients:
     c_z: float
     c_y: float
     d_x: float
-    norm_sigma: float  # sqrt(pi) (n-1)! 2 N_n  (inf for n >= 172; recordkeeping only)
 
 
 @dataclass(frozen=True)
@@ -110,30 +109,23 @@ def standard_grid(n: int, points: int = STANDARD_POINTS) -> np.ndarray:
     return np.linspace(-L, L, points)
 
 
-def texture_coefficients(params: ModelParams, level: LevelIndex) -> TextureCoefficients:
-    """Closed-form coefficients Cz, Cy, Dx of state (n >= 1, eta)."""
+def texture_coefficients(params: ModelParams, level: LevelIndex,
+                         block: BlockQuantities | None = None) -> TextureCoefficients:
+    """Closed-form coefficients Cz, Cy, Dx of state (n >= 1, eta), read off
+    block n (evaluated here unless the caller passes it)."""
     if level.n < 1:
         raise ValidationError("texture coefficients are defined for n >= 1")
-    sol = eigen_solution(params, level)  # propagates exceptional/degenerate
-    bq = block_quantities(params, level.n)
+    bq = block_quantities(params, level.n) if block is None else block
+    eigen_solution(params, level, bq)  # propagates exceptional/degenerate
     c = params.composites()
     g, Gamma = params.g, params.Gamma
     d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
-    half = 0.5 * bq.vartheta
-    rc = level.eta * bq.R * math.cos(half)
-    rs = level.eta * bq.R * math.sin(half)
-    c_z = g * d_Ww - Gamma * d_kg + 2.0 * (g * rc - Gamma * rs)
-    c_y = Gamma * d_Ww + g * d_kg + 2.0 * (Gamma * rc + g * rs)
-    d_x = d_Ww * d_Ww + d_kg * d_kg + 4.0 * bq.R * bq.R + 4.0 * (d_Ww * rc + d_kg * rs)
-    try:
-        fac = float(math.factorial(level.n - 1))
-    except OverflowError:
-        fac = math.inf
+    rc = level.eta * bq.r_cos
+    rs = level.eta * bq.r_sin
     return TextureCoefficients(
-        c_z=c_z,
-        c_y=c_y,
-        d_x=d_x,
-        norm_sigma=math.sqrt(math.pi) * fac * 2.0 * sol.norm,
+        c_z=g * d_Ww - Gamma * d_kg + 2.0 * (g * rc - Gamma * rs),
+        c_y=Gamma * d_Ww + g * d_kg + 2.0 * (Gamma * rc + g * rs),
+        d_x=d_Ww * d_Ww + d_kg * d_kg + 4.0 * bq.R * bq.R + 4.0 * (d_Ww * rc + d_kg * rs),
     )
 
 
@@ -148,8 +140,9 @@ def texture_closed_form(params: ModelParams, level: LevelIndex, grid=None) -> Sp
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
-    coeffs = texture_coefficients(params, level)
-    sol = eigen_solution(params, level)
+    bq = block_quantities(params, level.n)
+    coeffs = texture_coefficients(params, level, bq)
+    sol = eigen_solution(params, level, bq)
     p_lo, p_hi = phi_pair(level.n, grid)
     cross = math.sqrt(level.n) * p_lo * p_hi / sol.norm
     g, Gamma = params.g, params.Gamma

@@ -9,8 +9,10 @@ defining scalars, and the reversal-closure identity.
 
 The margin rule mirrors the acceptance contract: a draw is rejected while,
 for any tested (n, eta), its branch cut (|B| under A < 0), Cz, Cy or R^2 is
-within 1e-3 of zero relative to the natural scale of its terms, or |g~| is
-within 1e-3 of the degenerate line.
+within 1e-3 of zero relative to the natural scale of its own terms, or |g~|
+is within 1e-3 of the degenerate line. The scales are those of
+spectrum.BlockQuantities (scale_B, scale_Cz, scale_Cy, scale_A), the same
+ones the sweep's on_boundary flag uses.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .texture import (
     wavefunction_components,
 )
 from .topology import (
+    _theta_at_gamma,
     tilting_angle,
     verify_reversal_identity,
     winding_direction,
@@ -61,24 +64,15 @@ class CheckResult:
 def boundary_margin(params: ModelParams, n_values, etas=(-1, 1)) -> float:
     """Smallest normalized distance of the draw from any analytic boundary,
     the exceptional set, or the degenerate line, over the tested levels."""
-    c = params.composites()
-    g, Gamma = params.g, params.Gamma
-    d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
-    margin = abs(c.g_t) / 1.0  # degenerate line g~ = 0 (unit natural scale)
+    margin = abs(params.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
     for n in n_values:
         bq = block_quantities(params, n)
-        scale_b = abs(2.0 * n * g * Gamma) + abs(0.5 * d_kg * d_Ww) + 1e-300
-        if bq.A < 0.0:
-            margin = min(margin, abs(bq.B) / scale_b)
-        scale_a = abs(n * (g * g + Gamma * Gamma)) + 0.25 * (d_Ww * d_Ww + d_kg * d_kg) + 1e-300
-        margin = min(margin, bq.R * bq.R / scale_a)
+        margin = min(margin, bq.R * bq.R / bq.scale_A)
         if bq.exceptional:
             return 0.0
-        two_r = 2.0 * bq.R
-        scale_zy = abs(g * d_Ww) + abs(Gamma * d_kg) + two_r * (abs(g) + abs(Gamma)) + 1e-300
         for eta in etas:
-            coeffs = texture_coefficients(params, LevelIndex(n, eta))
-            margin = min(margin, abs(coeffs.c_z) / scale_zy, abs(coeffs.c_y) / scale_zy)
+            coeffs = texture_coefficients(params, LevelIndex(n, eta), bq)
+            margin = min(margin, *bq.distances(coeffs.c_z, coeffs.c_y))
     return margin
 
 
@@ -269,16 +263,11 @@ def _check_boundaries(draws, n_max) -> CheckResult:
     checked = 0
     for params in draws:
         n = max(1, n_max // 2)
-        c = params.composites()
-        g, Gamma = params.g, params.Gamma
-        d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
         try:
             r_point = boundary_R(params, n, "Gamma")
             if r_point.valid:
-                at = params.with_value("Gamma", r_point.value)
-                bq = block_quantities(at, n)
-                scale = abs(2 * n * g * r_point.value) + abs(0.5 * d_kg * d_Ww) + 1e-300
-                worst = max(worst, abs(bq.B) / scale)
+                bq = block_quantities(params.with_value("Gamma", r_point.value), n)
+                worst = max(worst, abs(bq.B) / bq.scale_B)
                 checked += 1
         except NoBoundaryError:
             pass
@@ -286,33 +275,22 @@ def _check_boundaries(draws, n_max) -> CheckResult:
             gr_point = boundary_GR(params, "Gamma", n=n)
             if gr_point.valid:
                 at = params.with_value("Gamma", gr_point.value)
-                coeffs = texture_coefficients(at, LevelIndex(n, -1))
                 bq = block_quantities(at, n)
-                scale = (abs(g * d_Ww) + abs(gr_point.value * d_kg)
-                         + 2 * bq.R * (abs(g) + abs(gr_point.value)) + 1e-300)
-                worst = max(worst, abs(coeffs.c_z) / scale)
+                coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+                worst = max(worst, abs(coeffs.c_z) / bq.scale_Cz)
                 checked += 1
         except NoBoundaryError:
             pass
         try:
-            si_point = boundary_SI(params, "gamma")
-            at = params.with_value("gamma", si_point.value)
-            coeffs = texture_coefficients(at, LevelIndex(n, -1))
+            at = params.with_value("gamma", boundary_SI(params, "gamma").value)
             bq = block_quantities(at, n)
-            d_kg_at = at.kappa - at.gamma
-            scale = (abs(Gamma * d_Ww) + abs(g * d_kg_at)
-                     + 2 * bq.R * (abs(g) + abs(Gamma)) + 1e-300)
-            worst = max(worst, abs(coeffs.c_y) / scale)
+            coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+            worst = max(worst, abs(coeffs.c_y) / bq.scale_Cy)
             checked += 1
         except (NoBoundaryError, NhjcError):
             pass
     return CheckResult("boundary defining scalars", checked > 0 and worst < 1e-12,
                        f"{checked} boundary points, worst normalized scalar {worst:.2e} (< 1e-12)")
-
-
-def _tilt_at_gamma(params: ModelParams, n: int, Gamma: float) -> float:
-    return tilting_angle(texture_coefficients(params.with_value("Gamma", Gamma),
-                                              LevelIndex(n, -1))).theta_t
 
 
 def _check_reversal_identity(draws, n_max) -> CheckResult:
@@ -332,8 +310,8 @@ def _check_reversal_identity(draws, n_max) -> CheckResult:
         # the antisymmetry residual grows linearly with the smooth tilt slope;
         # allow that first-order term on generic draws
         slope = max(
-            abs(report.theta_below - _tilt_at_gamma(params, n, report.gamma_reversal - 2 * eps)),
-            abs(report.theta_above - _tilt_at_gamma(params, n, report.gamma_reversal + 2 * eps)),
+            abs(report.theta_below - _theta_at_gamma(params, n, -1, report.gamma_reversal - 2 * eps)),
+            abs(report.theta_above - _theta_at_gamma(params, n, -1, report.gamma_reversal + 2 * eps)),
         ) / eps
         anti_ok &= report.antisymmetry_residual < max(1e-4, 20.0 * eps * slope)
 

@@ -144,3 +144,41 @@ def test_version(capsys):
 def test_missing_file_is_usage_error(capsys):
     rc = main(["eigen", "--params", "/nonexistent/p.json", "--n", "1"])
     assert rc == 2
+
+
+def _one_line_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_non_numeric_parameter_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(PARAMS, omega="abc")))
+    rc = main(["eigen", "--params", str(bad), "--n", "1"])
+    assert "'omega'" in _one_line_usage_error(rc, capsys)
+
+
+def test_non_numeric_sweep_count_is_usage_error(tmp_path, capsys):
+    spec = {
+        "params": PARAMS,
+        "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": "x"}],
+        "levels": [{"n": 1, "eta": -1}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
+    _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+def test_texture_grid_points_below_two_is_usage_error(params_file, points, capsys):
+    rc = main(["texture", "--params", params_file, "--n", "2", "--grid-points", points])
+    assert "--grid-points" in _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("command", ["winding", "texture"])
+def test_level_above_validity_domain_is_usage_error(params_file, command, capsys):
+    rc = main([command, "--params", params_file, "--n", "250"])
+    assert "--n" in _one_line_usage_error(rc, capsys)

@@ -4,8 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from nhjc import Axis, LevelIndex, SweepSpec, SweepSpecError, run_sweep
+import nhjc
+from nhjc import (
+    Axis,
+    LevelIndex,
+    ModelParams,
+    SweepSpec,
+    SweepSpecError,
+    block_quantities,
+    boundary_SI,
+    run_sweep,
+    texture_coefficients,
+)
+from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
+
+# draw 122 of the full `nhjc verify` run (seed 20240901): its smallest margin is
+# the SI distance |Cy| of level (8, -1), just above BOUNDARY_MARGIN
+DRAW_122 = ModelParams(omega=0.2769484135494958, Omega=1.0669674364656399,
+                       g=1.0271613458466813, kappa=0.6989358470205418,
+                       gamma=0.9729437761396005, Gamma=0.34281224721929854)
 
 
 def small_spec(**overrides):
@@ -226,3 +244,54 @@ def test_3d_sweep_emits_surfaces_only_by_default():
 
     full = run_sweep(dataclasses.replace(spec, volumetric=True))
     assert len(full.rows) == 3 * 3 * 2
+
+
+def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
+    # a row needs blocks n-1, n and n+1 at most; count every call of the kernel
+    # whichever module makes it
+    original = nhjc.spectrum.block_quantities
+    calls = []
+
+    def counted(params, n):
+        calls.append(n)
+        return original(params, n)
+
+    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.sweep,
+                   nhjc.boundaries, nhjc.verify):
+        if getattr(module, "block_quantities", None) is original:
+            monkeypatch.setattr(module, "block_quantities", counted)
+    spec = small_spec(axes=(Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.001, 0.1, 5)),
+                      levels=(LevelIndex(1, -1), LevelIndex(2, -1), LevelIndex(3, 1)),
+                      observables=("thetaT", "deltaMinus", "deltaPlus", "imE", "CtZ", "CtY"),
+                      overlays=())
+    result = run_sweep(spec)
+    assert len(result.rows) == 7 * 5 * 3
+    assert len(calls) <= 3 * len(result.rows)
+
+
+def test_cy_margin_is_normalised_by_cy_terms():
+    params, level = DRAW_122, LevelIndex(8, -1)
+    bq = block_quantities(params, 8)
+    coeffs = texture_coefficients(params, level)
+    c = params.composites()
+    g, Gamma = params.g, params.Gamma
+    scale_cy = (abs(Gamma * c.d_Omega_omega) + abs(g * c.d_kappa_gamma)
+                + 2.0 * bq.R * (abs(g) + abs(Gamma)))
+    margin = boundary_margin(params, [8], etas=(-1,))
+    assert margin == pytest.approx(abs(coeffs.c_y) / scale_cy, rel=1e-12)
+    assert boundary_margin(params, range(1, 9)) == margin >= BOUNDARY_MARGIN
+
+
+def test_on_boundary_and_boundary_margin_share_normalisers():
+    # 401 points within 2e-8 of the SI point; some of them are closer than
+    # 1e-9 to it in units of Cy's terms but not in units of Cz's terms
+    si = boundary_SI(DRAW_122, "gamma").value
+    level = LevelIndex(8, -1)
+    spec = SweepSpec(base=DRAW_122, axes=(Axis("gamma", si - 2e-8, si + 2e-8, 401),),
+                     levels=(level,), observables=("CtY",))
+    result = run_sweep(spec)
+    flags = [row[result.columns.index("on_boundary")] for row in result.rows]
+    margins = [boundary_margin(DRAW_122.with_value("gamma", row[0]), [8], etas=(-1,))
+               for row in result.rows]
+    assert any(flags) and not all(flags)
+    assert [bool(f) for f in flags] == [m < 1e-9 for m in margins]

@@ -171,11 +171,11 @@ def test_tilting_angle_vanishes_for_all_levels_at_super_invariant_point():
 def test_tilting_angle_degenerate_cases():
     from nhjc.texture import TextureCoefficients
 
-    on_axis = TextureCoefficients(c_z=0.0, c_y=-0.3, d_x=1.0, norm_sigma=1.0)
+    on_axis = TextureCoefficients(c_z=0.0, c_y=-0.3, d_x=1.0)
     tilt = tilting_angle(on_axis)
     assert tilt.theta_t == -0.5 * math.pi and tilt.ratio == -math.inf
     with pytest.raises(UndefinedTiltError):
-        tilting_angle(TextureCoefficients(c_z=0.0, c_y=0.0, d_x=1.0, norm_sigma=1.0))
+        tilting_angle(TextureCoefficients(c_z=0.0, c_y=0.0, d_x=1.0))
 
 
 def test_reversal_identity_on_reference_configuration():

@@ -17,9 +17,15 @@ the Gaussian factor, so it stays meaningful arbitrarily far in the tail where
 phi itself underflows to zero. Poles (roots of phi_{n-1}) propagate through
 IEEE infinities and recover on the next step.
 
-hermite_roots(n) finds all n roots by interlacing bisection: the roots of
-H_k strictly separate those of H_{k+1}, so climbing from H_1 = 2x gives
-guaranteed brackets at every level. Results are symmetrized and memoized.
+ratio_roots(n, c) solves phi_n/phi_{n-1} = c (Golub & Welsch, "Calculation
+of Gauss Quadrature Rules", Math. Comp. 23, 1969, extended from roots to level
+sets). The recurrence x phi_k = sqrt((k+1)/2) phi_{k+1} + sqrt(k/2) phi_{k-1},
+closed by phi_n = c phi_{n-1}, makes the n solutions the eigenvalues of the
+Hermite Jacobi matrix (off-diagonal sqrt(k/2), k = 1..n-1) with its last
+diagonal entry set to c sqrt(n/2). Two Newton steps on the ratio recurrence
+polish them; the ratio stays finite where phi underflows.
+
+hermite_roots(n) is the c = 0 case, symmetrized and memoized.
 """
 
 from __future__ import annotations
@@ -29,11 +35,9 @@ import threading
 
 import numpy as np
 
-__all__ = ["phi", "phi_pair", "phi_ratio", "hermite_roots", "domain_cutoff", "ROOT_TOL", "N_MAX"]
+__all__ = ["phi", "phi_pair", "phi_ratio", "ratio_roots", "hermite_roots", "domain_cutoff", "N_MAX"]
 
 _PI_QUARTER = math.pi ** -0.25
-
-ROOT_TOL = 1e-12
 
 # highest level of the validity domain (n <= 200, |x| <= 40)
 N_MAX = 200
@@ -83,29 +87,39 @@ def phi_ratio(n: int, x):
     return r
 
 
-_roots_cache: dict[int, np.ndarray] = {1: np.array([0.0])}
+def ratio_roots(n: int, c) -> np.ndarray:
+    """The n solutions of phi_n(x)/phi_{n-1}(x) = c, increasing (n >= 1).
+
+    c may be an array; the result then has shape c.shape + (n,), every set
+    found by one stacked eigvalsh call and polished by one Newton pass.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    ca = np.asarray(c, dtype=float)
+    jacobi = np.zeros(ca.shape + (n, n))
+    flat = jacobi.reshape(ca.shape + (n * n,))  # a view: diagonals are strided slices
+    flat[..., 1::n + 1] = flat[..., n::n + 1] = np.sqrt(np.arange(1, n) / 2.0)
+    flat[..., -1] = ca * math.sqrt(n / 2.0)
+    x = np.linalg.eigvalsh(jacobi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2):
+            r, dr = math.sqrt(2.0) * x, math.sqrt(2.0)  # phi_1/phi_0 and its x-derivative
+            for k in range(1, n):
+                a, q = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1)) / r
+                r, dr = a * x - q, a + q * dr / r
+            step = (r - ca[..., None]) / dr
+            np.subtract(x, step, out=x, where=np.isfinite(step))
+    return x
+
+
+_roots_cache: dict[int, np.ndarray] = {}
 _roots_lock = threading.Lock()
-
-
-def _bisect_phi(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for roots of phi_n inside sign-changing brackets."""
-    slo = np.sign(phi(n, lo))
-    # enforce the sign-change precondition the interlacing theorem guarantees
-    if np.any(slo == np.sign(phi(n, hi))):
-        raise AssertionError(f"interlacing bracket lost for n={n}")
-    while np.max(hi - lo) > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        sm = np.sign(phi(n, mid))
-        take_hi = slo != sm
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def hermite_roots(n: int) -> np.ndarray:
     """All n roots of H_n, strictly increasing, symmetric about 0.
 
-    Valid for 1 <= n <= N_MAX; absolute accuracy ~1e-12. The returned array is
+    Valid for 1 <= n <= N_MAX; absolute accuracy ~1e-13. The returned array is
     read-only and cached (population is idempotent, safe under concurrency).
     """
     if not 1 <= n <= N_MAX:
@@ -113,24 +127,8 @@ def hermite_roots(n: int) -> np.ndarray:
     cached = _roots_cache.get(n)
     if cached is not None:
         return cached
-    start = max(k for k in _roots_cache if k <= n)
-    roots = _roots_cache[start]
-    for k in range(start, n):
-        m = k + 1
-        outer = math.sqrt(2 * m + 1) + 1.0
-        edges = np.concatenate(([-outer], roots, [outer]))
-        # only resolve the positive half; mirror the rest
-        half = m // 2
-        lo = edges[-(half + 1):-1].copy()
-        hi = edges[-half:].copy()
-        pos = _bisect_phi(m, lo, hi) if half else np.empty(0)
-        if m % 2:
-            roots = np.concatenate((-pos[::-1], [0.0], pos))
-        else:
-            roots = np.concatenate((-pos[::-1], pos))
-        roots = 0.5 * (roots - roots[::-1])  # exact symmetrization
-        roots.setflags(write=False)
-        with _roots_lock:
-            _roots_cache.setdefault(m, roots)
-        roots = _roots_cache[m]
-    return _roots_cache[n]
+    roots = ratio_roots(n, 0.0)
+    roots = 0.5 * (roots - roots[::-1])  # exact symmetrization, middle root 0.0
+    roots.setflags(write=False)
+    with _roots_lock:
+        return _roots_cache.setdefault(n, roots)

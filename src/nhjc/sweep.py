@@ -46,8 +46,9 @@ from .errors import (
     SweepSpecError,
     UndefinedTiltError,
 )
+from .oscillator import N_MAX
 from .params import SWEEPABLE, LevelIndex, ModelParams, params_from_dict
-from .spectrum import block_quantities, eigen_solution, gaps
+from .spectrum import BlockQuantities, block_quantities, eigen_solution, gaps
 from .texture import nodes, texture_closed_form, texture_coefficients
 from .topology import tilting_angle, winding_grid, winding_integral, winding_node_sum
 
@@ -100,6 +101,9 @@ class SweepSpec:
             raise SweepSpecError(f"axis parameters must be distinct, got {names}")
         if not self.levels:
             raise SweepSpecError("at least one level is required")
+        top = max(level.n for level in self.levels)
+        if top > N_MAX:
+            raise SweepSpecError(f"levels must have n <= {N_MAX} (validity domain), got {top}")
         for obs in self.observables:
             if obs not in OBSERVABLES:
                 raise SweepSpecError(f"unknown observable {obs!r}; known: {OBSERVABLES}")
@@ -121,10 +125,12 @@ class SweepSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
+        if not (volumetric is None or isinstance(volumetric, bool)):
+            raise SweepSpecError(f"volumetric must be true, false or null, got {volumetric!r}")
         return cls(base=base, axes=axes, levels=levels,
                    observables=observables, overlays=overlays,
                    spot_check_fraction=spot_check_fraction,
-                   volumetric=None if volumetric is None else bool(volumetric))
+                   volumetric=volumetric)
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
@@ -184,9 +190,11 @@ def _write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _node_sum_winding(params: ModelParams, level: LevelIndex, plane: str) -> int:
+def _node_sum_winding(params: ModelParams, level: LevelIndex, plane: str,
+                      block: BlockQuantities) -> int:
     alpha, beta = plane[0], plane[1]
-    return winding_node_sum(nodes(params, level, alpha), nodes(params, level, beta)).signed
+    return winding_node_sum(nodes(params, level, alpha, block),
+                            nodes(params, level, beta, block)).signed
 
 
 def _integral_winding(params: ModelParams, level: LevelIndex, plane: str) -> int:
@@ -287,7 +295,7 @@ def _evaluate_point(params: ModelParams, level: LevelIndex, observables):
             if on_boundary:
                 values.append(nan)  # direction undefined on the boundary
             else:
-                values.append(_node_sum_winding(params, level, obs[2:]))
+                values.append(_node_sum_winding(params, level, obs[2:], bq))
         else:  # pragma: no cover - schema validated upstream
             raise SweepSpecError(f"unknown observable {obs!r}")
     return values, (False, False, on_boundary), not on_boundary

@@ -27,7 +27,8 @@ The n = 0 state has <sigma_z> = <sigma_y> = 0 and <sigma_x> = -e^{-x^2}/sqrt(pi)
 Nodes: <sigma_z> and <sigma_y> vanish exactly at the union of the roots of
 H_{n-1} and H_n (2n-1 points, independent of all model parameters), while
 <sigma_x> has 2n parameter-dependent zeros, located where the stable ratio
-phi_n/phi_{n-1} equals +-|C_up|/|C_down|.
+phi_n/phi_{n-1} equals +-|C_up|/|C_down|; oscillator.ratio_roots solves both
+level sets at once as eigenvalues of one stacked pair of Jacobi matrices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeCountError, ValidationError
-from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio
+from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
 from .params import LevelIndex, ModelParams
 from .spectrum import BlockQuantities, block_quantities, eigen_solution
 
@@ -56,8 +57,6 @@ __all__ = [
 ]
 
 STANDARD_POINTS = 801
-
-_NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -195,15 +194,11 @@ def texture_from_wavefunctions(params: ModelParams, level: LevelIndex, grid=None
     )
 
 
-def _leading_sign(k: int, at_minus_inf: bool) -> int:
-    """Sign of phi_k far in the named tail (H_k has positive leading coeff)."""
-    return (-1) ** k if at_minus_inf else 1
-
-
-def _zy_nodes(params: ModelParams, level: LevelIndex, component: str) -> NodeSet:
+def _zy_nodes(params: ModelParams, level: LevelIndex, component: str,
+              block: BlockQuantities | None) -> NodeSet:
     """sigma_z / sigma_y nodes: union of the roots of H_{n-1} and H_n."""
     n = level.n
-    coeffs = texture_coefficients(params, level)
+    coeffs = texture_coefficients(params, level, block)
     amp = coeffs.c_z if component == "z" else coeffs.c_y
     positions = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
                                         hermite_roots(n))))
@@ -222,77 +217,19 @@ def _sign(v: float) -> int:
     return 0
 
 
-def _refine_ratio(n: int, target: float, lo: float, hi: float) -> float:
-    """Bisect phi_n/phi_{n-1} - target inside a bracket with a sign change."""
-    flo = phi_ratio(n, lo) - target
-    fhi = phi_ratio(n, hi) - target
-    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
-        raise NodeCountError(
-            f"lost bracket for sigma_x node of block n={n} in ({lo}, {hi})"
-        )
-    neg_left = flo < 0.0
-    while hi - lo > _NODE_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = phi_ratio(n, mid) - target
-        if (fm < 0.0) == neg_left:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _shrink_from_pole(n: int, pole: float, toward: float, target: float) -> float:
-    """Endpoint between pole and toward that lands past the target ratio.
-
-    The ratio diverges to -inf just right of a pole and to +inf just left of
-    it, so shrinking the offset is guaranteed to cross any finite target:
-    r < target when approaching from the right, r > target from the left.
-    """
-    delta = 0.5 * (toward - pole)
-    from_right = delta > 0.0
-    for _ in range(120):
-        r = phi_ratio(n, pole + delta)
-        if (r < target) if from_right else (r > target):
-            return pole + delta
-        delta *= 0.25
-    raise NodeCountError(f"sigma_x node of block n={n} unresolvable near pole {pole}")
-
-
-def _x_nodes(params: ModelParams, level: LevelIndex) -> NodeSet:
+def _x_nodes(params: ModelParams, level: LevelIndex, block: BlockQuantities | None) -> NodeSet:
     """The 2n sigma_x nodes: solutions of phi_n/phi_{n-1} = +-rho with
     rho = |C_up|/|C_down|, one pair per branch of the ratio between
     consecutive poles (roots of H_{n-1})."""
     n = level.n
-    sol = eigen_solution(params, level)
+    sol = eigen_solution(params, level, block)
     rho = abs(sol.c_up) / abs(sol.c_down)
     if not (math.isfinite(rho) and rho > 0.0):
         raise NodeCountError(f"coefficient ratio {rho!r} admits no sigma_x nodes")
-    poles = hermite_roots(n - 1) if n > 1 else np.empty(0)
-    zeros = hermite_roots(n)
-    reach = 1.0 + rho * math.sqrt(0.5 * n)  # asymptotic scale of the outer nodes
-    found: list[float] = []
-    for i in range(n):
-        z = float(zeros[i])
-        # r = -rho lies in (left, z); r sweeps -inf -> 0 there
-        if i == 0:
-            a, step = z - reach, reach
-            while phi_ratio(n, a) > -rho:
-                a -= step
-                step *= 2.0
-        else:
-            a = _shrink_from_pole(n, float(poles[i - 1]), z, -rho)
-        found.append(_refine_ratio(n, -rho, a, z))
-        # r = +rho lies in (z, right); r sweeps 0 -> +inf there
-        if i == n - 1:
-            b, step = z + reach, reach
-            while phi_ratio(n, b) < rho:
-                b += step
-                step *= 2.0
-        else:
-            b = _shrink_from_pole(n, float(poles[i]), z, rho)
-        found.append(_refine_ratio(n, rho, z, b))
-    positions = np.array(found)
-    if len(positions) != 2 * n or np.any(np.diff(positions) <= 0.0):
+    # the ratio rises from -inf to +inf on every branch, passing -rho before
+    # +rho, so the k-th solutions of the two interleave
+    positions = ratio_roots(n, (-rho, rho)).T.ravel()
+    if len(positions) != 2 * n or not np.all(np.diff(positions) > 0.0):
         raise NodeCountError(
             f"sigma_x node refinement for n={n} produced {len(positions)} "
             "nodes or a non-monotone ordering"
@@ -301,19 +238,20 @@ def _x_nodes(params: ModelParams, level: LevelIndex) -> NodeSet:
     # verify against the sampled sign of the texture at the midpoints
     signs = tuple(1 if i % 2 else -1 for i in range(2 * n + 1))
     mids = 0.5 * (positions[1:] + positions[:-1])
-    rho_sq = rho * rho
-    for i, m in enumerate(mids):
-        r = phi_ratio(n, float(m))
-        observed = _sign(rho_sq - r * r)  # sign of sigma_x up to a positive prefactor
-        if observed != signs[i + 1]:
-            raise NodeCountError(
-                f"sigma_x section signs for n={n} do not alternate at x={m}"
-            )
+    r = phi_ratio(n, mids)
+    observed = np.sign(rho * rho - r * r)  # sign of sigma_x up to a positive prefactor
+    wrong = np.flatnonzero(observed != signs[1:-1])
+    if wrong.size:
+        raise NodeCountError(
+            f"sigma_x section signs for n={n} do not alternate at x={mids[wrong[0]]}"
+        )
     return NodeSet(component="x", positions=positions, signs=signs)
 
 
-def nodes(params: ModelParams, level: LevelIndex, component: str) -> NodeSet:
-    """Finite nodes of one spin component with section signs attached.
+def nodes(params: ModelParams, level: LevelIndex, component: str,
+          block: BlockQuantities | None = None) -> NodeSet:
+    """Finite nodes of one spin component with section signs attached, read
+    off block n (evaluated here unless the caller passes it).
 
     sigma_z and sigma_y share the 2n-1 parameter-independent Hermite-root
     nodes; sigma_x has 2n parameter-dependent nodes. A count or sign-pattern
@@ -322,7 +260,7 @@ def nodes(params: ModelParams, level: LevelIndex, component: str) -> NodeSet:
     if level.n < 1:
         raise ValidationError("nodes are defined for n >= 1")
     if component in ("z", "y"):
-        return _zy_nodes(params, level, component)
+        return _zy_nodes(params, level, component, block)
     if component == "x":
-        return _x_nodes(params, level)
+        return _x_nodes(params, level, block)
     raise ValidationError(f"unknown spin component {component!r}")

@@ -305,8 +305,9 @@ def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
             "agreement": True,
         }
     alpha, beta = PLANES[plane]
-    nodes_alpha = nodes(params, level, alpha)
-    nodes_x = nodes(params, level, beta)
+    bq = block_quantities(params, level.n)
+    nodes_alpha = nodes(params, level, alpha, bq)
+    nodes_x = nodes(params, level, beta, bq)
     ns = winding_node_sum(nodes_alpha, nodes_x)
     grid = winding_grid(params, level, nodes_x)
     tex = texture_closed_form(params, level, grid)

@@ -182,3 +182,26 @@ def test_texture_grid_points_below_two_is_usage_error(params_file, points, capsy
 def test_level_above_validity_domain_is_usage_error(params_file, command, capsys):
     rc = main([command, "--params", params_file, "--n", "250"])
     assert "--n" in _one_line_usage_error(rc, capsys)
+
+
+def _sweep_spec_error(tmp_path, capsys, **extra):
+    spec = {
+        "params": PARAMS,
+        "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": 2}],
+        "levels": [{"n": 1, "eta": -1}],
+        "observables": ["nWzx"],
+    }
+    spec.update(extra)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
+    return _one_line_usage_error(rc, capsys)
+
+
+def test_sweep_level_above_validity_domain_is_usage_error(tmp_path, capsys):
+    assert "200" in _sweep_spec_error(tmp_path, capsys, levels=[{"n": 250, "eta": -1}])
+
+
+@pytest.mark.parametrize("volumetric", ["false", 0, 1, "yes"])
+def test_sweep_non_boolean_volumetric_is_usage_error(tmp_path, capsys, volumetric):
+    assert "volumetric" in _sweep_spec_error(tmp_path, capsys, volumetric=volumetric)

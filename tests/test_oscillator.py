@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhjc import domain_cutoff, hermite_roots, phi, phi_pair, phi_ratio
-
-
-def jacobi_roots(n):
-    """Oracle: eigenvalues of the symmetric Jacobi matrix with off-diagonal
-    sqrt(k/2) are the roots of the (physicists') Hermite polynomial H_n."""
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    return np.sort(np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)))
+from reference_solvers import interlacing_roots
 
 
 def mpmath_phi(n, x):
@@ -90,9 +84,9 @@ def test_first_two_root_sets():
     assert hermite_roots(2) == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-12)
 
 
-def test_roots_against_jacobi_oracle():
+def test_roots_against_interlacing_oracle():
     for n in (6, 13, 60):
-        assert np.max(np.abs(hermite_roots(n) - jacobi_roots(n))) < 1e-10
+        assert np.max(np.abs(hermite_roots(n) - interlacing_roots(n))) < 1e-10
 
 
 def test_root_symmetry_is_exact():

@@ -260,13 +260,16 @@ def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
                    nhjc.boundaries, nhjc.verify):
         if getattr(module, "block_quantities", None) is original:
             monkeypatch.setattr(module, "block_quantities", counted)
-    spec = small_spec(axes=(Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.001, 0.1, 5)),
-                      levels=(LevelIndex(1, -1), LevelIndex(2, -1), LevelIndex(3, 1)),
-                      observables=("thetaT", "deltaMinus", "deltaPlus", "imE", "CtZ", "CtY"),
-                      overlays=())
-    result = run_sweep(spec)
-    assert len(result.rows) == 7 * 5 * 3
-    assert len(calls) <= 3 * len(result.rows)
+    columns = ("thetaT", "deltaMinus", "deltaPlus", "imE", "CtZ", "CtY")
+    # the node sets of a winding column read the row's block too
+    for observables in (columns, columns + ("nWzx",)):
+        calls.clear()
+        spec = small_spec(axes=(Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.001, 0.1, 5)),
+                          levels=(LevelIndex(1, -1), LevelIndex(2, -1), LevelIndex(3, 1)),
+                          observables=observables, overlays=(), spot_check_fraction=0.0)
+        result = run_sweep(spec)
+        assert len(result.rows) == 7 * 5 * 3
+        assert len(calls) <= 3 * len(result.rows)
 
 
 def test_cy_margin_is_normalised_by_cy_terms():

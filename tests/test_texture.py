@@ -22,6 +22,8 @@ from nhjc import (
     wavefunction_components,
 )
 from conftest import make_reference
+from nhjc.oscillator import ratio_roots
+from reference_solvers import bisect_x_nodes
 
 rates = st.floats(0.0, 1.2)
 scales = st.floats(0.05, 1.2)
@@ -29,6 +31,12 @@ params_strategy = st.builds(
     ModelParams,
     omega=scales, Omega=scales, g=rates, kappa=rates, gamma=rates, Gamma=rates,
 )
+
+
+def assert_matches_bisection(positions, n, rho):
+    reference = bisect_x_nodes(n, rho)
+    assert len(positions) == len(reference) == 2 * n
+    assert np.all(np.abs(positions - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 
 
 def far_from_special_points(params, n):
@@ -208,10 +216,30 @@ def test_node_positions_invariant_across_parameters(rng):
 def test_sigma_x_nodes_far_outside_classical_region():
     # tiny |g~| pushes the outer nodes far beyond the standard grid
     p = ModelParams(omega=0.3, Omega=1.2, g=0.001, kappa=0.9, gamma=0.1, Gamma=0.0005)
-    nx = nodes(p, LevelIndex(4, +1), "x")
+    level = LevelIndex(4, +1)
+    nx = nodes(p, level, "x")
     assert len(nx.positions) == 8
     assert nx.positions[-1] > 100.0
     assert np.all(np.diff(nx.positions) > 0)
+    sol = eigen_solution(p, level)
+    assert_matches_bisection(nx.positions, 4, abs(sol.c_up) / abs(sol.c_down))
+
+
+@pytest.mark.parametrize("rho", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("n", [1, 2, 9, 30])
+def test_ratio_roots_match_bisection_over_rho_decades(n, rho):
+    # nodes(..., "x") interleaves the level sets -rho and +rho this way
+    assert_matches_bisection(ratio_roots(n, (-rho, rho)).T.ravel(), n, rho)
+
+
+@given(params=params_strategy, n=st.integers(1, 30), eta=st.sampled_from([-1, 1]))
+@settings(max_examples=40, deadline=None)
+def test_sigma_x_nodes_match_bisection(params, n, eta):
+    if not far_from_special_points(params, n):
+        return
+    level = LevelIndex(n, eta)
+    sol = eigen_solution(params, level)
+    assert_matches_bisection(nodes(params, level, "x").positions, n, abs(sol.c_up) / abs(sol.c_down))
 
 
 def test_nodes_reject_vacuum_level(reference_params):

@@ -2,7 +2,15 @@
 
 
 class NhjcError(Exception):
-    """Base class for all computation errors raised by this package."""
+    """Base class for all computation errors raised by this package.
+
+    A check that runs over a batch of points sets index to the position of
+    the first failing one, so the caller can name it; None otherwise.
+    """
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ValidationError(NhjcError):

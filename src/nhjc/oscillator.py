@@ -42,6 +42,9 @@ _PI_QUARTER = math.pi ** -0.25
 # highest level of the validity domain (n <= 200, |x| <= 40)
 N_MAX = 200
 
+# floats in one stack of Jacobi matrices handed to eigvalsh (16 MB)
+_STACK_FLOATS = 2 ** 21
+
 
 def domain_cutoff(n: int) -> float:
     """Half-width L(n) = sqrt(2n+1) + 8 beyond which |phi_n| < 1e-14."""
@@ -90,17 +93,18 @@ def phi_ratio(n: int, x):
 def ratio_roots(n: int, c) -> np.ndarray:
     """The n solutions of phi_n(x)/phi_{n-1}(x) = c, increasing (n >= 1).
 
-    c may be an array; the result then has shape c.shape + (n,), every set
-    found by one stacked eigvalsh call and polished by one Newton pass.
+    c may be an array; the result then has shape c.shape + (n,), the sets
+    found by stacked eigvalsh calls and polished by one Newton pass.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ca = np.asarray(c, dtype=float)
-    jacobi = np.zeros(ca.shape + (n, n))
-    flat = jacobi.reshape(ca.shape + (n * n,))  # a view: diagonals are strided slices
-    flat[..., 1::n + 1] = flat[..., n::n + 1] = np.sqrt(np.arange(1, n) / 2.0)
-    flat[..., -1] = ca * math.sqrt(n / 2.0)
-    x = np.linalg.eigvalsh(jacobi)
+    flat_c = ca.ravel()
+    # one n x n matrix per level set, in stacks of at most about 16 MB
+    per_stack = max(1, _STACK_FLOATS // (n * n))
+    stacks = [np.linalg.eigvalsh(_jacobi(n, flat_c[i:i + per_stack]))
+              for i in range(0, flat_c.size, per_stack)]
+    x = np.concatenate(stacks or [np.empty((0, n))]).reshape(ca.shape + (n,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(2):
             r, dr = math.sqrt(2.0) * x, math.sqrt(2.0)  # phi_1/phi_0 and its x-derivative
@@ -110,6 +114,16 @@ def ratio_roots(n: int, c) -> np.ndarray:
             step = (r - ca[..., None]) / dr
             np.subtract(x, step, out=x, where=np.isfinite(step))
     return x
+
+
+def _jacobi(n: int, c: np.ndarray) -> np.ndarray:
+    """The Hermite Jacobi matrix of order n with its last diagonal entry set
+    to c sqrt(n/2), one per element of the 1-D array c."""
+    jacobi = np.zeros((len(c), n, n))
+    flat = jacobi.reshape(len(c), n * n)  # a view: diagonals are strided slices
+    flat[:, 1::n + 1] = flat[:, n::n + 1] = np.sqrt(np.arange(1, n) / 2.0)
+    flat[:, -1] = c * math.sqrt(n / 2.0)
+    return jacobi
 
 
 _roots_cache: dict[int, np.ndarray] = {}

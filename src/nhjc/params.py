@@ -9,20 +9,32 @@ with complex frequencies built from six real inputs,
 Conventions: Omega is the customary unit of energy (set Omega = 1); kappa,
 gamma, Gamma are the cavity, qubit and coupling decay rates. All records are
 frozen dataclasses, safe to share across workers.
+
+ParamGrid holds the six parameters as arrays, one point per element. The
+kernels are written once in operator form and take either record: their
+arithmetic (+ - * / and sqrt, exact in IEEE) runs on floats or arrays alike,
+and every math/cmath call goes through `elementwise`, which maps the same
+function over the elements of an array. numpy's own arctan2, hypot, |z| and
+x**2 differ from math's in the last bit on some inputs, so a grid point gets
+the bits a scalar call gives it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import NegativeRateWarning, ValidationError
 
 __all__ = [
     "ModelParams",
+    "ParamGrid",
     "ComplexComposites",
     "LevelIndex",
     "coupling_scale",
@@ -31,7 +43,48 @@ __all__ = [
 ]
 
 RATE_NAMES = ("kappa", "gamma", "Gamma")
+PARAM_NAMES = ("omega", "Omega", "g") + RATE_NAMES
 SWEEPABLE = ("omega", "g", "kappa", "gamma", "Gamma")
+
+
+def elementwise(fn, dtype=float):
+    """fn itself on scalars; on an ndarray first argument, fn mapped over the
+    elements of the broadcast arguments (an array of the broadcast shape)."""
+    def apply(*args):
+        if not isinstance(args[0], np.ndarray):
+            return fn(*args)
+        arrays = np.broadcast_arrays(*args)
+        mapped = map(fn, *(a.ravel().tolist() for a in arrays))
+        return np.fromiter(mapped, dtype, arrays[0].size).reshape(arrays[0].shape)
+    return apply
+
+
+def where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a plain choice on scalars."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def maximum(*values):
+    """Largest of the values, elementwise if any is an array."""
+    if np.ndarray in map(type, values):
+        return functools.reduce(np.maximum, values)
+    return max(values)
+
+
+def minimum(*values):
+    """Smallest of the values, elementwise if any is an array."""
+    if np.ndarray in map(type, values):
+        return functools.reduce(np.minimum, values)
+    return min(values)
+
+
+def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """complex(re, im) of every element; copying the parts in is exact."""
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def coupling_scale(omega: float, Omega: float) -> float:
@@ -48,6 +101,21 @@ class ComplexComposites:
     g_t: complex      # g - i*Gamma
     d_Omega_omega: float  # Omega - omega
     d_kappa_gamma: float  # kappa - gamma
+
+
+def _composites(p, make_complex) -> ComplexComposites:
+    """The composites of p, computed on first use and kept on the instance."""
+    cached = p.__dict__.get("_composites")
+    if cached is None:
+        cached = ComplexComposites(
+            omega_t=make_complex(p.omega, -p.kappa),
+            Omega_t=make_complex(p.Omega, -p.gamma),
+            g_t=make_complex(p.g, -p.Gamma),
+            d_Omega_omega=p.Omega - p.omega,
+            d_kappa_gamma=p.kappa - p.gamma,
+        )
+        object.__setattr__(p, "_composites", cached)  # ModelParams is frozen: bypass the guard
+    return cached
 
 
 @dataclass(frozen=True)
@@ -97,20 +165,45 @@ class ModelParams:
         return self.g / self.g_s
 
     def composites(self) -> ComplexComposites:
-        """Pure function of the six reals; recomputation is bit-identical."""
-        return ComplexComposites(
-            omega_t=complex(self.omega, -self.kappa),
-            Omega_t=complex(self.Omega, -self.gamma),
-            g_t=complex(self.g, -self.Gamma),
-            d_Omega_omega=self.Omega - self.omega,
-            d_kappa_gamma=self.kappa - self.gamma,
-        )
+        """Pure function of the six reals, computed once per instance."""
+        return _composites(self, complex)
 
     def with_value(self, name: str, value: float) -> "ModelParams":
         """Copy with one named parameter replaced (used by sweeps/boundaries)."""
-        if name not in ("omega", "Omega", "g") + RATE_NAMES:
+        if name not in PARAM_NAMES:
             raise ValidationError(f"unknown parameter {name!r}")
         return replace(self, **{name: value})
+
+
+class ParamGrid:
+    """The six model parameters over a set of points: equal-shape float
+    arrays whose elements each form a valid ModelParams (the caller checks
+    that; SweepSpec does it for its axes). block_quantities and the formulas
+    built on it take a ParamGrid in place of ModelParams and return arrays."""
+
+    def __init__(self, omega, Omega, g, kappa, gamma, Gamma):
+        self.omega, self.Omega, self.g = omega, Omega, g
+        self.kappa, self.gamma, self.Gamma = kappa, gamma, Gamma
+
+    @classmethod
+    def product(cls, base: ModelParams, axes: dict[str, np.ndarray]) -> "ParamGrid":
+        """base with the named parameters set to every combination of their
+        values, flattened row-major (first axis slowest)."""
+        mesh = np.meshgrid(*axes.values(), indexing="ij")
+        values = {name: np.full(mesh[0].size, getattr(base, name)) for name in PARAM_NAMES}
+        values.update((name, m.ravel()) for name, m in zip(axes, mesh))
+        return cls(**values)
+
+    def composites(self) -> ComplexComposites:
+        return _composites(self, _complex_array)
+
+    def take(self, index) -> "ParamGrid":
+        """The grid of the selected elements."""
+        return ParamGrid(**{name: getattr(self, name)[index] for name in PARAM_NAMES})
+
+    def point(self, index: int) -> ModelParams:
+        """The ModelParams of one element."""
+        return ModelParams(**{name: float(getattr(self, name)[index]) for name in PARAM_NAMES})
 
 
 @dataclass(frozen=True)
@@ -170,7 +263,7 @@ def _number(data: dict, key: str) -> float:
     value = data.get(key, 0.0)
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"parameter {key!r} must be a number, got {value!r}") from None
 
 

@@ -22,6 +22,10 @@ Coefficients and energies:
     Im E = -(n - 1/2) kappa + eta R sin(theta/2),
 
 plus the isolated n = 0 state with E0 = -W~/2 and no coefficients.
+
+block_quantities, gaps and the branch formulas are written in operator form:
+given a ParamGrid instead of ModelParams they evaluate every point at once and
+return arrays, bit for bit what a call per point returns (see params).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
-from .params import LevelIndex, ModelParams
+from .params import LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, where
 
 __all__ = [
     "BlockQuantities",
@@ -54,6 +58,11 @@ _EP_RTOL = 1e-14
 # eigenvector is considered collapsed
 _DEGENERATE_RTOL = 1e-24
 
+_atan2, _hypot, _sqrt, _cos, _sin = map(elementwise, (math.atan2, math.hypot, math.sqrt,
+                                                       math.cos, math.sin))
+_cexp = elementwise(cmath.exp, complex)
+_abs2 = elementwise(lambda z: abs(z) ** 2)  # |z|^2 as Python rounds it
+
 
 @dataclass(frozen=True)
 class BlockQuantities:
@@ -67,6 +76,8 @@ class BlockQuantities:
         scale_Cz = |g d_Ww| + |Gamma d_kg| + 2R (|g| + |Gamma|)
         scale_Cy = |Gamma d_Ww| + |g d_kg| + 2R (|g| + |Gamma|)
         scale_A  = n (g^2 + Gamma^2) + (d_Ww^2 + d_kg^2) / 4
+
+    Over a ParamGrid every field but n is an array of the grid's shape.
     """
 
     n: int
@@ -88,7 +99,7 @@ class BlockQuantities:
     @property
     def root(self) -> complex:
         """Branch root S = R exp(i*vartheta/2) for eta = +1."""
-        return self.R * cmath.exp(0.5j * self.vartheta)
+        return self.R * _cexp(0.5j * self.vartheta)
 
     def re_energy(self, eta: int) -> float:
         """Re E = (n - 1/2) omega + eta R cos(vartheta/2) of branch eta."""
@@ -97,7 +108,7 @@ class BlockQuantities:
     def distances(self, c_z: float, c_y: float) -> tuple[float, float, float]:
         """Normalised distances to R (|B|, only under A < 0; inf otherwise),
         GR (|Cz|) and SI (|Cy|) for a branch with coefficients c_z, c_y."""
-        d_r = abs(self.B) / self.scale_B if self.A < 0.0 else math.inf
+        d_r = where(self.A < 0.0, abs(self.B) / self.scale_B, math.inf)
         return d_r, abs(c_z) / self.scale_Cz, abs(c_y) / self.scale_Cy
 
 
@@ -127,7 +138,7 @@ class GapPair:
     delta_plus: float
 
 
-def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
+def block_quantities(params: ModelParams | ParamGrid, n: int) -> BlockQuantities:
     """Branch invariants and scales of block n >= 1 (see BlockQuantities).
 
     vartheta is the principal argument of A - iB; when both A and B vanish to
@@ -142,10 +153,10 @@ def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
     g, Gamma = params.g, params.Gamma
     A = n * (g * g - Gamma * Gamma) + 0.25 * d_Ww * d_Ww - 0.25 * d_kg * d_kg
     B = 2.0 * n * g * Gamma - 0.5 * d_kg * d_Ww
-    im = -B if abs(B) >= _SUBNORMAL_GUARD else 0.0
-    vartheta = math.atan2(im, A)
-    R = math.sqrt(math.hypot(A, B))
-    scale_sq = max(1.0, n * (g * g + Gamma * Gamma), d_Ww * d_Ww, d_kg * d_kg)
+    im = where(abs(B) >= _SUBNORMAL_GUARD, -B, 0.0)
+    vartheta = _atan2(im, A)
+    R = _sqrt(_hypot(A, B))
+    scale_sq = maximum(1.0, n * (g * g + Gamma * Gamma), d_Ww * d_Ww, d_kg * d_kg)
     two_r_coupling = 2.0 * R * (abs(g) + abs(Gamma))
     return BlockQuantities(
         n=n,
@@ -155,9 +166,9 @@ def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
         B=B,
         R=R,
         vartheta=vartheta,
-        exceptional=abs(A) < _EP_RTOL * scale_sq and abs(B) < _EP_RTOL * scale_sq,
-        r_cos=R * math.cos(0.5 * vartheta),
-        r_sin=R * math.sin(0.5 * vartheta),
+        exceptional=(abs(A) < _EP_RTOL * scale_sq) & (abs(B) < _EP_RTOL * scale_sq),
+        r_cos=R * _cos(0.5 * vartheta),
+        r_sin=R * _sin(0.5 * vartheta),
         off=c.g_t * math.sqrt(n),
         scale_B=abs(2.0 * n * g * Gamma) + abs(0.5 * d_kg * d_Ww) + 1e-300,
         scale_Cz=abs(g * d_Ww) + abs(Gamma * d_kg) + two_r_coupling + 1e-300,
@@ -166,14 +177,14 @@ def block_quantities(params: ModelParams, n: int) -> BlockQuantities:
     )
 
 
-def eigen_solution(params: ModelParams, level: LevelIndex,
+def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
                    block: BlockQuantities | None = None) -> EigenSolution:
     """Exact eigenstate of the given level, read off its block (evaluated
     here unless the caller passes block n already).
 
     Raises ExceptionalPointError when the block's branch split is singular and
     DegenerateStateError when both coefficients collapse to zero (only
-    possible with g~ = 0).
+    possible with g~ = 0). The n = 0 state takes a ParamGrid too.
     """
     if level.n == 0:
         energy = -0.5 * params.composites().Omega_t
@@ -191,15 +202,24 @@ def eigen_solution(params: ModelParams, level: LevelIndex,
         raise ExceptionalPointError(
             f"block n={level.n} is at an exceptional point (A={bq.A!r}, B={bq.B!r})"
         )
-    root = level.eta * bq.root
-    c_up = bq.e_minus + root
-    norm = abs(c_up) ** 2 + abs(bq.off) ** 2
-    scale = abs(bq.e_minus) ** 2 + level.n * abs(params.composites().g_t) ** 2
-    if norm <= _DEGENERATE_RTOL * max(scale, _SUBNORMAL_GUARD):
+    sol, degenerate = branch_solution(params, level, bq)
+    if degenerate:
         raise DegenerateStateError(
             f"state (n={level.n}, eta={level.eta:+d}) has vanishing coefficients"
         )
-    return EigenSolution(
+    return sol
+
+
+def branch_solution(params: ModelParams | ParamGrid, level: LevelIndex,
+                    bq: BlockQuantities) -> tuple[EigenSolution, bool]:
+    """The state (n >= 1, eta) of block bq with no checks, and whether its
+    coefficients collapse (degenerate). Over a grid both are arrays, and
+    exceptional or degenerate points hold meaningless values."""
+    root = level.eta * bq.root
+    c_up = bq.e_minus + root
+    norm = _abs2(c_up) + _abs2(bq.off)
+    scale = _abs2(bq.e_minus) + level.n * _abs2(params.composites().g_t)
+    sol = EigenSolution(
         level=level,
         c_up=c_up,
         c_down=bq.off,
@@ -208,9 +228,10 @@ def eigen_solution(params: ModelParams, level: LevelIndex,
         re_energy=bq.re_energy(level.eta),
         im_energy=-(level.n - 0.5) * params.kappa + level.eta * bq.r_sin,
     )
+    return sol, norm <= _DEGENERATE_RTOL * maximum(scale, _SUBNORMAL_GUARD)
 
 
-def _re_energies(params: ModelParams, n: int,
+def _re_energies(params: ModelParams | ParamGrid, n: int,
                  block: BlockQuantities | None = None) -> tuple[float, ...]:
     """Real parts of both branches of block n (single value for n = 0).
 
@@ -223,7 +244,7 @@ def _re_energies(params: ModelParams, n: int,
     return (bq.re_energy(1), bq.re_energy(-1))
 
 
-def gaps(params: ModelParams, n: int, block: BlockQuantities | None = None) -> GapPair:
+def gaps(params: ModelParams | ParamGrid, n: int, block: BlockQuantities | None = None) -> GapPair:
     """Intra-block gap delta_minus = |Re E(n,+) - Re E(n,-)| and the smallest
     real-part distance delta_plus to the blocks n-1 and n+1 (both branches).
     Block n is evaluated here unless the caller passes it."""
@@ -232,5 +253,5 @@ def gaps(params: ModelParams, n: int, block: BlockQuantities | None = None) -> G
     own = _re_energies(params, n, block)
     delta_minus = abs(own[0] - own[1])
     neighbors = _re_energies(params, n - 1) + _re_energies(params, n + 1)
-    delta_plus = min(abs(a - b) for a in own for b in neighbors)
+    delta_plus = minimum(*(abs(a - b) for a in own for b in neighbors))
     return GapPair(delta_minus=delta_minus, delta_plus=delta_plus)

@@ -11,20 +11,29 @@ subset of the observables
     nWzx, nWyx  signed winding numbers (node-sum fast path)
     CtZ, CtY    closed-form texture coefficients
 
-Winding numbers use the exact-integer node-sum route; a deterministic 1%
+Each level is evaluated over the whole grid at once, in blocks of 1024
+points: block_quantities takes the grid's parameter arrays (a ParamGrid), so
+a level costs one kernel call for block n plus two for the neighbouring
+blocks n-1 and n+1 that deltaPlus needs. Exceptional, degenerate, n = 0 and
+on_boundary points are masks within the same arrays. The rows are bit for
+bit what eigen_solution, texture_coefficients, gaps, tilting_angle, nodes and
+winding_node_sum give point by point.
+
+Winding numbers use the exact-integer node-sum route, with the sigma_x nodes
+of all points of a level from one ratio_roots call; a deterministic 1%
 subsample is re-checked with the phase-unwrapping integral and any mismatch
-aborts the sweep naming the offending grid point. Points within 1e-9
-(relative) of a reversal/gapped-reversal/super-invariant boundary are flagged
-on_boundary and their direction-dependent observables are left as nan, since
-the winding direction is genuinely undefined there. The distances and their
-normalisers are those of spectrum.BlockQuantities, which verify's draw
-margins use too. Every non-winding observable of a row is read off the
-row's one block; deltaPlus adds the neighbouring blocks n-1 and n+1.
+aborts the sweep naming the offending grid point. Any other error raised
+while a level is evaluated names the failing grid point, n and eta. Points
+within 1e-9 (relative) of a reversal/gapped-reversal/super-invariant boundary
+are flagged on_boundary and their direction-dependent observables are left as
+nan, since the winding direction is genuinely undefined there. The distances
+and their normalisers are those of spectrum.BlockQuantities, which verify's
+draw margins use too.
 
 Output is a flat table (one row per grid point per level, levels innermost)
-rendered to CSV with 17-significant-digit floats and 0/1 integer flags, so
-identical specs reproduce byte-identical files. Boundary overlays are written
-as sibling curves sampled on the same axes.
+rendered to CSV a column at a time with 17-significant-digit floats and 0/1
+integer flags, so identical specs reproduce byte-identical files. Boundary
+overlays are written as sibling curves sampled on the same axes.
 """
 
 from __future__ import annotations
@@ -39,27 +48,31 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import SOLVABLE, boundary_GR, boundary_R, boundary_SI
-from .errors import (
-    DegenerateStateError,
-    NoBoundaryError,
-    SweepConsistencyError,
-    SweepSpecError,
-    UndefinedTiltError,
-)
+from .errors import NhjcError, NoBoundaryError, SweepConsistencyError, SweepSpecError
 from .oscillator import N_MAX
-from .params import SWEEPABLE, LevelIndex, ModelParams, params_from_dict
-from .spectrum import BlockQuantities, block_quantities, eigen_solution, gaps
-from .texture import nodes, texture_closed_form, texture_coefficients
-from .topology import tilting_angle, winding_grid, winding_integral, winding_node_sum
+from .params import SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
+from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
+from .texture import (
+    branch_coefficients,
+    coefficient_ratio,
+    nodes,
+    texture_closed_form,
+    x_node_arrays,
+    zy_node_arrays,
+)
+from .topology import node_sum_windings, tilt_of, winding_grid, winding_integral
 
 __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
 OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
+WINDINGS = ("nWzx", "nWyx")
 OVERLAY_FAMILIES = ("R", "GR", "SI")
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
 _BOUNDARY_RTOL = 1e-9
+_CSV_BLOCK = 128
+_GRID_BLOCK = 1024
 _SPOT_CHECK_SEED = 20240901
 
 
@@ -110,6 +123,13 @@ class SweepSpec:
         for fam in self.overlays:
             if fam not in OVERLAY_FAMILIES:
                 raise SweepSpecError(f"unknown overlay family {fam!r}")
+        fraction = self.spot_check_fraction
+        if not (isinstance(fraction, (int, float)) and 0.0 <= fraction <= 1.0):  # nan fails too
+            raise SweepSpecError(f"spot_check_fraction must be a number in [0, 1], got {fraction!r}")
+        for axis in self.axes:
+            # every grid value lies between the axis ends; ModelParams checks them
+            self.base.with_value(axis.name, axis.start)
+            self.base.with_value(axis.name, axis.stop)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -122,7 +142,7 @@ class SweepSpec:
             observables = tuple(data.get("observables", ["thetaT"]))
             overlays = tuple(data.get("overlays", []))
             spot_check_fraction = float(data.get("spot_check_fraction", 0.01))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
         if not (volumetric is None or isinstance(volumetric, bool)):
@@ -183,133 +203,147 @@ def _json_cell(value):
     return value
 
 
+def _format_column(values) -> list[str]:
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map("{:.17g}".format, values))
+    if kinds == {bool}:
+        return ["1" if v else "0" for v in values]
+    if kinds == {int}:
+        return list(map(str, values))
+    return list(map(_format_cell, values))
+
+
 def _write_csv(path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _node_sum_winding(params: ModelParams, level: LevelIndex, plane: str,
-                      block: BlockQuantities) -> int:
-    alpha, beta = plane[0], plane[1]
-    return winding_node_sum(nodes(params, level, alpha, block),
-                            nodes(params, level, beta, block)).signed
+        # formatted a column at a time, in blocks of rows to bound the memory
+        for start in range(0, len(rows), _CSV_BLOCK):
+            cells = [_format_column(column) for column in zip(*rows[start:start + _CSV_BLOCK])]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _integral_winding(params: ModelParams, level: LevelIndex, plane: str) -> int:
-    grid = winding_grid(params, level)
-    tex = texture_closed_form(params, level, grid)
+    bq = block_quantities(params, level.n)
+    grid = winding_grid(params, level, nodes(params, level, "x", bq))
+    tex = texture_closed_form(params, level, grid, bq)
     return winding_integral(tex, plane).signed
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep. Deterministic: identical specs give identical rows
     (axes row-major, levels innermost) and byte-identical CSV output."""
-    axis_values = [axis.values() for axis in spec.axes]
-    axis_names = [axis.name for axis in spec.axes]
-    wants_winding = any(o in spec.observables for o in ("nWzx", "nWyx"))
-    columns = tuple(axis_names) + ("n", "eta") + tuple(spec.observables) + FLAG_COLUMNS
-    rows: list[tuple] = []
-    winding_rows: list[tuple[int, ModelParams, LevelIndex]] = []
+    columns = tuple(a.name for a in spec.axes) + ("n", "eta") + tuple(spec.observables) + FLAG_COLUMNS
     volumetric = spec.volumetric if spec.volumetric is not None else len(spec.axes) < 3
-
-    for coords in itertools.product(*axis_values) if volumetric else ():
-        point = [float(value) for value in coords]
-        params = spec.base
-        for name, value in zip(axis_names, point):
-            params = params.with_value(name, value)
-        for level in spec.levels:
-            row = point + [level.n, level.eta]
-            values, flags, check_winding = _evaluate_point(params, level, spec.observables)
-            row.extend(values)
-            row.extend(flags)
-            if check_winding and wants_winding:
-                winding_rows.append((len(rows), params, level))
-            rows.append(tuple(row))
-
-    _spot_check(spec, columns, rows, winding_rows)
-
-    overlays = {}
-    for family in spec.overlays:
-        overlays[family] = _overlay(spec, family)
+    rows = _grid_rows(spec, columns) if volumetric else []
+    overlays = {family: _overlay(spec, family) for family in spec.overlays}
     return SweepResult(spec=spec, columns=columns, rows=rows, overlays=overlays)
 
 
-def _evaluate_point(params: ModelParams, level: LevelIndex, observables):
-    """Observable values plus (degenerate, exceptional, on_boundary) flags."""
-    nan = math.nan
-    if level.n == 0:
-        sol = eigen_solution(params, level)
-        values = []
-        for obs in observables:
-            if obs == "imE":
-                values.append(sol.im_energy)
-            elif obs in ("nWzx", "nWyx"):
-                values.append(0)
-            else:
-                values.append(nan)
-        return values, (True, False, False), False
+def _grid_rows(spec: SweepSpec, columns) -> list[tuple]:
+    """Every row of the table. Each level is evaluated over a block of grid
+    points at once; the blocks bound the memory the arrays take."""
+    grid = ParamGrid.product(spec.base, {a.name: a.values() for a in spec.axes})
+    coords = [getattr(grid, a.name).tolist() for a in spec.axes]
+    size, levels = len(coords[0]), len(spec.levels)
+    rows, winding_rows = [], []
+    for start in range(0, size, _GRID_BLOCK):
+        block = grid.take(slice(start, start + _GRID_BLOCK))
+        count = block.g.size
+        block_coords = [c[start:start + count] for c in coords]
+        tables = []
+        for k, level in enumerate(spec.levels):
+            try:
+                values, flags, checked = _level_columns(block, level, spec.observables)
+            except NhjcError as exc:
+                if exc.index is None:
+                    at = "on the grid"
+                else:
+                    point = start + exc.index
+                    at = "at " + ", ".join(f"{a.name}={c[point]!r}" for a, c in zip(spec.axes, coords))
+                raise type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})") from exc
+            tables.append(zip(*block_coords, [level.n] * count, [level.eta] * count, *values, *flags))
+            winding_rows.extend((start + point) * levels + k for point in checked.tolist())
+        rows.extend(row for point_rows in zip(*tables) for row in point_rows)
+    _spot_check(spec, grid, columns, rows, sorted(winding_rows))
+    return rows
 
-    bq = block_quantities(params, level.n)
-    if bq.exceptional:
-        values = []
-        for obs in observables:
-            if obs == "imE":
-                values.append(-(level.n - 0.5) * params.kappa)
-            elif obs == "deltaMinus":
-                values.append(0.0)
-            elif obs == "deltaPlus":
-                values.append(gaps(params, level.n, bq).delta_plus)
-            else:
-                values.append(nan)
-        return values, (False, True, False), False
 
-    try:
-        coeffs = texture_coefficients(params, level, bq)
-    except DegenerateStateError:
-        values = [nan] * len(observables)
-        return values, (True, False, False), False
+def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
+    """One level over the grid: a list per observable, the (degenerate,
+    exceptional, on_boundary) flag lists and the indices of the points whose
+    windings came from the node sum (the spot check's population)."""
+    n, size = level.n, grid.g.size
+    windings = [obs for obs in observables if obs in WINDINGS]
+    if n == 0:
+        im_energy = eigen_solution(grid, level).im_energy.tolist()
+        nans = [math.nan] * size
+        values = [im_energy if obs == "imE" else [0] * size if obs in windings else nans
+                  for obs in observables]
+        return values, ([True] * size, [False] * size, [False] * size), np.empty(0, int)
+
+    bq = block_quantities(grid, n)
+    sol, degenerate = branch_solution(grid, level, bq)
+    exceptional = bq.exceptional
+    degenerate &= ~exceptional
+    regular = ~(exceptional | degenerate)
+    coeffs = branch_coefficients(grid, level.eta, bq)
     # within float reach of an R (branch cut), GR (Cz = 0) or SI (Cy = 0) point
-    on_boundary = min(bq.distances(coeffs.c_z, coeffs.c_y)) < _BOUNDARY_RTOL
-
-    gp = None
+    on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < _BOUNDARY_RTOL)
+    # the winding direction is undefined on a boundary
+    checked = np.flatnonzero(regular & ~on_boundary) if windings else np.empty(0, int)
+    signed = _node_sums(n, windings, sol, coeffs, checked)
+    gp = gaps(grid, n, bq) if {"deltaMinus", "deltaPlus"}.intersection(observables) else None
     values = []
     for obs in observables:
         if obs == "thetaT":
-            try:
-                values.append(tilting_angle(coeffs).theta_t)
-            except UndefinedTiltError:
-                values.append(nan)
-        elif obs == "deltaMinus" or obs == "deltaPlus":
-            if gp is None:
-                gp = gaps(params, level.n, bq)
-            values.append(gp.delta_minus if obs == "deltaMinus" else gp.delta_plus)
+            defined = regular & ((coeffs.c_z != 0.0) | (coeffs.c_y != 0.0))
+            column = np.where(defined, tilt_of(coeffs.c_y, coeffs.c_z).theta_t, math.nan)
+        elif obs == "deltaMinus":
+            column = np.where(regular, gp.delta_minus, np.where(exceptional, 0.0, math.nan))
+        elif obs == "deltaPlus":
+            column = np.where(degenerate, math.nan, gp.delta_plus)
         elif obs == "imE":
-            values.append(eigen_solution(params, level, bq).im_energy)
-        elif obs == "CtZ":
-            values.append(coeffs.c_z)
-        elif obs == "CtY":
-            values.append(coeffs.c_y)
-        elif obs in ("nWzx", "nWyx"):
-            if on_boundary:
-                values.append(nan)  # direction undefined on the boundary
-            else:
-                values.append(_node_sum_winding(params, level, obs[2:], bq))
-        else:  # pragma: no cover - schema validated upstream
-            raise SweepSpecError(f"unknown observable {obs!r}")
-    return values, (False, False, on_boundary), not on_boundary
+            column = np.where(regular, sol.im_energy,
+                              np.where(exceptional, -(n - 0.5) * grid.kappa, math.nan))
+        elif obs in ("CtZ", "CtY"):
+            column = np.where(regular, coeffs.c_z if obs == "CtZ" else coeffs.c_y, math.nan)
+        else:  # integer windings on the checked points, nan elsewhere
+            column = np.full(size, math.nan, dtype=object)
+            column[checked] = signed[obs].tolist()
+        values.append(column.tolist())
+    return values, (degenerate.tolist(), exceptional.tolist(), on_boundary.tolist()), checked
 
 
-def _spot_check(spec: SweepSpec, columns, rows, winding_rows) -> None:
-    """Re-derive a deterministic 1% subsample of windings via the integral."""
+def _node_sums(n: int, windings, sol, coeffs, checked) -> dict:
+    """Node-sum windings of the checked points, one array per winding
+    observable: one sigma_x node solve for all of them. A failed check names
+    its point by the index into the level's grid."""
+    if not windings or not checked.size:
+        return {obs: np.empty(0, int) for obs in windings}
+    try:
+        x_nodes = x_node_arrays(n, coefficient_ratio(sol.c_up[checked], sol.c_down[checked]))
+        amplitudes = {"nWzx": coeffs.c_z, "nWyx": coeffs.c_y}
+        return {obs: node_sum_windings(obs[2:], zy_node_arrays(n, amplitudes[obs][checked]), x_nodes)
+                for obs in windings}
+    except NhjcError as exc:
+        if exc.index is not None:
+            exc.index = int(checked[exc.index])
+        raise
+
+
+def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, rows, winding_rows) -> None:
+    """Re-derive a deterministic 1% subsample of windings via the integral;
+    winding_rows are the indices of the rows with node-sum windings."""
     if not winding_rows or spec.spot_check_fraction <= 0.0:
         return
     count = max(1, round(spec.spot_check_fraction * len(winding_rows)))
     picks = random.Random(_SPOT_CHECK_SEED).sample(range(len(winding_rows)), min(count, len(winding_rows)))
-    planes = [obs for obs in spec.observables if obs in ("nWzx", "nWyx")]
+    planes = [obs for obs in spec.observables if obs in WINDINGS]
     for pick in sorted(picks):
-        row_index, params, level = winding_rows[pick]
+        row_index = winding_rows[pick]
+        point, k = divmod(row_index, len(spec.levels))
+        params, level = grid.point(point), spec.levels[k]
         row = rows[row_index]
         for obs in planes:
             fast = row[columns.index(obs)]

@@ -29,6 +29,8 @@ H_{n-1} and H_n (2n-1 points, independent of all model parameters), while
 <sigma_x> has 2n parameter-dependent zeros, located where the stable ratio
 phi_n/phi_{n-1} equals +-|C_up|/|C_down|; oscillator.ratio_roots solves both
 level sets at once as eigenvalues of one stacked pair of Jacobi matrices.
+Both node families are computed for a batch of points at once (one row per
+point, one ratio_roots call for the batch); a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
-from .params import LevelIndex, ModelParams
+from .params import LevelIndex, ModelParams, ParamGrid, elementwise
 from .spectrum import BlockQuantities, block_quantities, eigen_solution
 
 __all__ = [
@@ -57,6 +59,9 @@ __all__ = [
 ]
 
 STANDARD_POINTS = 801
+
+# rho = |C_up|/|C_down|, inf where C_down = 0
+coefficient_ratio = elementwise(lambda c_up, c_down: abs(c_up) / abs(c_down) if c_down else math.inf)
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,17 @@ def texture_coefficients(params: ModelParams, level: LevelIndex,
         raise ValidationError("texture coefficients are defined for n >= 1")
     bq = block_quantities(params, level.n) if block is None else block
     eigen_solution(params, level, bq)  # propagates exceptional/degenerate
+    return branch_coefficients(params, level.eta, bq)
+
+
+def branch_coefficients(params: ModelParams | ParamGrid, eta: int,
+                        bq: BlockQuantities) -> TextureCoefficients:
+    """Cz, Cy, Dx of branch eta of block bq with no checks (arrays over a grid)."""
     c = params.composites()
     g, Gamma = params.g, params.Gamma
     d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
-    rc = level.eta * bq.r_cos
-    rs = level.eta * bq.r_sin
+    rc = eta * bq.r_cos
+    rs = eta * bq.r_sin
     return TextureCoefficients(
         c_z=g * d_Ww - Gamma * d_kg + 2.0 * (g * rc - Gamma * rs),
         c_y=Gamma * d_Ww + g * d_kg + 2.0 * (Gamma * rc + g * rs),
@@ -134,12 +145,14 @@ def _vacuum_texture(grid: np.ndarray) -> SpinTexture:
     return SpinTexture(grid=grid, sx=sx, sy=zeros.copy(), sz=zeros, coeffs=None)
 
 
-def texture_closed_form(params: ModelParams, level: LevelIndex, grid=None) -> SpinTexture:
-    """Spin texture from the analytic coefficient forms."""
+def texture_closed_form(params: ModelParams, level: LevelIndex, grid=None,
+                        block: BlockQuantities | None = None) -> SpinTexture:
+    """Spin texture from the analytic coefficient forms, read off block n
+    (evaluated here unless the caller passes it)."""
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
-    bq = block_quantities(params, level.n)
+    bq = block_quantities(params, level.n) if block is None else block
     coeffs = texture_coefficients(params, level, bq)
     sol = eigen_solution(params, level, bq)
     p_lo, p_hi = phi_pair(level.n, grid)
@@ -194,58 +207,58 @@ def texture_from_wavefunctions(params: ModelParams, level: LevelIndex, grid=None
     )
 
 
-def _zy_nodes(params: ModelParams, level: LevelIndex, component: str,
-              block: BlockQuantities | None) -> NodeSet:
-    """sigma_z / sigma_y nodes: union of the roots of H_{n-1} and H_n."""
-    n = level.n
-    coeffs = texture_coefficients(params, level, block)
-    amp = coeffs.c_z if component == "z" else coeffs.c_y
+def _alternating(first, count: int) -> np.ndarray:
+    """count section signs first, -first, first, ...; an array first gives
+    one row per element."""
+    return np.multiply.outer(first, (-1) ** np.arange(count))
+
+
+def zy_node_arrays(n: int, amp) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_z / sigma_y nodes of level n: the union of the roots of H_{n-1}
+    and H_n (shared by every point) and the section signs for the amplitude
+    Cz or Cy (one row per element when amp is an array)."""
     positions = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
                                         hermite_roots(n))))
     # phi_{n-1} phi_n < 0 as x -> -inf; each union root is simple, so the
     # section signs alternate from -sign(amp)
-    first = -_sign(amp)
-    signs = tuple(first * (-1) ** i for i in range(len(positions) + 1))
-    return NodeSet(component=component, positions=positions, signs=signs)
+    return positions, _alternating(-np.sign(amp).astype(int), len(positions) + 1)
 
 
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n sigma_x nodes of level n for a 1-D batch of coefficient ratios
+    rho = |C_up|/|C_down|: positions of shape (batch, 2n) and the section
+    signs shared by all.
 
-
-def _x_nodes(params: ModelParams, level: LevelIndex, block: BlockQuantities | None) -> NodeSet:
-    """The 2n sigma_x nodes: solutions of phi_n/phi_{n-1} = +-rho with
-    rho = |C_up|/|C_down|, one pair per branch of the ratio between
-    consecutive poles (roots of H_{n-1})."""
-    n = level.n
-    sol = eigen_solution(params, level, block)
-    rho = abs(sol.c_up) / abs(sol.c_down)
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise NodeCountError(f"coefficient ratio {rho!r} admits no sigma_x nodes")
+    They solve phi_n/phi_{n-1} = +-rho, one pair per branch of the ratio
+    between consecutive poles (roots of H_{n-1}). A failed check raises
+    NodeCountError with the index of the first failing element.
+    """
+    usable = (rho > 0.0) & (rho < math.inf)
+    if not usable.all():
+        i = int(np.argmin(usable))
+        raise NodeCountError(f"coefficient ratio {float(rho[i])!r} admits no sigma_x nodes", index=i)
     # the ratio rises from -inf to +inf on every branch, passing -rho before
     # +rho, so the k-th solutions of the two interleave
-    positions = ratio_roots(n, (-rho, rho)).T.ravel()
-    if len(positions) != 2 * n or not np.all(np.diff(positions) > 0.0):
+    positions = ratio_roots(n, np.stack((-rho, rho), axis=-1)).swapaxes(-1, -2).reshape(len(rho), 2 * n)
+    ordered = (np.diff(positions) > 0.0).all(axis=-1)
+    if positions.shape[-1] != 2 * n or not ordered.all():
         raise NodeCountError(
-            f"sigma_x node refinement for n={n} produced {len(positions)} "
-            "nodes or a non-monotone ordering"
+            f"sigma_x node refinement for n={n} produced {positions.shape[-1]} "
+            "nodes or a non-monotone ordering", index=int(np.argmin(ordered)),
         )
     # sections alternate, starting and ending at the asymptotic sign -1;
     # verify against the sampled sign of the texture at the midpoints
-    signs = tuple(1 if i % 2 else -1 for i in range(2 * n + 1))
-    mids = 0.5 * (positions[1:] + positions[:-1])
+    signs = _alternating(-1, 2 * n + 1)
+    mids = 0.5 * (positions[:, 1:] + positions[:, :-1])
     r = phi_ratio(n, mids)
-    observed = np.sign(rho * rho - r * r)  # sign of sigma_x up to a positive prefactor
-    wrong = np.flatnonzero(observed != signs[1:-1])
-    if wrong.size:
+    observed = np.sign(rho[:, None] * rho[:, None] - r * r)  # sign of sigma_x up to a positive prefactor
+    wrong = observed != signs[1:-1]
+    if wrong.any():
+        i = int(np.argmax(wrong.any(axis=-1)))
         raise NodeCountError(
-            f"sigma_x section signs for n={n} do not alternate at x={mids[wrong[0]]}"
+            f"sigma_x section signs for n={n} do not alternate at x={mids[i][wrong[i]][0]}", index=i,
         )
-    return NodeSet(component="x", positions=positions, signs=signs)
+    return positions, signs
 
 
 def nodes(params: ModelParams, level: LevelIndex, component: str,
@@ -260,7 +273,12 @@ def nodes(params: ModelParams, level: LevelIndex, component: str,
     if level.n < 1:
         raise ValidationError("nodes are defined for n >= 1")
     if component in ("z", "y"):
-        return _zy_nodes(params, level, component, block)
-    if component == "x":
-        return _x_nodes(params, level, block)
-    raise ValidationError(f"unknown spin component {component!r}")
+        coeffs = texture_coefficients(params, level, block)
+        positions, signs = zy_node_arrays(level.n, coeffs.c_z if component == "z" else coeffs.c_y)
+    elif component == "x":
+        sol = eigen_solution(params, level, block)
+        positions, signs = x_node_arrays(level.n, np.array([coefficient_ratio(sol.c_up, sol.c_down)]))
+        positions = positions[0]
+    else:
+        raise ValidationError(f"unknown spin component {component!r}")
+    return NodeSet(component=component, positions=positions, signs=tuple(signs.tolist()))

@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .oscillator import hermite_roots
-from .params import LevelIndex, ModelParams
+from .params import LevelIndex, ModelParams, elementwise
 from .spectrum import block_quantities
 from .texture import (
     NodeSet,
@@ -199,23 +199,22 @@ def winding_integral(
                          residual=abs(raw - signed))
 
 
-def _sign_sum(nodes_outer: NodeSet, other: NodeSet, ends_other: tuple[int, int]) -> int:
-    """Quarter-sum over the sections of nodes_outer with the other component's
-    signs at the section endpoints. Returns the sum in quarter units."""
-    signs_at = [ends_other[0]]
-    signs_at += [other.sign_at(float(x)) for x in nodes_outer.positions]
-    signs_at.append(ends_other[1])
-    section = nodes_outer.signs
-    for i in range(len(section) - 1):
-        if section[i] != -section[i + 1]:
-            raise AntiWindingError(
-                f"section signs of sigma_{nodes_outer.component} do not alternate; "
-                "the sign-sum formula assumes no anti-winding nodes or returning knots"
-            )
-    return sum(
-        (signs_at[i + 1] - signs_at[i]) * section[i]  # 1/eta == eta for +-1
-        for i in range(len(section))
-    )
+def _sign_sum(outer: str, outer_signs: np.ndarray, other_at_nodes: np.ndarray,
+              ends_other: tuple[int, int]) -> np.ndarray:
+    """Quarter-sums over the sections of the outer component, given the
+    other component's signs at the outer nodes (one row per point; a single
+    row is shared by all)."""
+    bad = np.flatnonzero((outer_signs[:, :-1] != -outer_signs[:, 1:]).any(axis=-1))
+    if bad.size:
+        raise AntiWindingError(
+            f"section signs of sigma_{outer} do not alternate; "
+            "the sign-sum formula assumes no anti-winding nodes or returning knots",
+            index=int(bad[0]),
+        )
+    rows = len(other_at_nodes)
+    signs_at = np.concatenate((np.full((rows, 1), ends_other[0]), other_at_nodes,
+                               np.full((rows, 1), ends_other[1])), axis=-1)
+    return ((signs_at[:, 1:] - signs_at[:, :-1]) * outer_signs).sum(axis=-1)  # 1/eta == eta for +-1
 
 
 def winding_node_sum(
@@ -231,19 +230,46 @@ def winding_node_sum(
     """
     plane = nodes_alpha.component + nodes_beta.component
     _plane_components(plane)
-    if ends_alpha is None:
-        ends_alpha = asymptotic_signs(nodes_alpha.component)
-    if ends_beta is None:
-        ends_beta = asymptotic_signs(nodes_beta.component)
-    quarters_a = -_sign_sum(nodes_beta, nodes_alpha, ends_alpha)
-    quarters_b = _sign_sum(nodes_alpha, nodes_beta, ends_beta)
-    if quarters_a % 4 or quarters_a != quarters_b:
+    signed = node_sum_windings(plane, (nodes_alpha.positions, nodes_alpha.signs),
+                               (nodes_beta.positions, nodes_beta.signs), ends_alpha, ends_beta)
+    return WindingResult(plane=plane, signed=int(signed[0]), method="node-sum")
+
+
+def node_sum_windings(plane: str, alpha, beta, ends_alpha=None, ends_beta=None) -> np.ndarray:
+    """Signed node-sum windings of a batch of points in the plane. alpha and
+    beta are the (positions, signs) of the two components' nodes: alpha's
+    positions are shared by the batch, the others are shared (1-D) or one row
+    per point (2-D). A failed check raises AntiWindingError with the index of
+    the first failing point."""
+    a, b = plane[0], plane[1]
+    ends_alpha = asymptotic_signs(a) if ends_alpha is None else ends_alpha
+    ends_beta = asymptotic_signs(b) if ends_beta is None else ends_beta
+    a_pos = np.asarray(alpha[0])
+    b_pos, a_signs, b_signs = (np.atleast_2d(v) for v in (beta[0], alpha[1], beta[1]))
+    batch = np.broadcast_shapes((len(b_pos),), (len(a_signs),), (len(b_signs),))[0]
+    rows = np.arange(batch)[:, None]
+    # a component's sign at a node of the other is that of its section
+    # number bisect_left(positions, node); a single row of signs serves all
+    a_at_b = a_signs[rows if len(a_signs) != 1 else 0, np.searchsorted(a_pos, b_pos)]
+    # beta node j lies below alpha node k iff at most k alpha nodes lie at or
+    # below it; offset by row, these counts form one sorted array
+    m, k = len(a_pos) + 1, b_pos.shape[-1]
+    b_rows = rows[:len(b_pos)]
+    at_or_below = (np.searchsorted(a_pos, b_pos, side="right") + m * b_rows).ravel()
+    b_below_a = np.searchsorted(at_or_below, m * b_rows + np.arange(m - 1), side="right") - k * b_rows
+    b_at_a = b_signs[rows if len(b_signs) != 1 else 0, b_below_a]
+    quarters_a = -_sign_sum(b, b_signs, a_at_b, ends_alpha)
+    quarters_b = _sign_sum(a, a_signs, b_at_a, ends_beta)
+    bad = np.flatnonzero((quarters_a % 4 != 0) | (quarters_a != quarters_b))
+    if bad.size:
+        i = bad[0]
         raise AntiWindingError(
             f"inconsistent node sums in plane {plane}: "
-            f"{quarters_a}/4 (over sigma_{nodes_beta.component} nodes) vs "
-            f"{quarters_b}/4 (over sigma_{nodes_alpha.component} nodes)"
+            f"{quarters_a[i]}/4 (over sigma_{b} nodes) vs "
+            f"{quarters_b[i]}/4 (over sigma_{a} nodes)",
+            index=int(i),
         )
-    return WindingResult(plane=plane, signed=quarters_a // 4, method="node-sum")
+    return quarters_a // 4
 
 
 def winding_direction(coeffs: TextureCoefficients, plane: str) -> int:
@@ -310,12 +336,12 @@ def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
     nodes_x = nodes(params, level, beta, bq)
     ns = winding_node_sum(nodes_alpha, nodes_x)
     grid = winding_grid(params, level, nodes_x)
-    tex = texture_closed_form(params, level, grid)
+    tex = texture_closed_form(params, level, grid, bq)
     integ = winding_integral(
         tex, plane,
         refine=lambda m: texture_closed_form(
             params, level,
-            np.unique(np.concatenate((grid, standard_grid(level.n, m)))),
+            np.unique(np.concatenate((grid, standard_grid(level.n, m)))), bq,
         ),
     )
     coeffs = tex.coeffs
@@ -334,16 +360,22 @@ def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
     }
 
 
+_tilt_ratio = elementwise(lambda c_y, c_z: c_y / c_z if c_z != 0.0 else math.copysign(math.inf, c_y))
+_atan = elementwise(math.atan)
+
+
 def tilting_angle(coeffs: TextureCoefficients) -> TiltingAngle:
     """Tilt of the winding plane: theta_t = arctan(Cy/Cz), +-pi/2 at Cz = 0."""
-    c_y, c_z = coeffs.c_y, coeffs.c_z
-    if c_z == 0.0:
-        if c_y == 0.0:
-            raise UndefinedTiltError("Cy = Cz = 0: tilting angle undefined")
-        return TiltingAngle(theta_t=math.copysign(0.5 * math.pi, c_y),
-                            ratio=math.copysign(math.inf, c_y))
-    ratio = c_y / c_z
-    return TiltingAngle(theta_t=math.atan(ratio), ratio=ratio)
+    if coeffs.c_z == 0.0 and coeffs.c_y == 0.0:
+        raise UndefinedTiltError("Cy = Cz = 0: tilting angle undefined")
+    return tilt_of(coeffs.c_y, coeffs.c_z)
+
+
+def tilt_of(c_y, c_z) -> TiltingAngle:
+    """theta_t and Cy/Cz with no check (arrays over a grid; Cy = Cz = 0 gives
+    pi/2 there). arctan(+-inf) is exactly +-pi/2 in floats."""
+    ratio = _tilt_ratio(c_y, c_z)
+    return TiltingAngle(theta_t=_atan(ratio), ratio=ratio)
 
 
 def _theta_at_gamma(params: ModelParams, n: int, eta: int, Gamma: float) -> float:

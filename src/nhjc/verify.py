@@ -116,12 +116,12 @@ def _check_eigen(draws, n_max) -> CheckResult:
             worst = max(worst, abs(direct - complex(bq.A, -bq.B)) / max(1.0, abs(direct)))
             matrix = _block_matrix(params, n)
             norm = np.linalg.norm(matrix)
-            for eta in (-1, 1):
-                sol = eigen_solution(params, LevelIndex(n, eta))
+            pair = [eigen_solution(params, LevelIndex(n, eta), bq) for eta in (-1, 1)]
+            for sol in pair:
                 vec = np.array([sol.c_up, sol.c_down])
                 worst = max(worst, float(np.max(np.abs(matrix @ vec - sol.energy * vec))) / norm)
-            pair = [eigen_solution(params, LevelIndex(n, eta)).energy for eta in (-1, 1)]
-            worst = max(worst, abs(pair[0] + pair[1] - 2 * bq.e_plus) / max(1.0, abs(bq.e_plus)))
+            worst = max(worst, abs(pair[0].energy + pair[1].energy - 2 * bq.e_plus)
+                        / max(1.0, abs(bq.e_plus)))
     return CheckResult("eigen-solution residuals", worst < 1e-11,
                        f"worst relative residual {worst:.2e} (< 1e-11)")
 
@@ -192,9 +192,10 @@ def _check_nodes(draws, n_max) -> CheckResult:
         sets = []
         for params in draws[:2]:
             level = LevelIndex(n, -1)
-            nz = nodes(params, level, "z")
-            ny = nodes(params, level, "y")
-            nx = nodes(params, level, "x")
+            bq = block_quantities(params, n)
+            nz = nodes(params, level, "z", bq)
+            ny = nodes(params, level, "y", bq)
+            nx = nodes(params, level, "x", bq)
             counts_ok &= len(nz.positions) == 2 * n - 1 == len(ny.positions)
             counts_ok &= len(nx.positions) == 2 * n
             worst_pos = max(worst_pos, float(np.max(np.abs(nz.positions - union))))
@@ -214,8 +215,9 @@ def _check_winding(draws, n_max) -> CheckResult:
         for n in range(1, n_max + 1):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
-                node_sets = {c: nodes(params, level, c) for c in ("z", "y", "x")}
-                tex = texture_closed_form(params, level, winding_grid(params, level, node_sets["x"]))
+                bq = block_quantities(params, n)
+                node_sets = {c: nodes(params, level, c, bq) for c in ("z", "y", "x")}
+                tex = texture_closed_form(params, level, winding_grid(params, level, node_sets["x"]), bq)
                 coeffs = tex.coeffs
                 signed = {}
                 for plane in ("zx", "yx"):

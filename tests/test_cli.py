@@ -205,3 +205,57 @@ def test_sweep_level_above_validity_domain_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("volumetric", ["false", 0, 1, "yes"])
 def test_sweep_non_boolean_volumetric_is_usage_error(tmp_path, capsys, volumetric):
     assert "volumetric" in _sweep_spec_error(tmp_path, capsys, volumetric=volumetric)
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", 1.5, -0.1])
+def test_sweep_spot_check_fraction_outside_unit_interval_is_usage_error(tmp_path, capsys, fraction):
+    assert "spot_check_fraction" in _sweep_spec_error(tmp_path, capsys, spot_check_fraction=fraction)
+
+
+def test_winding_without_coupling_is_computation_error(tmp_path, capsys):
+    # g~ = 0: the branch with C_up != 0 has C_down = 0, so no finite ratio
+    # |C_up|/|C_down| places sigma_x nodes
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps(dict(PARAMS, g_rel=0.0, Gamma=0.0)))
+    rc = main(["winding", "--params", str(path), "--n", "2", "--eta", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sigma_x" in err
+
+
+def test_sweep_error_names_the_grid_point(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import nhjc.texture
+    from nhjc import LevelIndex, eigen_solution, params_from_dict
+
+    spec = {
+        "params": PARAMS,
+        "axes": [{"name": "Gamma", "min": 0.01, "max": 0.05, "count": 3},
+                 {"name": "g", "min": 0.01, "max": 0.03, "count": 4}],
+        "levels": [{"n": 2, "eta": -1}],
+        "observables": ["thetaT", "nWzx"],
+    }
+    # break the sigma_x nodes of one point, found by its coefficient ratio
+    gamma, g = float(np.linspace(0.01, 0.05, 3)[1]), float(np.linspace(0.01, 0.03, 4)[2])
+    point = params_from_dict(PARAMS).with_value("Gamma", gamma).with_value("g", g)
+    sol = eigen_solution(point, LevelIndex(2, -1))
+    rho = abs(sol.c_up) / abs(sol.c_down)
+    original = nhjc.texture.ratio_roots
+    hit = []
+
+    def broken(n, c):
+        x = original(n, c)
+        rows = np.flatnonzero(np.asarray(c)[..., 1] == rho)
+        hit.extend(rows.tolist())
+        x[rows] = x[rows][..., ::-1]  # out of order: a NodeCountError at this point only
+        return x
+
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", broken)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert hit and rc == 1
+    assert err.startswith("error: sigma_x node refinement") and err.count("\n") == 1
+    assert f"at Gamma={gamma!r}, g={g!r}, n=2, eta=-1" in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhjc import domain_cutoff, hermite_roots, phi, phi_pair, phi_ratio
+from nhjc.oscillator import ratio_roots
 from reference_solvers import interlacing_roots
 
 
@@ -111,3 +113,16 @@ def test_root_domain_limits():
         hermite_roots(201)
     top = hermite_roots(200)
     assert len(top) == 200 and np.all(np.diff(top) > 0)
+
+
+def test_ratio_roots_solves_large_batches_in_bounded_stacks():
+    n, c = 100, np.linspace(-3.0, 3.0, 600)
+    tracemalloc.start()
+    try:
+        batch = ratio_roots(n, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # one stack of all 600 Jacobi matrices takes 48 MB
+    for i in (0, 208, 209, 599):  # both sides of the first stack boundary
+        assert np.array_equal(batch[i], ratio_roots(n, c[i]))

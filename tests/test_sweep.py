@@ -1,20 +1,32 @@
+import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nhjc
 from nhjc import (
     Axis,
+    DegenerateStateError,
     LevelIndex,
     ModelParams,
     SweepSpec,
     SweepSpecError,
+    UndefinedTiltError,
+    ValidationError,
     block_quantities,
     boundary_SI,
+    eigen_solution,
+    gaps,
+    nodes,
     run_sweep,
     texture_coefficients,
+    tilting_angle,
+    winding_node_sum,
 )
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
@@ -269,6 +281,7 @@ def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
                           observables=observables, overlays=(), spot_check_fraction=0.0)
         result = run_sweep(spec)
         assert len(result.rows) == 7 * 5 * 3
+        assert calls
         assert len(calls) <= 3 * len(result.rows)
 
 
@@ -298,3 +311,144 @@ def test_on_boundary_and_boundary_margin_share_normalisers():
                for row in result.rows]
     assert any(flags) and not all(flags)
     assert [bool(f) for f in flags] == [m < 1e-9 for m in margins]
+
+
+ALL_OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
+
+
+def _scalar_row(params, level, observables):
+    """The observables and flags of one grid point, one public scalar call at
+    a time: the per-point reference for the grid evaluation."""
+    nan = math.nan
+    if level.n == 0:
+        im_energy = eigen_solution(params, level).im_energy
+        return [im_energy if o == "imE" else 0 if o in ("nWzx", "nWyx") else nan
+                for o in observables] + [True, False, False]
+    bq = block_quantities(params, level.n)
+    if bq.exceptional:
+        known = {"imE": -(level.n - 0.5) * params.kappa, "deltaMinus": 0.0,
+                 "deltaPlus": gaps(params, level.n, bq).delta_plus}
+        return [known.get(o, nan) for o in observables] + [False, True, False]
+    try:
+        coeffs = texture_coefficients(params, level, bq)
+    except DegenerateStateError:
+        return [nan] * len(observables) + [True, False, False]
+    on_boundary = min(bq.distances(coeffs.c_z, coeffs.c_y)) < 1e-9
+    gp = gaps(params, level.n, bq)
+    row = []
+    for o in observables:
+        if o == "thetaT":
+            try:
+                row.append(tilting_angle(coeffs).theta_t)
+            except UndefinedTiltError:
+                row.append(nan)
+        elif o in ("nWzx", "nWyx"):
+            row.append(nan if on_boundary else winding_node_sum(
+                nodes(params, level, o[2]), nodes(params, level, "x")).signed)
+        else:
+            row.append({"deltaMinus": gp.delta_minus, "deltaPlus": gp.delta_plus,
+                        "imE": eigen_solution(params, level).im_energy,
+                        "CtZ": coeffs.c_z, "CtY": coeffs.c_y}[o])
+    return row + [False, False, on_boundary]
+
+
+def _bits(value):
+    """A cell's type and exact bits (every nan alike)."""
+    if isinstance(value, float):
+        return float, "nan" if math.isnan(value) else struct.pack("<d", value)
+    return type(value), value
+
+
+GR_2 = make_reference(Gamma=0.0).g * 0.1 / 0.3  # gapped-reversal Gamma of the reference, n = 2
+# omega = Omega, Gamma = 0: g = 0 is degenerate and g = |kappa - gamma|/2 = 0.2
+# is the exceptional point of block 1
+EP_BASE = ModelParams(omega=1.0, Omega=1.0, g=0.1, kappa=0.5, gamma=0.1)
+GRID_CASES = {
+    "R, GR": (make_reference(Gamma=0.0), (Axis("Gamma", 0.001, 0.12, 49),)),
+    "on GR": (make_reference(Gamma=0.0), (Axis("Gamma", GR_2 - 1e-12, GR_2 + 1e-12, 3),)),
+    "SI": (make_reference(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 41),)),
+    "EP, degenerate": (EP_BASE, (Axis("g", 0.0, 0.4, 5),)),
+    "plane": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.0, 0.1, 6))),
+    "volume": (make_reference(Gamma=0.05), (Axis("gamma", 0.1, 1.0, 3), Axis("Gamma", 0.0, 0.1, 3),
+                                            Axis("g", 0.0, 0.06, 2))),
+}
+GRID_LEVELS = (LevelIndex(0), LevelIndex(1, -1), LevelIndex(1, 1), LevelIndex(2, -1),
+               LevelIndex(2, 1), LevelIndex(5, -1))
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_evaluation_matches_scalar_api(case):
+    base, axes = GRID_CASES[case]
+    spec = SweepSpec(base=base, axes=axes, levels=GRID_LEVELS, observables=ALL_OBSERVABLES,
+                     spot_check_fraction=0.0, volumetric=True)
+    result = run_sweep(spec)
+    expected = []
+    for point in itertools.product(*(a.values().tolist() for a in axes)):
+        params = base
+        for axis, value in zip(axes, point):
+            params = params.with_value(axis.name, value)
+        for level in GRID_LEVELS:
+            expected.append([*point, level.n, level.eta, *_scalar_row(params, level, ALL_OBSERVABLES)])
+    assert [list(map(_bits, row)) for row in result.rows] == [list(map(_bits, row)) for row in expected]
+
+
+def test_grid_cases_reach_every_kind_of_row():
+    flags = set()
+    for base, axes in GRID_CASES.values():
+        spec = SweepSpec(base=base, axes=axes, levels=GRID_LEVELS, observables=("imE",),
+                         volumetric=True)
+        flags.update(tuple(row[-3:]) for row in run_sweep(spec).rows if row[len(axes)] > 0)
+    # degenerate, exceptional and on_boundary points, and regular ones
+    assert flags == {(True, False, False), (False, True, False), (False, False, True),
+                     (False, False, False)}
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _valid_or(valid, other=_json):
+    """Mostly the valid value, otherwise anything JSON holds."""
+    return st.just(valid) | st.just(valid) | other
+
+
+_number = _valid_or(0.05, st.integers(-3, 300) | st.floats() | st.integers() | _json)
+VALID_SPEC = {"params": {"omega": 0.9, "Omega": 1.0, "g_rel": 0.1},
+              "axes": [{"name": "Gamma", "min": 0.0, "max": 0.1, "count": 3}],
+              "levels": [{"n": 1}]}
+_spec_dicts = st.fixed_dictionaries(
+    {
+        "params": _valid_or(VALID_SPEC["params"], st.dictionaries(
+            st.sampled_from(["omega", "Omega", "g", "g_rel", "kappa", "gamma", "Gamma"]), _number)),
+        "axes": _valid_or(VALID_SPEC["axes"], st.lists(st.fixed_dictionaries(
+            {"name": _valid_or("Gamma", st.sampled_from(["g", "omega", "Omega", "x"]) | _json),
+             "min": _number, "max": _valid_or(0.2, _number), "count": _valid_or(3, _number)}),
+            max_size=4) | _json),
+        "levels": _valid_or(VALID_SPEC["levels"], st.lists(st.fixed_dictionaries(
+            {"n": _valid_or(1, _number)}, optional={"eta": _number}), max_size=3) | _json),
+    },
+    optional={
+        "observables": _valid_or(["thetaT"], st.lists(st.sampled_from(ALL_OBSERVABLES + ("x",))) | _json),
+        "overlays": _valid_or(["R"]),
+        "spot_check_fraction": _number,
+        "volumetric": _valid_or(None),
+    },
+)
+
+
+@given(data=_spec_dicts | _json)
+@example(data=dict(VALID_SPEC, spot_check_fraction=math.nan))
+@example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 0.1, "count": math.inf}]))
+@example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 10 ** 400, "count": 3}]))
+@example(data=dict(VALID_SPEC, params={"omega": 0.9, "Omega": 1.0, "g": 10 ** 400}))
+@settings(max_examples=400, deadline=None)
+@pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # drawn rates may be negative
+def test_malformed_specs_raise_spec_or_validation_errors(data):
+    try:
+        spec = SweepSpec.from_dict(data)
+    except (SweepSpecError, ValidationError):
+        return
+    assert 0.0 <= spec.spot_check_fraction <= 1.0

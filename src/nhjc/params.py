@@ -53,7 +53,7 @@ def elementwise(fn, dtype=float):
     def apply(*args):
         if not isinstance(args[0], np.ndarray):
             return fn(*args)
-        arrays = np.broadcast_arrays(*args)
+        arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
         mapped = map(fn, *(a.ravel().tolist() for a in arrays))
         return np.fromiter(mapped, dtype, arrays[0].size).reshape(arrays[0].shape)
     return apply
@@ -78,6 +78,24 @@ def minimum(*values):
     if np.ndarray in map(type, values):
         return functools.reduce(np.minimum, values)
     return min(values)
+
+
+def raise_where(flags, error, message: str, **values) -> None:
+    """Raise error(message) if flags holds, with the named values appended.
+    On arrays: for the first flagged element, with its values and its flat
+    index as the error's index."""
+    if isinstance(flags, np.ndarray):
+        if not flags.any():
+            return
+        index = int(np.argmax(flags))
+        values = {name: np.ravel(v)[index].item() for name, v in values.items()}
+    elif flags:
+        index = None
+    else:
+        return
+    if values:
+        message += " (" + ", ".join(f"{name}={v!r}" for name, v in values.items()) + ")"
+    raise error(message, index=index)
 
 
 def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
-from .params import LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, where
+from .params import LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, raise_where, where
 
 __all__ = [
     "BlockQuantities",
@@ -184,7 +184,8 @@ def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
 
     Raises ExceptionalPointError when the block's branch split is singular and
     DegenerateStateError when both coefficients collapse to zero (only
-    possible with g~ = 0). The n = 0 state takes a ParamGrid too.
+    possible with g~ = 0); over a ParamGrid, for the first such point, with
+    its index.
     """
     if level.n == 0:
         energy = -0.5 * params.composites().Omega_t
@@ -198,15 +199,11 @@ def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
             im_energy=energy.imag,
         )
     bq = block_quantities(params, level.n) if block is None else block
-    if bq.exceptional:
-        raise ExceptionalPointError(
-            f"block n={level.n} is at an exceptional point (A={bq.A!r}, B={bq.B!r})"
-        )
+    raise_where(bq.exceptional, ExceptionalPointError,
+                f"block n={level.n} is at an exceptional point", A=bq.A, B=bq.B)
     sol, degenerate = branch_solution(params, level, bq)
-    if degenerate:
-        raise DegenerateStateError(
-            f"state (n={level.n}, eta={level.eta:+d}) has vanishing coefficients"
-        )
+    raise_where(degenerate, DegenerateStateError,
+                f"state (n={level.n}, eta={level.eta:+d}) has vanishing coefficients")
     return sol
 
 

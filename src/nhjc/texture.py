@@ -62,6 +62,7 @@ STANDARD_POINTS = 801
 
 # rho = |C_up|/|C_down|, inf where C_down = 0
 coefficient_ratio = elementwise(lambda c_up, c_down: abs(c_up) / abs(c_down) if c_down else math.inf)
+_sqrt = elementwise(math.sqrt)
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,11 @@ def standard_grid(n: int, points: int = STANDARD_POINTS) -> np.ndarray:
     return np.linspace(-L, L, points)
 
 
-def texture_coefficients(params: ModelParams, level: LevelIndex,
+def texture_coefficients(params: ModelParams | ParamGrid, level: LevelIndex,
                          block: BlockQuantities | None = None) -> TextureCoefficients:
     """Closed-form coefficients Cz, Cy, Dx of state (n >= 1, eta), read off
-    block n (evaluated here unless the caller passes it)."""
+    block n (evaluated here unless the caller passes it); arrays over a
+    ParamGrid."""
     if level.n < 1:
         raise ValidationError("texture coefficients are defined for n >= 1")
     bq = block_quantities(params, level.n) if block is None else block
@@ -145,16 +147,21 @@ def _vacuum_texture(grid: np.ndarray) -> SpinTexture:
     return SpinTexture(grid=grid, sx=sx, sy=zeros.copy(), sz=zeros, coeffs=None)
 
 
-def texture_closed_form(params: ModelParams, level: LevelIndex, grid=None,
+def texture_closed_form(params: ModelParams | ParamGrid, level: LevelIndex, grid=None,
                         block: BlockQuantities | None = None) -> SpinTexture:
     """Spin texture from the analytic coefficient forms, read off block n
-    (evaluated here unless the caller passes it)."""
+    (evaluated here unless the caller passes it).
+
+    Over a ParamGrid of shape (points, 1), the profiles have one row per
+    point: on the one grid, or on each row of a 2-D grid (nan where a row's
+    grid has ended).
+    """
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
     bq = block_quantities(params, level.n) if block is None else block
-    coeffs = texture_coefficients(params, level, bq)
     sol = eigen_solution(params, level, bq)
+    coeffs = branch_coefficients(params, level.eta, bq)
     p_lo, p_hi = phi_pair(level.n, grid)
     cross = math.sqrt(level.n) * p_lo * p_hi / sol.norm
     g, Gamma = params.g, params.Gamma
@@ -169,8 +176,11 @@ def texture_closed_form(params: ModelParams, level: LevelIndex, grid=None,
     )
 
 
-def wavefunction_components(params: ModelParams, level: LevelIndex, grid):
-    """Position wave functions (psi+^x, psi-^x, psi+^z, psi-^z) on the grid.
+def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, grid,
+                            block: BlockQuantities | None = None):
+    """Position wave functions (psi+^x, psi-^x, psi+^z, psi-^z) on the grid,
+    read off block n (evaluated here unless the caller passes it; rows as in
+    texture_closed_form).
 
     sigma_x basis:  psi+-^x = C_{up,down} phi_{n-1,n}(x) / sqrt(N_n)
     sigma_z basis:  psi+-^z = (C_up phi_{n-1} +- C_down phi_n) / sqrt(2 N_n)
@@ -178,9 +188,9 @@ def wavefunction_components(params: ModelParams, level: LevelIndex, grid):
     if level.n < 1:
         raise ValidationError("wavefunction components are defined for n >= 1")
     grid = np.asarray(grid, dtype=float)
-    sol = eigen_solution(params, level)
+    sol = eigen_solution(params, level, block)
     p_lo, p_hi = phi_pair(level.n, grid)
-    rn = math.sqrt(sol.norm)
+    rn = _sqrt(sol.norm)
     up_x = sol.c_up * p_lo / rn
     down_x = sol.c_down * p_hi / rn
     up_z = (up_x + down_x) / math.sqrt(2.0)
@@ -188,13 +198,15 @@ def wavefunction_components(params: ModelParams, level: LevelIndex, grid):
     return up_x, down_x, up_z, down_z
 
 
-def texture_from_wavefunctions(params: ModelParams, level: LevelIndex, grid=None) -> SpinTexture:
+def texture_from_wavefunctions(params: ModelParams | ParamGrid, level: LevelIndex, grid=None,
+                               block: BlockQuantities | None = None) -> SpinTexture:
     """Spin texture contracted from the position wave functions (oracle route
-    for the closed forms; also carries the coefficients for convenience)."""
+    for the closed forms; also carries the coefficients for convenience),
+    read off block n (evaluated here unless the caller passes it)."""
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
-    up_x, down_x, up_z, down_z = wavefunction_components(params, level, grid)
+    up_x, down_x, up_z, down_z = wavefunction_components(params, level, grid, block)
     sx = np.abs(up_x) ** 2 - np.abs(down_x) ** 2
     sz = np.abs(up_z) ** 2 - np.abs(down_z) ** 2
     sy = (1j * (np.conj(down_z) * up_z - np.conj(up_z) * down_z)).real
@@ -203,7 +215,7 @@ def texture_from_wavefunctions(params: ModelParams, level: LevelIndex, grid=None
         sx=sx,
         sy=sy,
         sz=sz,
-        coeffs=texture_coefficients(params, level),
+        coeffs=texture_coefficients(params, level, block),
     )
 
 

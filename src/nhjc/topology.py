@@ -50,9 +50,10 @@ from .errors import (
     ValidationError,
 )
 from .oscillator import hermite_roots
-from .params import LevelIndex, ModelParams, elementwise
+from .params import LevelIndex, ModelParams, elementwise, raise_where, where
 from .spectrum import block_quantities
 from .texture import (
+    STANDARD_POINTS,
     NodeSet,
     SpinTexture,
     TextureCoefficients,
@@ -69,7 +70,9 @@ __all__ = [
     "ReversalIdentityReport",
     "asymptotic_signs",
     "winding_grid",
+    "winding_grids",
     "winding_integral",
+    "integral_windings",
     "winding_node_sum",
     "winding_direction",
     "winding_report",
@@ -137,28 +140,35 @@ def _plane_components(plane: str) -> tuple[str, str]:
         raise ValidationError(f"unknown winding plane {plane!r}; use one of {sorted(PLANES)}") from None
 
 
-def _fold(step: float) -> float:
-    return step - 2.0 * math.pi * round(step / (2.0 * math.pi))
+def _fold(step):
+    """step folded into [-pi, pi] (elementwise; halves round to even, as round() does)."""
+    return step - 2.0 * math.pi * np.round(step / (2.0 * math.pi))
 
 
-def _unwrap_total(x_comp: np.ndarray, y_comp: np.ndarray) -> tuple[float, float]:
-    """Total swept angle of (x_comp, y_comp) and the largest interior step.
+def _unwrap_totals(x_comp: np.ndarray, y_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total swept angle of (x_comp, y_comp) along each row and the largest
+    interior step; nan (padding past the end of a row's grid) counts as a
+    vanished vector.
 
     Both tails converge to the exact direction (0, -1), angle -pi/2; closing
     the walk onto that limit removes the truncation bias (the winding between
     the cutoff and infinity is below pi, so folding the closing increments is
     safe: at most the outermost sigma_x node lies beyond the grid).
     """
-    amp = np.hypot(x_comp, y_comp)
-    alive = np.flatnonzero(amp > _AMPLITUDE_FLOOR)
-    if alive.size < 2:
-        raise GridTooCoarseError("winding vector vanishes on the whole grid")
-    sl = slice(alive[0], alive[-1] + 1)
-    angles = np.arctan2(y_comp[sl], x_comp[sl])
+    alive = np.hypot(x_comp, y_comp) > _AMPLITUDE_FLOOR
+    raise_where(np.count_nonzero(alive, axis=-1) < 2, GridTooCoarseError,
+                "winding vector vanishes on the whole grid")
+    first = np.argmax(alive, axis=-1)
+    last = alive.shape[-1] - 1 - np.argmax(alive[:, ::-1], axis=-1)
+    angles = np.arctan2(y_comp, x_comp)
     steps = np.diff(angles)
     steps -= 2.0 * math.pi * np.round(steps / (2.0 * math.pi))
-    total = _fold(angles[0] + 0.5 * math.pi) + float(np.sum(steps)) + _fold(-0.5 * math.pi - angles[-1])
-    worst = float(np.max(np.abs(steps))) if steps.size else 0.0
+    inside = (first[:, None] <= np.arange(steps.shape[-1])) & (np.arange(steps.shape[-1]) < last[:, None])
+    worst = np.max(np.abs(steps), axis=-1, where=inside, initial=0.0)
+    # each row's own slice, so the pairwise sum adds what a 1-D call adds
+    sums = np.array([np.sum(row[lo:hi]) for row, lo, hi in zip(steps, first.tolist(), last.tolist())])
+    rows = np.arange(len(first))
+    total = _fold(angles[rows, first] + 0.5 * math.pi) + sums + _fold(-0.5 * math.pi - angles[rows, last])
     return total, worst
 
 
@@ -182,21 +192,39 @@ def winding_integral(
     if texture.coeffs is None:  # n = 0 state: no transverse components
         return WindingResult(plane=plane, signed=0, method="integral",
                              residual=0.0, degenerate=True)
-    total, worst = _unwrap_total(texture.component(alpha), texture.component(beta))
+    total, worst = _unwrap_totals(texture.component(alpha)[None], texture.component(beta)[None])
     rounds = 0
-    while worst >= _MAX_STEP and refine is not None and rounds < _REFINE_ROUNDS:
+    while worst[0] >= _MAX_STEP and refine is not None and rounds < _REFINE_ROUNDS:
         rounds += 1
         texture = refine(4 * (len(texture.grid) - 1) + 1)
-        total, worst = _unwrap_total(texture.component(alpha), texture.component(beta))
-    if worst >= _MAX_STEP:
+        total, worst = _unwrap_totals(texture.component(alpha)[None], texture.component(beta)[None])
+    signed, residual = _rounded(total, worst, plane, [len(texture.grid)])
+    return WindingResult(plane=plane, signed=int(signed[0]), method="integral",
+                         residual=float(residual[0]))
+
+
+def integral_windings(texture: SpinTexture, plane: str,
+                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """winding_integral (no refinement) of a batch of cases: the signed
+    windings and residuals of the rows of a texture, row i sampled on the
+    first counts[i] points of its grid row. A grid too coarse raises
+    GridTooCoarseError with the index of the first such row."""
+    alpha, beta = _plane_components(plane)
+    return _rounded(*_unwrap_totals(texture.component(alpha), texture.component(beta)), plane, counts)
+
+
+def _rounded(total, worst, plane, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest integers to total / 2 pi and the distances to them."""
+    coarse = worst >= _MAX_STEP
+    if coarse.any():
+        i = int(np.argmax(coarse))
         raise GridTooCoarseError(
-            f"angle step {worst:.3f} rad >= pi/2 in plane {plane} "
-            f"({len(texture.grid)} grid points)"
+            f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({counts[i]} grid points)",
+            index=i,
         )
     raw = total / (2.0 * math.pi)
-    signed = round(raw)
-    return WindingResult(plane=plane, signed=signed, method="integral",
-                         residual=abs(raw - signed))
+    signed = np.rint(raw)
+    return signed.astype(int), np.abs(raw - signed)
 
 
 def _sign_sum(outer: str, outer_signs: np.ndarray, other_at_nodes: np.ndarray,
@@ -274,18 +302,18 @@ def node_sum_windings(plane: str, alpha, beta, ends_alpha=None, ends_beta=None) 
 
 def winding_direction(coeffs: TextureCoefficients, plane: str) -> int:
     """Direction sign s_w of the winding in the plane: +1 clockwise,
-    -1 counter-clockwise (s_w = sign of the plane's coefficient)."""
+    -1 counter-clockwise (s_w = sign of the plane's coefficient; arrays of
+    coefficients give an array)."""
     alpha, _ = _plane_components(plane)
     value = coeffs.c_z if alpha == "z" else coeffs.c_y
-    if value == 0.0:
-        raise OnBoundaryError(
-            f"C{alpha} = 0: winding direction in {plane} undefined on a reversal boundary"
-        )
-    return 1 if value > 0.0 else -1
+    raise_where(value == 0.0, OnBoundaryError,
+                f"C{alpha} = 0: winding direction in {plane} undefined on a reversal boundary")
+    return where(value > 0.0, 1, -1)
 
 
 # far enough out that exp(-x^2) factors underflow below the amplitude floor
 _CLUSTER_REACH = 27.0
+_SHELLS = 1e-13 * 2.0 ** np.arange(0, 45)
 
 
 def winding_grid(params: ModelParams, level: LevelIndex, nodes_x: NodeSet | None = None) -> np.ndarray:
@@ -300,22 +328,35 @@ def winding_grid(params: ModelParams, level: LevelIndex, nodes_x: NodeSet | None
     center crossing by 2 arctan(w0/w), comfortably under pi/2 for any squeeze
     the boundary margins admit (w0 = 1e-13).
     """
-    n = level.n
-    pieces = [standard_grid(n)]
-    centers = [hermite_roots(n)]
-    if n > 1:
-        centers.append(hermite_roots(n - 1))
     if nodes_x is None:
         nodes_x = nodes(params, level, "x")
-    centers.append(nodes_x.positions)
-    shells = 1e-13 * 2.0 ** np.arange(0, 45)
-    for c in np.concatenate(centers):
-        if abs(c) > _CLUSTER_REACH:
-            continue  # underflowed tail; the analytic end closure covers it
-        local = shells * max(1.0, abs(c))
-        pieces.append(c + local)
-        pieces.append(c - local)
-    return np.unique(np.concatenate(pieces))
+    grids, counts = winding_grids(level.n, nodes_x.positions[None])
+    return grids[0, :counts[0]]
+
+
+def winding_grids(n: int, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The winding_grid of each row of sigma_x nodes (shape (cases, 2n)) at
+    level n: one grid per row, left-aligned and padded with nan, and the
+    number of points in each."""
+    roots = np.concatenate((hermite_roots(n), hermite_roots(n - 1) if n > 1 else np.empty(0)))
+    centers = np.concatenate((np.broadcast_to(roots, (len(x_nodes), roots.size)), x_nodes), axis=-1)
+    local = _SHELLS * np.maximum(1.0, np.abs(centers))[..., None]
+    shells = np.concatenate((centers[..., None] + local, centers[..., None] - local), axis=-1)
+    # an underflowed tail needs none: the analytic end closure covers it
+    shells[np.abs(centers) > _CLUSTER_REACH] = np.nan
+    standard = np.broadcast_to(standard_grid(n), (len(x_nodes), STANDARD_POINTS))
+    return _distinct_rows(np.concatenate((standard, shells.reshape(len(x_nodes), -1)), axis=-1))
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of each row in increasing order (nan dropped),
+    left-aligned and padded with nan, and their counts: np.unique row by row,
+    without the numpy.ma import that np.unique costs."""
+    rows = np.sort(rows, axis=-1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.nan  # repeats; the sort moves them last
+    rows.sort(axis=-1)
+    counts = np.count_nonzero(~np.isnan(rows), axis=-1)
+    return rows[:, :counts.max()], counts
 
 
 def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
@@ -341,7 +382,7 @@ def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
         tex, plane,
         refine=lambda m: texture_closed_form(
             params, level,
-            np.unique(np.concatenate((grid, standard_grid(level.n, m)))), bq,
+            _distinct_rows(np.concatenate((grid, standard_grid(level.n, m)))[None])[0][0], bq,
         ),
     )
     coeffs = tex.coeffs
@@ -365,9 +406,10 @@ _atan = elementwise(math.atan)
 
 
 def tilting_angle(coeffs: TextureCoefficients) -> TiltingAngle:
-    """Tilt of the winding plane: theta_t = arctan(Cy/Cz), +-pi/2 at Cz = 0."""
-    if coeffs.c_z == 0.0 and coeffs.c_y == 0.0:
-        raise UndefinedTiltError("Cy = Cz = 0: tilting angle undefined")
+    """Tilt of the winding plane: theta_t = arctan(Cy/Cz), +-pi/2 at Cz = 0
+    (arrays of coefficients give arrays)."""
+    raise_where((coeffs.c_z == 0.0) & (coeffs.c_y == 0.0), UndefinedTiltError,
+                "Cy = Cz = 0: tilting angle undefined")
     return tilt_of(coeffs.c_y, coeffs.c_z)
 
 

@@ -13,6 +13,14 @@ within 1e-3 of zero relative to the natural scale of its own terms, or |g~|
 is within 1e-3 of the degenerate line. The scales are those of
 spectrum.BlockQuantities (scale_B, scale_Cz, scale_Cy, scale_A), the same
 ones the sweep's on_boundary flag uses.
+
+The per-draw checks evaluate all their draws at once: the draws form a
+ParamGrid of one row each, which block_quantities and the public functions
+built on it take in place of ModelParams, in chunks of about _CHUNK_POINTS
+points so that memory stays flat however many draws are asked for. Every
+residual is bit for bit what a loop over the draws gives (the loops are kept
+as the tests' reference). An error raised for one draw names its index in
+the seeded sequence, its six parameters and the level.
 """
 
 from __future__ import annotations
@@ -25,26 +33,30 @@ from typing import Callable
 import numpy as np
 
 from .boundaries import boundary_GR, boundary_R, boundary_SI
-from .errors import NegativeRateWarning, NhjcError, NoBoundaryError
-from .oscillator import hermite_roots
-from .params import LevelIndex, ModelParams
+from .errors import NegativeRateWarning, NhjcError, NoBoundaryError, ValidationError
+from .oscillator import N_MAX, hermite_roots
+from .params import PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise
 from .spectrum import block_quantities, eigen_solution
 from .texture import (
+    STANDARD_POINTS,
+    coefficient_ratio,
     nodes,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     texture_from_wavefunctions,
     wavefunction_components,
+    x_node_arrays,
+    zy_node_arrays,
 )
 from .topology import (
     _theta_at_gamma,
+    integral_windings,
+    node_sum_windings,
     tilting_angle,
     verify_reversal_identity,
     winding_direction,
-    winding_grid,
-    winding_integral,
-    winding_node_sum,
+    winding_grids,
 )
 
 __all__ = ["CheckResult", "run_suite", "draw_params", "boundary_margin"]
@@ -52,6 +64,14 @@ __all__ = ["CheckResult", "run_suite", "draw_params", "boundary_margin"]
 DEFAULT_SEED = 20240901
 
 BOUNDARY_MARGIN = 1e-3
+
+# profile samples (draws x grid points x profiles held) evaluated at once;
+# the draws of a check go through in chunks of about this many, which bounds
+# the suite's memory
+_CHUNK_POINTS = 2 ** 14
+
+_square = elementwise(lambda z: z ** 2, complex)
+_abs, _tan = elementwise(abs), elementwise(math.tan)
 
 
 @dataclass(frozen=True)
@@ -98,87 +118,167 @@ def draw_params(
             continue
 
 
-def _block_matrix(params: ModelParams, n: int) -> np.ndarray:
-    c = params.composites()
-    off = c.g_t * math.sqrt(n)
-    return np.array([
-        [(n - 1) * c.omega_t + 0.5 * c.Omega_t, off],
-        [off, n * c.omega_t - 0.5 * c.Omega_t],
-    ])
+def _draw_grid(draws) -> ParamGrid:
+    """The draws as a ParamGrid of one row each (shape (draws, 1))."""
+    return ParamGrid(**{name: np.array([[getattr(p, name)] for p in draws]) for name in PARAM_NAMES})
+
+
+def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: STANDARD_POINTS) -> list[np.ndarray]:
+    """evaluate(chunk, bq, level) for each level n in ns and eta = -1, +1,
+    over chunks of the draws in grid of about _CHUNK_POINTS points (points(n)
+    per draw), block n evaluated once per chunk. Returns each per-draw array
+    evaluate returns, joined over all chunks and levels. A NhjcError names
+    its draw (index in the seeded sequence and parameters) and level."""
+    parts = []
+    for n in dict.fromkeys(ns):
+        step = max(1, _CHUNK_POINTS // points(n))
+        for start in range(0, len(grid.g), step):
+            chunk = grid.take(slice(start, start + step))
+            bq = block_quantities(chunk, n)
+            for eta in (-1, 1):
+                try:
+                    parts.append(evaluate(chunk, bq, LevelIndex(n, eta)))
+                except NhjcError as exc:
+                    if exc.index is None:
+                        raise type(exc)(f"{exc} (n={n}, eta={eta})") from exc
+                    values = ", ".join(f"{name}={getattr(chunk, name)[exc.index, 0].item()!r}"
+                                       for name in PARAM_NAMES)
+                    raise type(exc)(f"{exc} (draw {start + exc.index}: {values}, n={n}, eta={eta})",
+                                    index=start + exc.index) from exc
+    return [np.concatenate([np.ravel(a) for a in field]) for field in zip(*parts)]
+
+
+def _worst(*arrays) -> float:
+    """Largest of the values, at least 0.0; nan if any is nan."""
+    return float(np.max([0.0, *map(np.max, arrays)]))
+
+
+def _rows_max(a) -> np.ndarray:
+    """max |a| along each row."""
+    return np.max(np.abs(a), axis=-1)
+
+
+def _eigen_residuals(chunk, bq, level):
+    n = level.n
+    sol = eigen_solution(chunk, level, bq)
+    other = eigen_solution(chunk, LevelIndex(n, -level.eta), bq)
+    c = chunk.composites()
+    direct = _square(bq.e_minus) + n * _square(c.g_t)
+    matrix = np.stack(((n - 1) * c.omega_t + 0.5 * c.Omega_t, bq.off,
+                       bq.off, n * c.omega_t - 0.5 * c.Omega_t), axis=-1).reshape(-1, 2, 2)
+    flat = matrix.reshape(-1, 4)  # the Frobenius norm, summed as np.linalg.norm sums it
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    vec = np.concatenate((sol.c_up, sol.c_down), axis=-1)
+    return (_abs(direct - _complex_array(bq.A, -bq.B)) / np.maximum(1.0, _abs(direct)),
+            _rows_max((matrix @ vec[..., None])[..., 0] - sol.energy * vec) / norm,
+            _abs(other.energy + sol.energy - 2 * bq.e_plus) / np.maximum(1.0, _abs(bq.e_plus)))
 
 
 def _check_eigen(draws, n_max) -> CheckResult:
-    worst = 0.0
-    for params in draws:
-        for n in range(1, n_max + 1):
-            bq = block_quantities(params, n)
-            direct = bq.e_minus ** 2 + n * params.composites().g_t ** 2
-            worst = max(worst, abs(direct - complex(bq.A, -bq.B)) / max(1.0, abs(direct)))
-            matrix = _block_matrix(params, n)
-            norm = np.linalg.norm(matrix)
-            pair = [eigen_solution(params, LevelIndex(n, eta), bq) for eta in (-1, 1)]
-            for sol in pair:
-                vec = np.array([sol.c_up, sol.c_down])
-                worst = max(worst, float(np.max(np.abs(matrix @ vec - sol.energy * vec))) / norm)
-            worst = max(worst, abs(pair[0].energy + pair[1].energy - 2 * bq.e_plus)
-                        / max(1.0, abs(bq.e_plus)))
+    worst = _worst(*_levels(_draw_grid(draws), range(1, n_max + 1), _eigen_residuals, lambda n: 1))
     return CheckResult("eigen-solution residuals", worst < 1e-11,
                        f"worst relative residual {worst:.2e} (< 1e-11)")
 
 
+def _dual_route_difference(chunk, bq, level):
+    grid = standard_grid(level.n)
+    a = texture_closed_form(chunk, level, grid, bq)
+    b = texture_from_wavefunctions(chunk, level, grid, bq)
+    return _rows_max(a.sx - b.sx), _rows_max(a.sy - b.sy), _rows_max(a.sz - b.sz)
+
+
 def _check_dual_route(draws, n_max) -> CheckResult:
-    worst = 0.0
-    for params in draws:
-        for n in (1, max(2, n_max // 2), n_max):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                grid = standard_grid(n)
-                a = texture_closed_form(params, level, grid)
-                b = texture_from_wavefunctions(params, level, grid)
-                worst = max(worst,
-                            float(np.max(np.abs(a.sx - b.sx))),
-                            float(np.max(np.abs(a.sy - b.sy))),
-                            float(np.max(np.abs(a.sz - b.sz))))
+    levels = (1, max(2, n_max // 2), n_max)  # both routes' profiles are held at once
+    worst = _worst(*_levels(_draw_grid(draws), levels, _dual_route_difference, lambda n: 2 * STANDARD_POINTS))
     return CheckResult("dual-route texture equivalence", worst < 1e-11,
                        f"worst pointwise difference {worst:.2e} (< 1e-11)")
 
 
+def _parity_residuals(chunk, bq, level):
+    grid = standard_grid(level.n)
+    t = texture_closed_form(chunk, level, grid, bq)
+    _, _, up_z, down_z = wavefunction_components(chunk, level, grid, bq)
+    return (_rows_max(t.sx - t.sx[:, ::-1]), _rows_max(t.sy + t.sy[:, ::-1]),
+            _rows_max(t.sz + t.sz[:, ::-1]), _rows_max(up_z - (-1) ** (level.n - 1) * down_z[:, ::-1]))
+
+
 def _check_parity(draws, n_max) -> CheckResult:
-    worst = wv = 0.0
-    for params in draws:
-        for n in (1, n_max):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                grid = standard_grid(n)
-                t = texture_closed_form(params, level, grid)
-                worst = max(worst,
-                            float(np.max(np.abs(t.sx - t.sx[::-1]))),
-                            float(np.max(np.abs(t.sy + t.sy[::-1]))),
-                            float(np.max(np.abs(t.sz + t.sz[::-1]))))
-                _, _, up_z, down_z = wavefunction_components(params, level, grid)
-                wv = max(wv, float(np.max(np.abs(up_z - (-1) ** (n - 1) * down_z[::-1]))))
+    *texture, wave = _levels(_draw_grid(draws), (1, n_max), _parity_residuals, lambda n: 2 * STANDARD_POINTS)
+    worst, wv = _worst(*texture), _worst(wave)
     return CheckResult("parity symmetry", worst < 1e-12 and wv < 1e-13,
                        f"texture residual {worst:.2e} (< 1e-12), "
                        f"wavefunction residual {wv:.2e} (< 1e-13)")
 
 
+def _hermitian_residuals(chunk, bq, level):
+    t = texture_closed_form(chunk, level, standard_grid(level.n), bq)
+    sol = eigen_solution(chunk, level, bq)
+    return (_rows_max(t.sy), tilting_angle(t.coeffs).theta_t == 0.0,
+            np.abs(sol.im_energy) / (level.n + 1))
+
+
 def _check_hermitian(draws, n_max) -> CheckResult:
-    worst_sy = 0.0
-    worst_im = 0.0
-    exact_theta = True
-    for params in draws:
-        hermitian = ModelParams(omega=params.omega, Omega=params.Omega, g=params.g)
-        for n in range(1, n_max + 1):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                t = texture_closed_form(hermitian, level, standard_grid(n))
-                worst_sy = max(worst_sy, float(np.max(np.abs(t.sy))))
-                exact_theta &= tilting_angle(t.coeffs).theta_t == 0.0
-                sol = eigen_solution(hermitian, level)
-                worst_im = max(worst_im, abs(sol.im_energy) / (n + 1))
+    hermitian = _draw_grid([ModelParams(omega=p.omega, Omega=p.Omega, g=p.g) for p in draws])
+    sy, zero_theta, im = _levels(hermitian, range(1, n_max + 1), _hermitian_residuals)
+    worst_sy, exact_theta, worst_im = _worst(sy), bool(zero_theta.all()), _worst(im)
     return CheckResult("hermitian limit", worst_sy < 1e-13 and exact_theta and worst_im < 1e-14,
                        f"max |sigma_y| {worst_sy:.2e} (< 1e-13), theta_t exactly 0: {exact_theta}, "
                        f"max |Im E|/(n+1) {worst_im:.2e} (< 1e-14)")
+
+
+def _winding_laws(chunk, bq, level):
+    """Per draw: method mismatches, worst integral residual, and whether
+    |n_w| = n, the direction rule and the plane coupling hold."""
+    n = level.n
+    sol = eigen_solution(chunk, level, bq)
+    x_nodes = x_node_arrays(n, coefficient_ratio(sol.c_up, sol.c_down).ravel())
+    grids, counts = winding_grids(n, x_nodes[0])
+    tex = texture_closed_form(chunk, level, grids, bq)
+    mismatches = residual = 0
+    magnitude = direction = True
+    for plane in ("zx", "yx"):
+        amp = tex.coeffs.c_z if plane == "zx" else tex.coeffs.c_y
+        signed = node_sum_windings(plane, zy_node_arrays(n, amp.ravel()), x_nodes)
+        integral, plane_residual = integral_windings(tex, plane, counts)
+        mismatches = mismatches + (signed != integral)
+        residual = np.maximum(residual, plane_residual)
+        magnitude = magnitude & (np.abs(signed) == n)
+        direction = direction & (signed == -winding_direction(tex.coeffs, plane).ravel() * n)
+    coupling = (winding_direction(tex.coeffs, "zx") * winding_direction(tex.coeffs, "yx")
+                == np.where(tex.coeffs.c_z * tex.coeffs.c_y > 0, 1, -1))
+    return mismatches, residual, magnitude, direction, coupling
+
+
+def _check_winding(draws, n_max) -> CheckResult:
+    # a grid is the standard one plus 90 shell points around each of the 4n - 1 nodes
+    mismatches, residual, magnitude, direction, coupling = _levels(
+        _draw_grid(draws), range(1, n_max + 1), _winding_laws,
+        lambda n: STANDARD_POINTS + 90 * (4 * n - 1))
+    cases, mismatches, worst_residual = 2 * len(mismatches), int(mismatches.sum()), _worst(residual)
+    magnitude_ok, direction_ok, coupling_ok = (bool(a.all()) for a in (magnitude, direction, coupling))
+    passed = (mismatches == 0 and magnitude_ok and direction_ok
+              and coupling_ok and worst_residual < 0.1)
+    return CheckResult("winding laws", passed,
+                       f"{cases} cases: method mismatches {mismatches}, |n_w|=n {magnitude_ok}, "
+                       f"direction rule {direction_ok}, plane coupling {coupling_ok}, "
+                       f"worst integral residual {worst_residual:.2e} (< 0.1)")
+
+
+def _tilting_residuals(chunk, bq, level):
+    coeffs = texture_coefficients(chunk, level, bq)
+    theta = tilting_angle(coeffs).theta_t
+    ratio = np.where(np.abs(theta) < 0.5 * math.pi - 1e-9,
+                     np.abs(_tan(theta) * coeffs.c_z - coeffs.c_y), 0.0)
+    t = texture_closed_form(chunk, level, standard_grid(level.n), bq)
+    amp = _rows_max(t.sy) + _rows_max(t.sz) + 1e-300
+    return ratio, _rows_max(t.sy * coeffs.c_z - t.sz * coeffs.c_y) / amp
+
+
+def _check_tilting(draws, n_max) -> CheckResult:
+    worst_ratio, worst_const = map(_worst, _levels(_draw_grid(draws), (1, n_max), _tilting_residuals))
+    return CheckResult("tilting identities", worst_ratio < 1e-12 and worst_const < 1e-12,
+                       f"tan(theta)*Cz-Cy residual {worst_ratio:.2e}, "
+                       f"pointwise ratio-constancy {worst_const:.2e} (both < 1e-12)")
 
 
 def _check_nodes(draws, n_max) -> CheckResult:
@@ -205,59 +305,6 @@ def _check_nodes(draws, n_max) -> CheckResult:
     return CheckResult("invariant nodes", counts_ok and worst_pos < 1e-10,
                        f"counts 2n-1/2n: {counts_ok}, max position deviation "
                        f"{worst_pos:.2e} (< 1e-10)")
-
-
-def _check_winding(draws, n_max) -> CheckResult:
-    cases = mismatches = 0
-    worst_residual = 0.0
-    magnitude_ok = direction_ok = coupling_ok = True
-    for params in draws:
-        for n in range(1, n_max + 1):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                bq = block_quantities(params, n)
-                node_sets = {c: nodes(params, level, c, bq) for c in ("z", "y", "x")}
-                tex = texture_closed_form(params, level, winding_grid(params, level, node_sets["x"]), bq)
-                coeffs = tex.coeffs
-                signed = {}
-                for plane in ("zx", "yx"):
-                    ns = winding_node_sum(node_sets[plane[0]], node_sets["x"])
-                    integ = winding_integral(tex, plane)
-                    cases += 1
-                    mismatches += ns.signed != integ.signed
-                    worst_residual = max(worst_residual, integ.residual)
-                    magnitude_ok &= abs(ns.signed) == n
-                    direction_ok &= ns.signed == -winding_direction(coeffs, plane) * n
-                    signed[plane] = ns.signed
-                s_zx = winding_direction(coeffs, "zx")
-                s_yx = winding_direction(coeffs, "yx")
-                coupling_ok &= s_zx * s_yx == (1 if coeffs.c_z * coeffs.c_y > 0 else -1)
-    passed = (mismatches == 0 and magnitude_ok and direction_ok
-              and coupling_ok and worst_residual < 0.1)
-    return CheckResult("winding laws", passed,
-                       f"{cases} cases: method mismatches {mismatches}, |n_w|=n {magnitude_ok}, "
-                       f"direction rule {direction_ok}, plane coupling {coupling_ok}, "
-                       f"worst integral residual {worst_residual:.2e} (< 0.1)")
-
-
-def _check_tilting(draws, n_max) -> CheckResult:
-    worst_ratio = worst_const = 0.0
-    for params in draws:
-        for n in (1, n_max):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                coeffs = texture_coefficients(params, level)
-                tilt = tilting_angle(coeffs)
-                if abs(tilt.theta_t) < 0.5 * math.pi - 1e-9:
-                    worst_ratio = max(worst_ratio,
-                                      abs(math.tan(tilt.theta_t) * coeffs.c_z - coeffs.c_y))
-                t = texture_closed_form(params, level, standard_grid(n))
-                amp = float(np.max(np.abs(t.sy))) + float(np.max(np.abs(t.sz))) + 1e-300
-                worst_const = max(worst_const,
-                                  float(np.max(np.abs(t.sy * coeffs.c_z - t.sz * coeffs.c_y))) / amp)
-    return CheckResult("tilting identities", worst_ratio < 1e-12 and worst_const < 1e-12,
-                       f"tan(theta)*Cz-Cy residual {worst_ratio:.2e}, "
-                       f"pointwise ratio-constancy {worst_const:.2e} (both < 1e-12)")
 
 
 def _check_boundaries(draws, n_max) -> CheckResult:
@@ -349,7 +396,17 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
 
 def run_suite(draws: int = 200, n_max: int = 8, seed: int = DEFAULT_SEED,
               quick: bool = False) -> list[CheckResult]:
-    """Run every invariant check; quick mode shrinks to 50 draws, n <= 6."""
+    """Run every invariant check; quick mode shrinks to 50 draws, n <= 6.
+
+    draws >= 1 (at least 4 are drawn), 1 <= n_max <= N_MAX and seed >= 0,
+    else ValidationError.
+    """
+    if not draws >= 1:
+        raise ValidationError(f"draws must be >= 1, got {draws}")
+    if not 1 <= n_max <= N_MAX:
+        raise ValidationError(f"n_max must be in [1, {N_MAX}] (validity domain), got {n_max}")
+    if not seed >= 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if quick:
         draws, n_max = min(draws, 50), min(n_max, 6)
     rng = np.random.default_rng(seed)

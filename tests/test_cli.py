@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,29 @@ def test_verify_quick(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[PASS]") == 9
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-max", "201"], "n_max must be in [1, 200]"),
+    (["--n-max", "0"], "n_max must be in [1, 200]"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--draws", "0"], "draws must be >= 1"),
+    (["--draws", "-3"], "draws must be >= 1"),
+])
+def test_verify_flags_outside_their_domain_are_usage_errors(flags, message, capsys):
+    assert message in _one_line_usage_error(main(["verify", *flags]), capsys)
+
+
+def test_winding_process_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 17 ms of every fresh process
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; from nhjc.cli import main; "
+            "assert main(['winding', '--params', 'configs/reference.json', '--n', '3']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_version(capsys):

@@ -15,6 +15,7 @@ from nhjc import (
     eigen_solution,
     gaps,
 )
+from nhjc.params import PARAM_NAMES, ParamGrid
 from conftest import make_reference
 
 rates = st.floats(0.0, 1.2)
@@ -168,8 +169,15 @@ def test_exceptional_point_flag_and_error():
     p = ModelParams(omega=0.9, Omega=1.0, g=0.1, kappa=0.5, gamma=0.3, Gamma=0.05)
     bq = block_quantities(p, 1)
     assert bq.exceptional
-    with pytest.raises(ExceptionalPointError):
+    with pytest.raises(ExceptionalPointError) as scalar:
         eigen_solution(p, LevelIndex(1, -1))
+    # over a grid the error names the first such point, with its own A and B
+    points = [make_reference(), p, p]
+    grid = ParamGrid(**{name: np.array([getattr(q, name) for q in points]) for name in PARAM_NAMES})
+    with pytest.raises(ExceptionalPointError) as batched:
+        eigen_solution(grid, LevelIndex(1, -1))
+    assert batched.value.index == 1 and scalar.value.index is None
+    assert str(batched.value) == str(scalar.value)
 
 
 def test_gap_pair_hermitian_resonant():

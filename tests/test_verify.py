@@ -1,0 +1,129 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import nhjc
+import nhjc.spectrum
+import nhjc.texture
+import nhjc.topology
+import nhjc.verify
+from nhjc import GridTooCoarseError, LevelIndex, eigen_solution
+from nhjc.cli import main
+from nhjc.verify import (
+    DEFAULT_SEED,
+    _check_dual_route,
+    _check_eigen,
+    _check_hermitian,
+    _check_parity,
+    _check_tilting,
+    _check_winding,
+    draw_params,
+    run_suite,
+)
+from reference_verify import reference_suite
+
+BATCHED = (_check_eigen, _check_dual_route, _check_parity, _check_hermitian, _check_winding,
+           _check_tilting)
+
+
+def seeded_draws(count, n_max, seed=DEFAULT_SEED):
+    """The first `count` draws of run_suite's seeded sequence; its winding
+    draws are the first max(4, draws // 4) of them."""
+    rng = np.random.default_rng(seed)
+    return [draw_params(rng, n_max) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
+@pytest.mark.parametrize("draws, n_max, quick", [(12, 4, False), (50, 8, False), (200, 8, True)])
+def test_suite_matches_the_scalar_reference(seed, draws, n_max, quick):
+    results = run_suite(draws, n_max, seed, quick)
+    assert results == reference_suite(draws, n_max, seed, quick)
+    assert all(result.passed for result in results)
+
+
+def test_a_broken_wavefunction_route_fails_the_dual_route_check(monkeypatch):
+    # every draw of a chunk shares the phi_pair samples, so a fault there
+    # cannot single out one draw: it goes into one route's wave function
+    original = nhjc.texture.wavefunction_components
+
+    def broken(params, level, grid, block=None):
+        up_x, down_x, up_z, down_z = original(params, level, grid, block)
+        if level.n == 1 and len(up_x) > 3:  # draw 3 sits in the first chunk
+            up_x = up_x.copy()
+            up_x[3] *= 1.0 + 1e-6
+        return up_x, down_x, up_z, down_z
+
+    draws = seeded_draws(12, 4)
+    assert _check_dual_route(draws, 4).passed
+    monkeypatch.setattr(nhjc.texture, "wavefunction_components", broken)
+    result = _check_dual_route(draws, 4)
+    assert not result.passed and "worst pointwise difference" in result.detail
+
+
+def test_shifted_sigma_x_nodes_stop_the_winding_check(monkeypatch):
+    # the integral's grid refines around the sigma_x nodes: around wrong ones
+    # it misses a squeezed passage of the winding loop
+    original = nhjc.texture.ratio_roots
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", lambda n, c: original(n, c) + 0.05)
+    with pytest.raises(GridTooCoarseError, match=r"\(draw 2: .*, n=2, eta=-1\)"):
+        _check_winding(seeded_draws(4, 4), 4)
+
+
+def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):
+    # reverse the sigma_x nodes of winding draw 12 (in the second chunk of
+    # level 2) at (n, eta) = (2, -1) only
+    params = seeded_draws(15, 4)[12]
+    sol = eigen_solution(params, LevelIndex(2, -1))
+    rho = abs(sol.c_up) / abs(sol.c_down)
+    original = nhjc.texture.ratio_roots
+    hit = []
+
+    def broken(n, c):
+        x = original(n, c)
+        rows = np.flatnonzero(np.asarray(c)[..., 1] == rho)
+        hit.extend(rows.tolist())
+        x[rows] = x[rows][..., ::-1]
+        return x
+
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", broken)
+    rc = main(["verify", "--draws", "60", "--n-max", "4"])
+    err = capsys.readouterr().err
+    assert hit and rc == 1
+    assert err.startswith("error: sigma_x node refinement") and err.count("\n") == 1
+    values = ", ".join(f"{name}={getattr(params, name)!r}"
+                       for name in ("omega", "Omega", "g", "kappa", "gamma", "Gamma"))
+    assert f"(draw 12: {values}, n=2, eta=-1)" in err
+
+
+def test_batched_checks_evaluate_the_kernel_at_most_200_times(monkeypatch):
+    # a scalar loop evaluates it 3 892 times for the same draws
+    draws = seeded_draws(50, 8)
+    original = nhjc.spectrum.block_quantities
+    calls = []
+
+    def counted(params, n):
+        calls.append(n)
+        return original(params, n)
+
+    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.verify):
+        if getattr(module, "block_quantities", None) is original:
+            monkeypatch.setattr(module, "block_quantities", counted)
+    for check in BATCHED:
+        assert check(draws[:12] if check is _check_winding else draws, 8).passed
+    assert 0 < len(calls) <= 200
+
+
+def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
+    run_suite(12, 8)  # fill the Hermite-root cache first
+    peaks = []
+    for draws in (50, 200):
+        tracemalloc.start()
+        try:
+            run_suite(draws, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # only the draw records themselves (a few hundred bytes each) grow
+    assert peaks[1] < 2 * 2 ** 20
+    assert peaks[1] - peaks[0] < 2 ** 18

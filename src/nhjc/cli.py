@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 computation error, 2 usage error (bad flags or
 malformed JSON, reported with line/column), 3 invariant violation in verify.
 Results go to stdout or --out; diagnostics to stderr. Every subcommand is a
 pure function of its config file and flags, so repeated runs are byte-stable.
+
+A process loads only what its subcommand computes: the modules imported here
+(the closed forms, eigen and boundaries) need no numpy, and the subcommands
+that sample the oscillator functions import theirs in their handlers.
 """
 
 from __future__ import annotations
@@ -17,13 +21,8 @@ from dataclasses import asdict
 from . import __version__
 from .boundaries import SOLVABLE, all_boundaries, boundary_GR, boundary_R, boundary_SI
 from .errors import NhjcError, SweepSpecError, ValidationError
-from .oscillator import N_MAX
-from .params import LevelIndex, load_params
+from .params import N_MAX, LevelIndex, load_params
 from .spectrum import block_quantities, eigen_solution, gaps
-from .sweep import SweepSpec, run_sweep
-from .texture import standard_grid, texture_closed_form
-from .topology import winding_report
-from .verify import DEFAULT_SEED, run_suite
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -76,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--quick", action="store_true", help="50 draws, n <= 6")
     verify.add_argument("--draws", type=int, default=200)
     verify.add_argument("--n-max", type=int, default=8)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=int)
     return parser
 
 
@@ -127,6 +126,8 @@ def _oscillator_level(args) -> LevelIndex:
 
 
 def _cmd_texture(args) -> int:
+    from .texture import standard_grid, texture_closed_form
+
     params = load_params(args.params)
     level = _oscillator_level(args)
     if args.grid_points < 2:
@@ -150,6 +151,8 @@ def _cmd_texture(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    from .topology import winding_report
+
     params = load_params(args.params)
     level = _oscillator_level(args)
     planes = ("zx", "yx") if args.plane == "both" else (args.plane,)
@@ -181,6 +184,8 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, run_sweep
+
     spec = SweepSpec.load(args.spec)
     result = run_sweep(spec)
     if args.format == "csv":
@@ -191,8 +196,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(draws=args.draws, n_max=args.n_max, seed=args.seed,
-                        quick=args.quick)
+    from .verify import DEFAULT_SEED, run_suite
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_suite(draws=args.draws, n_max=args.n_max, seed=seed, quick=args.quick)
     failed = 0
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
@@ -227,7 +234,7 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON in input file: {exc.msg} "
               f"(line {exc.lineno}, column {exc.colno})", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file, or not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValidationError, SweepSpecError) as exc:

@@ -35,12 +35,11 @@ import threading
 
 import numpy as np
 
-__all__ = ["phi", "phi_pair", "phi_ratio", "ratio_roots", "hermite_roots", "domain_cutoff", "N_MAX"]
+from .params import N_MAX
+
+__all__ = ["phi", "phi_pair", "phi_ratio", "ratio_roots", "hermite_roots", "domain_cutoff"]
 
 _PI_QUARTER = math.pi ** -0.25
-
-# highest level of the validity domain (n <= 200, |x| <= 40)
-N_MAX = 200
 
 # floats in one stack of Jacobi matrices handed to eigvalsh (16 MB)
 _STACK_FLOATS = 2 ** 21

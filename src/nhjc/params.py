@@ -17,6 +17,11 @@ and every math/cmath call goes through `elementwise`, which maps the same
 function over the elements of an array. numpy's own arctan2, hypot, |z| and
 x**2 differ from math's in the last bit on some inputs, so a grid point gets
 the bits a scalar call gives it.
+
+This module and the closed-form layer on it (spectrum, boundaries) import no
+numpy, so a caller with ModelParams alone never loads it: the helpers below
+look for an ndarray only when numpy is in sys.modules, since no array can
+exist before it is loaded.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .errors import NegativeRateWarning, ValidationError
 
@@ -40,18 +44,22 @@ __all__ = [
     "coupling_scale",
     "params_from_dict",
     "load_params",
+    "N_MAX",
 ]
 
 RATE_NAMES = ("kappa", "gamma", "Gamma")
 PARAM_NAMES = ("omega", "Omega", "g") + RATE_NAMES
 SWEEPABLE = ("omega", "g", "kappa", "gamma", "Gamma")
 
+# highest level of the validity domain (n <= 200, |x| <= 40)
+N_MAX = 200
+
 
 def elementwise(fn, dtype=float):
     """fn itself on scalars; on an ndarray first argument, fn mapped over the
     elements of the broadcast arguments (an array of the broadcast shape)."""
     def apply(*args):
-        if not isinstance(args[0], np.ndarray):
+        if not ((np := sys.modules.get("numpy")) and isinstance(args[0], np.ndarray)):
             return fn(*args)
         arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
         mapped = map(fn, *(a.ravel().tolist() for a in arrays))
@@ -61,21 +69,21 @@ def elementwise(fn, dtype=float):
 
 def where(cond, a, b):
     """a where cond holds, else b: np.where on arrays, a plain choice on scalars."""
-    if isinstance(cond, np.ndarray):
+    if (np := sys.modules.get("numpy")) and isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
     return a if cond else b
 
 
 def maximum(*values):
     """Largest of the values, elementwise if any is an array."""
-    if np.ndarray in map(type, values):
+    if (np := sys.modules.get("numpy")) and np.ndarray in map(type, values):
         return functools.reduce(np.maximum, values)
     return max(values)
 
 
 def minimum(*values):
     """Smallest of the values, elementwise if any is an array."""
-    if np.ndarray in map(type, values):
+    if (np := sys.modules.get("numpy")) and np.ndarray in map(type, values):
         return functools.reduce(np.minimum, values)
     return min(values)
 
@@ -84,7 +92,7 @@ def raise_where(flags, error, message: str, **values) -> None:
     """Raise error(message) if flags holds, with the named values appended.
     On arrays: for the first flagged element, with its values and its flat
     index as the error's index."""
-    if isinstance(flags, np.ndarray):
+    if (np := sys.modules.get("numpy")) and isinstance(flags, np.ndarray):
         if not flags.any():
             return
         index = int(np.argmax(flags))
@@ -98,8 +106,9 @@ def raise_where(flags, error, message: str, **values) -> None:
     raise error(message, index=index)
 
 
-def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """complex(re, im) of every element; copying the parts in is exact."""
+def _complex_array(re, im):
+    """complex(re, im) of every element of two arrays; copying the parts in is exact."""
+    import numpy as np
     z = np.empty(re.shape, complex)
     z.real, z.imag = re, im
     return z
@@ -204,9 +213,10 @@ class ParamGrid:
         self.kappa, self.gamma, self.Gamma = kappa, gamma, Gamma
 
     @classmethod
-    def product(cls, base: ModelParams, axes: dict[str, np.ndarray]) -> "ParamGrid":
+    def product(cls, base: ModelParams, axes: dict) -> "ParamGrid":
         """base with the named parameters set to every combination of their
-        values, flattened row-major (first axis slowest)."""
+        values (arrays), flattened row-major (first axis slowest)."""
+        import numpy as np
         mesh = np.meshgrid(*axes.values(), indexing="ij")
         values = {name: np.full(mesh[0].size, getattr(base, name)) for name in PARAM_NAMES}
         values.update((name, m.ravel()) for name, m in zip(axes, mesh))
@@ -251,7 +261,7 @@ def params_from_dict(data: dict) -> ModelParams:
         raise ValidationError(f"parameter object must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - _PARAM_KEYS)
     if unknown:
-        raise ValidationError(f"unknown parameter key(s): {', '.join(unknown)}")
+        raise ValidationError(f"unknown parameter key(s): {', '.join(map(repr, unknown))}")
     for required in ("omega", "Omega"):
         if required not in data:
             raise ValidationError(f"missing required parameter {required!r}")
@@ -277,16 +287,21 @@ def params_from_dict(data: dict) -> ModelParams:
 
 
 def _number(data: dict, key: str) -> float:
-    """data[key] (0 when absent) as a float; anything non-numeric is a ValidationError."""
+    """data[key] (0 when absent) as a float; anything but a JSON number in
+    float range (a string or a boolean too) is a ValidationError."""
     value = data.get(key, 0.0)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"parameter {key!r} must be a number, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise ValidationError(f"parameter {key!r} must be a number, got {value!r}")
 
 
 def load_params(path: str | Path) -> ModelParams:
     """Read a parameter JSON file (see params_from_dict for the schema)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        # integers read as floats: one past float range is inf, one past
+        # int()'s digit limit no ValueError
+        data = json.load(fh, parse_int=float)
     return params_from_dict(data)

@@ -49,8 +49,7 @@ import numpy as np
 
 from .boundaries import SOLVABLE, boundary_GR, boundary_R, boundary_SI
 from .errors import NhjcError, NoBoundaryError, SweepConsistencyError, SweepSpecError
-from .oscillator import N_MAX
-from .params import SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
+from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
 from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
 from .texture import (
     branch_coefficients,

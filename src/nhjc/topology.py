@@ -145,6 +145,21 @@ def _fold(step):
     return step - 2.0 * math.pi * np.round(step / (2.0 * math.pi))
 
 
+def _alive(x_comp: np.ndarray, y_comp: np.ndarray) -> np.ndarray:
+    """hypot(x_comp, y_comp) > _AMPLITUDE_FLOOR, elementwise.
+
+    hypot lies between max(|x|, |y|) and sqrt(2) times it, so it is evaluated
+    only where that does not settle the test: a largest magnitude in
+    (0.7 floor, floor], or nan (hypot(inf, nan) is inf). Squares would
+    underflow at this floor.
+    """
+    big = np.maximum(np.abs(x_comp), np.abs(y_comp))
+    alive = big > _AMPLITUDE_FLOOR
+    unsure = ~(alive | (big <= 0.7 * _AMPLITUDE_FLOOR))
+    alive[unsure] = np.hypot(x_comp[unsure], y_comp[unsure]) > _AMPLITUDE_FLOOR
+    return alive
+
+
 def _unwrap_totals(x_comp: np.ndarray, y_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Total swept angle of (x_comp, y_comp) along each row and the largest
     interior step; nan (padding past the end of a row's grid) counts as a
@@ -155,7 +170,7 @@ def _unwrap_totals(x_comp: np.ndarray, y_comp: np.ndarray) -> tuple[np.ndarray, 
     the cutoff and infinity is below pi, so folding the closing increments is
     safe: at most the outermost sigma_x node lies beyond the grid).
     """
-    alive = np.hypot(x_comp, y_comp) > _AMPLITUDE_FLOOR
+    alive = _alive(x_comp, y_comp)
     raise_where(np.count_nonzero(alive, axis=-1) < 2, GridTooCoarseError,
                 "winding vector vanishes on the whole grid")
     first = np.argmax(alive, axis=-1)

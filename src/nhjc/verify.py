@@ -20,11 +20,14 @@ built on it take in place of ModelParams, in chunks of about _CHUNK_POINTS
 points so that memory stays flat however many draws are asked for. Every
 residual is bit for bit what a loop over the draws gives (the loops are kept
 as the tests' reference). An error raised for one draw names its index in
-the seeded sequence, its six parameters and the level.
+the seeded sequence, its six parameters and the level. The draws themselves
+are scored in blocks of candidates the same way (draw_sets), accepted in the
+order a one-at-a-time loop accepts them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,11 +37,12 @@ import numpy as np
 
 from .boundaries import boundary_GR, boundary_R, boundary_SI
 from .errors import NegativeRateWarning, NhjcError, NoBoundaryError, ValidationError
-from .oscillator import N_MAX, hermite_roots
-from .params import PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise
-from .spectrum import block_quantities, eigen_solution
+from .oscillator import hermite_roots
+from .params import N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise
+from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
+    branch_coefficients,
     coefficient_ratio,
     nodes,
     standard_grid,
@@ -59,7 +63,7 @@ from .topology import (
     winding_grids,
 )
 
-__all__ = ["CheckResult", "run_suite", "draw_params", "boundary_margin"]
+__all__ = ["CheckResult", "run_suite", "draw_sets", "draw_params", "boundary_margin"]
 
 DEFAULT_SEED = 20240901
 
@@ -81,19 +85,52 @@ class CheckResult:
     detail: str
 
 
-def boundary_margin(params: ModelParams, n_values, etas=(-1, 1)) -> float:
+def boundary_margin(params: ModelParams | ParamGrid, n_values, etas=(-1, 1)) -> float | np.ndarray:
     """Smallest normalized distance of the draw from any analytic boundary,
-    the exceptional set, or the degenerate line, over the tested levels."""
-    margin = abs(params.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
+    the exceptional set, or the degenerate line, over the tested levels; a
+    nan distance is skipped. Going through the levels in order, the first
+    exceptional block makes it 0.0 and the first degenerate state nan (no
+    margin). Over a ParamGrid, an array of margins, one per point."""
+    grid = _draw_grid([params]) if isinstance(params, ModelParams) else params
+    margin = _abs(grid.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
+    settled = np.zeros(margin.shape, bool)  # margin fixed by an exceptional block or degenerate state
+    fixed = np.zeros(margin.shape)
     for n in n_values:
-        bq = block_quantities(params, n)
-        margin = min(margin, bq.R * bq.R / bq.scale_A)
-        if bq.exceptional:
-            return 0.0
+        bq = block_quantities(grid, n)
+        margin = np.fmin(margin, bq.R * bq.R / bq.scale_A)
+        events = [(bq.exceptional, 0.0)]
         for eta in etas:
-            coeffs = texture_coefficients(params, LevelIndex(n, eta), bq)
-            margin = min(margin, *bq.distances(coeffs.c_z, coeffs.c_y))
-    return margin
+            events.append((branch_solution(grid, LevelIndex(n, eta), bq)[1], math.nan))
+            coeffs = branch_coefficients(grid, eta, bq)
+            margin = functools.reduce(np.fmin, bq.distances(coeffs.c_z, coeffs.c_y), margin)
+        for flags, value in events:
+            fixed[flags & ~settled] = value
+            settled |= flags
+    margin = np.where(settled, fixed, margin)
+    return margin.item() if isinstance(params, ModelParams) else margin
+
+
+def draw_sets(
+    rng: np.random.Generator,
+    count: int,
+    n_max: int = 8,
+    high: float = 1.2,
+    margin: float = BOUNDARY_MARGIN,
+) -> list[ModelParams]:
+    """count parameter sets, each component uniform in [0, high], each
+    redrawn until it sits at least `margin` away from every boundary for
+    n = 1..n_max (and omega, Omega >= 1e-3). Candidates are scored in blocks
+    of as many as are still missing, so no block draws past the last set
+    accepted and rng ends where drawing the candidates one at a time leaves
+    it: the sets are those of count draw_params calls."""
+    n_values = range(1, n_max + 1)
+    sets = []
+    while len(sets) < count:
+        block = rng.uniform(0.0, high, (count - len(sets), 6))  # columns in PARAM_NAMES order
+        usable = np.flatnonzero((block[:, 0] >= 1e-3) & (block[:, 1] >= 1e-3))
+        margins = boundary_margin(ParamGrid(*block[usable].T), n_values)
+        sets += [ModelParams(*block[i].tolist()) for i in usable[margins >= margin]]
+    return sets
 
 
 def draw_params(
@@ -104,18 +141,7 @@ def draw_params(
 ) -> ModelParams:
     """One parameter set, each component uniform in [0, high], redrawn until
     it sits at least `margin` away from every boundary for n = 1..n_max."""
-    n_values = range(1, n_max + 1)
-    while True:
-        omega, Omega, g, kappa, gamma, Gamma = rng.uniform(0.0, high, 6)
-        if omega < 1e-3 or Omega < 1e-3:
-            continue
-        params = ModelParams(omega=float(omega), Omega=float(Omega), g=float(g),
-                             kappa=float(kappa), gamma=float(gamma), Gamma=float(Gamma))
-        try:
-            if boundary_margin(params, n_values) >= margin:
-                return params
-        except NhjcError:
-            continue
+    return draw_sets(rng, 1, n_max, high, margin)[0]
 
 
 def _draw_grid(draws) -> ParamGrid:
@@ -411,8 +437,8 @@ def run_suite(draws: int = 200, n_max: int = 8, seed: int = DEFAULT_SEED,
         draws, n_max = min(draws, 50), min(n_max, 6)
     rng = np.random.default_rng(seed)
     # windings dominate the cost; cap their draw count, reuse for the rest
-    winding_draws = [draw_params(rng, n_max) for _ in range(max(4, draws // 4))]
-    light_draws = winding_draws + [draw_params(rng, n_max) for _ in range(draws - len(winding_draws))]
+    winding_draws = draw_sets(rng, max(4, draws // 4), n_max)
+    light_draws = winding_draws + draw_sets(rng, draws - len(winding_draws), n_max)
     results = []
     with warnings.catch_warnings():
         # boundary values legitimately land at negative rates during the scan

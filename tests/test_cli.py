@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhjc.cli import main
 
@@ -150,16 +155,27 @@ def test_verify_flags_outside_their_domain_are_usage_errors(flags, message, caps
     assert message in _one_line_usage_error(main(["verify", *flags]), capsys)
 
 
-def test_winding_process_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma, about 17 ms of every fresh process
+def test_cli_processes_import_only_what_their_subcommand_uses():
+    # a fresh process imports (and, without bytecode caches, compiles) every
+    # module it loads: eigen and boundaries are closed forms and need no
+    # numpy, no oscillator subcommand needs sweep or verify, and np.unique
+    # would import numpy.ma, about 17 ms
     root = Path(__file__).resolve().parents[1]
-    code = ("import sys; from nhjc.cli import main; "
-            "assert main(['winding', '--params', 'configs/reference.json', '--n', '3']) == 0; "
-            "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    cases = {
+        "eigen --n 200": ("numpy", "nhjc.sweep", "nhjc.verify", "nhjc.topology", "nhjc.texture"),
+        "boundaries --n 3 --solve-for Gamma": ("numpy", "nhjc.sweep", "nhjc.verify", "nhjc.topology"),
+        "texture --n 200": ("nhjc.sweep", "nhjc.verify", "nhjc.topology"),
+        "winding --n 3": ("numpy.ma", "nhjc.sweep", "nhjc.verify"),
+    }
+    for command, absent in cases.items():
+        argv = command.split() + ["--params", "configs/reference.json"]
+        code = ("import sys; from nhjc.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                f"print(sorted(set({absent!r}) & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]", command
 
 
 def test_version(capsys):
@@ -286,3 +302,50 @@ def test_sweep_error_names_the_grid_point(tmp_path, capsys, monkeypatch):
     assert hit and rc == 1
     assert err.startswith("error: sigma_x node refinement") and err.count("\n") == 1
     assert f"at Gamma={gamma!r}, g={g!r}, n=2, eta=-1" in err
+
+
+_VALID_PARAMS = {"omega": 0.9, "Omega": 1.0, "g": 0.05, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.1}
+_NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+                 | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+                 | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]))
+
+
+@st.composite
+def _malformed_params_files(draw) -> bytes:
+    """The bytes of a parameter file that breaks the schema in one way."""
+    data = dict(_VALID_PARAMS)
+    kind = draw(st.sampled_from(["value", "missing", "extra", "not-json", "not-an-object"]))
+    if kind == "value":
+        data[draw(st.sampled_from(sorted(data)))] = draw(_NOT_A_NUMBER)
+    elif kind == "missing":
+        del data[draw(st.sampled_from(["omega", "Omega", "g"]))]
+    elif kind == "extra":
+        data[draw(st.sampled_from(["g_rel"]) | st.text(max_size=6).filter(lambda k: k not in data))] = 0.1
+    elif kind == "not-json":
+        text = json.dumps(data)
+        return draw(st.sampled_from([text[:i] for i in range(len(text))]).map(str.encode)
+                    | st.binary(max_size=12))
+    else:
+        data = draw(st.lists(st.floats(), max_size=2) | st.floats() | st.text(max_size=4) | st.none())
+    return json.dumps(data).encode()
+
+
+@given(content=_malformed_params_files(), command=st.sampled_from(["eigen", "boundaries"]))
+@example(content=b'{"omega": "0.9", "Omega": 1.0, "g": 0.05}', command="eigen")
+@example(content=b'{"omega": 0.9, "Omega": true, "g": 0.05}', command="boundaries")
+@example(content=b'{"omega": 0.9, "Omega": 1.0, "g": 0.05, "x\\ny": 1}', command="eigen")
+@example(content=b"\xff\xfe{}", command="boundaries")
+@example(content=b'{"omega": 0.9, "Omega": 1%s, "g": 0.05}' % (b"0" * 5000), command="eigen")
+@settings(max_examples=300, deadline=None)
+def test_malformed_params_files_are_one_line_usage_errors(tmp_path_factory, content, command):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_bytes(content)
+    argv = [command, "--params", str(path), "--n", "2"]
+    if command == "boundaries":
+        argv += ["--solve-for", "Gamma"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    message = err.getvalue()
+    assert rc == 2 and out.getvalue() == "", message
+    assert message.startswith("error: ") and message.count("\n") == 1 and "Traceback" not in message

@@ -23,7 +23,7 @@ from nhjc import (
     winding_node_sum,
     winding_report,
 )
-from nhjc.topology import asymptotic_signs
+from nhjc.topology import _AMPLITUDE_FLOOR, _alive, asymptotic_signs
 from conftest import make_reference
 
 
@@ -54,6 +54,21 @@ def test_reference_state_magnitudes(reference_params):
         assert abs(report["node_sum"]) == 3
         assert report["agreement"]
         assert report["integral_residual"] < 0.1
+
+
+def test_alive_mask_is_the_hypot_test_bit_for_bit():
+    # the band where max(|x|, |y|) does not settle hypot > floor, its ends and
+    # their neighbouring floats, underflowing squares, nan padding and inf
+    floor = _AMPLITUDE_FLOOR
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1.0, 1e300,
+                        floor, floor / math.sqrt(2), 0.7 * floor, 0.75 * floor])
+    band = floor * np.random.default_rng(3).uniform(0.69, 1.01, 600)
+    values = np.concatenate((special, band))
+    values = np.concatenate((values, -values, np.nextafter(values, np.inf), np.nextafter(values, 0.0)))
+    x, y = np.meshgrid(values, values[::5])
+    with np.errstate(over="ignore"):  # hypot of the largest floats
+        expected = np.hypot(x, y) > floor
+    assert np.array_equal(_alive(x, y), expected)
 
 
 def test_node_sum_equals_integral_on_random_states(rng):

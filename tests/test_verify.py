@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,9 @@ import nhjc.spectrum
 import nhjc.texture
 import nhjc.topology
 import nhjc.verify
-from nhjc import GridTooCoarseError, LevelIndex, eigen_solution
+from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution
 from nhjc.cli import main
+from nhjc.params import PARAM_NAMES, ParamGrid
 from nhjc.verify import (
     DEFAULT_SEED,
     _check_dual_route,
@@ -18,10 +20,12 @@ from nhjc.verify import (
     _check_parity,
     _check_tilting,
     _check_winding,
+    boundary_margin,
     draw_params,
+    draw_sets,
     run_suite,
 )
-from reference_verify import reference_suite
+from reference_verify import reference_draw, reference_margin, reference_suite
 
 BATCHED = (_check_eigen, _check_dual_route, _check_parity, _check_hermitian, _check_winding,
            _check_tilting)
@@ -40,6 +44,38 @@ def test_suite_matches_the_scalar_reference(seed, draws, n_max, quick):
     results = run_suite(draws, n_max, seed, quick)
     assert results == reference_suite(draws, n_max, seed, quick)
     assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
+@pytest.mark.parametrize("n_max, margin", [(1, 1e-3), (8, 1e-3), (3, 0.05)])
+def test_drawn_sets_match_the_scalar_reference(seed, n_max, margin):
+    # margin 0.05 rejects about a third of the candidates, so blocks run short
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert draw_sets(rng, 60, n_max, margin=margin) == [reference_draw(reference, n_max, margin=margin)
+                                                         for _ in range(60)]
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert draw_params(rng, n_max, margin=margin) == reference_draw(reference, n_max, margin=margin)
+
+
+def test_margins_over_a_grid_match_the_scalar_reference():
+    rng = np.random.default_rng(5)
+    points = [
+        ModelParams(1.0, 1.0, 0.25, kappa=0.5),                # block 1 exceptional: margin 0.0
+        ModelParams(0.5, 1.0, 0.125, kappa=0.5, Gamma=0.125),  # block 4 exceptional, no other
+        ModelParams(1.0, 1.0, 0.0),  # g~ = 0 and block 1 exceptional: the block comes first
+        ModelParams(0.9, 1.0, 0.0),  # g~ = 0: a degenerate state, no margin
+        *(ModelParams(*rng.uniform(0.01, 1.2, 6).tolist()) for _ in range(40)),
+    ]
+    grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
+    margins = boundary_margin(grid, range(1, 9))
+    for params, margin in zip(points, margins.tolist()):
+        try:
+            expected = reference_margin(params, range(1, 9))
+        except NhjcError:
+            assert math.isnan(margin) and math.isnan(boundary_margin(params, range(1, 9)))
+        else:
+            assert margin == expected == boundary_margin(params, range(1, 9))
+    assert margins[:2].tolist() == [0.0, 0.0] and math.isnan(margins[3])
 
 
 def test_a_broken_wavefunction_route_fails_the_dual_route_check(monkeypatch):

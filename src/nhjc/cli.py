@@ -87,9 +87,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _closed_form_n(args) -> int:
+    """The --n of a closed-form command, which the formulas take as a float."""
+    if abs(args.n) > sys.float_info.max:
+        raise ValidationError(f"--n must be within float range, got {len(str(abs(args.n)))} digits")
+    return args.n
+
+
 def _cmd_eigen(args) -> int:
     params = load_params(args.params)
-    level = LevelIndex(args.n, args.eta)
+    level = LevelIndex(_closed_form_n(args), args.eta)
     sol = eigen_solution(params, level)
     payload: dict = {
         "n": level.n,
@@ -171,12 +178,13 @@ def _cmd_winding(args) -> int:
 
 def _cmd_boundaries(args) -> int:
     params = load_params(args.params)
+    n = _closed_form_n(args)
     if args.family == "all":
-        points = all_boundaries(params, args.n, args.solve_for)
+        points = all_boundaries(params, n, args.solve_for)
     elif args.family == "R":
-        points = [boundary_R(params, args.n, args.solve_for)]
+        points = [boundary_R(params, n, args.solve_for)]
     elif args.family == "GR":
-        points = [boundary_GR(params, args.solve_for, n=args.n)]
+        points = [boundary_GR(params, args.solve_for, n=n)]
     else:
         points = [boundary_SI(params, args.solve_for)]
     _emit(json.dumps([asdict(p) for p in points], indent=2) + "\n", args.out)

@@ -218,7 +218,8 @@ class ParamGrid:
         values (arrays), flattened row-major (first axis slowest)."""
         import numpy as np
         mesh = np.meshgrid(*axes.values(), indexing="ij")
-        values = {name: np.full(mesh[0].size, getattr(base, name)) for name in PARAM_NAMES}
+        size = math.prod(map(len, axes.values()))  # no axes: base alone
+        values = {name: np.full(size, getattr(base, name)) for name in PARAM_NAMES}
         values.update((name, m.ravel()) for name, m in zip(axes, mesh))
         return cls(**values)
 
@@ -230,8 +231,29 @@ class ParamGrid:
         return ParamGrid(**{name: getattr(self, name)[index] for name in PARAM_NAMES})
 
     def point(self, index: int) -> ModelParams:
-        """The ModelParams of one element."""
-        return ModelParams(**{name: float(getattr(self, name)[index]) for name in PARAM_NAMES})
+        """The ModelParams of one element (index into the flattened arrays)."""
+        return ModelParams(**{name: float(getattr(self, name).flat[index]) for name in PARAM_NAMES})
+
+
+_finite = elementwise(math.isfinite, bool)
+
+
+def _replaced(params: ModelParams | ParamGrid, name: str, value) -> ModelParams | ParamGrid:
+    """params with one parameter set to value (an array of the grid's shape
+    over a ParamGrid). The value is a result, not an input, so a negative
+    rate is not warned about; a non-finite one raises the ValidationError of
+    a ModelParams holding it (over a grid, of the first such element)."""
+    fields = {key: getattr(params, key) for key in PARAM_NAMES}
+    fields[name] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRateWarning)
+        if isinstance(params, ModelParams):
+            return ModelParams(**fields)
+        grid = ParamGrid(**fields)
+        finite = _finite(value)
+        if not finite.all():
+            grid.point(int(finite.argmin()))
+        return grid
 
 
 @dataclass(frozen=True)

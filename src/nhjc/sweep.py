@@ -33,22 +33,24 @@ draw margins use too.
 Output is a flat table (one row per grid point per level, levels innermost)
 rendered to CSV a column at a time with 17-significant-digit floats and 0/1
 integer flags, so identical specs reproduce byte-identical files. Boundary
-overlays are written as sibling curves sampled on the same axes.
+overlays are written as sibling curves sampled on the same axes: each
+family is solved over the grid of the sampled axes at once, one call per
+level (boundaries._solve).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .boundaries import SOLVABLE, boundary_GR, boundary_R, boundary_SI
-from .errors import NhjcError, NoBoundaryError, SweepConsistencyError, SweepSpecError
+from .boundaries import SOLVABLE, _solve
+from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
 from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
 from .texture import (
@@ -132,16 +134,18 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        """The spec of a JSON object. Numbers must be JSON numbers in float
+        range (no strings or booleans), and counts and levels integers."""
         try:
             base = params_from_dict(data["params"])
-            axes = tuple(Axis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
-                         for a in data["axes"])
-            levels = tuple(LevelIndex(int(l["n"]), int(l.get("eta", -1)))
+            axes = tuple(Axis(a["name"], _spec_number(a, "min"), _spec_number(a, "max"),
+                              _spec_number(a, "count", int)) for a in data["axes"])
+            levels = tuple(LevelIndex(_spec_number(l, "n", int), _spec_number(l, "eta", int, -1))
                            for l in data["levels"])
             observables = tuple(data.get("observables", ["thetaT"]))
             overlays = tuple(data.get("overlays", []))
-            spot_check_fraction = float(data.get("spot_check_fraction", 0.01))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            spot_check_fraction = _spec_number(data, "spot_check_fraction", default=0.01)
+        except (KeyError, TypeError) as exc:
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
         if not (volumetric is None or isinstance(volumetric, bool)):
@@ -154,7 +158,26 @@ class SweepSpec:
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, parse_int=_json_int))
+
+
+def _json_int(text: str) -> int | float:
+    """An integer literal: its int, or past float range the float it rounds
+    to (+-inf), which no number or count accepts; int() stops at 4 300 digits."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
+def _spec_number(data: dict, key: str, kind=float, default=None):
+    """data[key] (default when absent and given) as a kind: a JSON number in
+    float range, an int for kind int; anything else is a SweepSpecError."""
+    value = data[key] if default is None else data.get(key, default)
+    if (isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return kind(value)
+    huge = isinstance(value, int) and not isinstance(value, bool)  # its repr may not exist
+    raise SweepSpecError(f"{key!r} must be {'an integer' if kind is int else 'a number'} in float"
+                         f" range, got {'an integer past it' if huge else repr(value)}")
 
 
 @dataclass
@@ -358,8 +381,8 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, rows, winding_rows) -
 def _overlay(spec: SweepSpec, family: str):
     """Boundary curve/surface of one family sampled on the sweep axes.
 
-    The boundary is solved for the first axis with a closed form; the other
-    axes are sampled on their grids. Family R adds one curve per level.
+    The boundary is solved for the first axis with a closed form, over the
+    grid of the other axes at once; family R adds one curve per level.
     """
     solve_axis = next((a for a in spec.axes if a.name in SOLVABLE), None)
     if solve_axis is None:
@@ -368,28 +391,13 @@ def _overlay(spec: SweepSpec, family: str):
     level_column = ("n",) if family == "R" else ()
     columns = tuple(a.name for a in other_axes) + level_column + (solve_axis.name, "valid")
     positive_levels = sorted({lvl.n for lvl in spec.levels if lvl.n >= 1})
-    levels = positive_levels if family == "R" else [None]
-    out: list[tuple] = []
-    for coords in itertools.product(*(a.values() for a in other_axes)):
-        prefix = [float(value) for value in coords]
-        params = spec.base
-        for axis, value in zip(other_axes, prefix):
-            params = params.with_value(axis.name, value)
-        for n in levels:
-            try:
-                if family == "R":
-                    point = boundary_R(params, n, solve_axis.name)
-                elif family == "GR":
-                    point = boundary_GR(params, solve_axis.name,
-                                        n=positive_levels[0] if positive_levels else None)
-                else:
-                    point = boundary_SI(params, solve_axis.name)
-                value, valid = point.value, point.valid
-            except NoBoundaryError:
-                value, valid = math.nan, False
-            row = list(prefix)
-            if family == "R":
-                row.append(n)
-            row.extend([value, valid])
-            out.append(tuple(row))
-    return (columns, out)
+    levels = positive_levels if family == "R" else [positive_levels[0] if positive_levels else None]
+    grid = ParamGrid.product(spec.base, {a.name: a.values() for a in other_axes})
+    coords = [getattr(grid, a.name).tolist() for a in other_axes]
+    size = grid.g.size
+    tables = []
+    for n in levels:
+        point = _solve(grid, family, solve_axis.name, n)
+        level = ([n] * size,) if family == "R" else ()
+        tables.append(zip(*coords, *level, point.value.tolist(), point.valid.tolist()))
+    return (columns, [row for point_rows in zip(*tables) for row in point_rows])

@@ -30,7 +30,10 @@ Gamma, the closure identity
     16 R^2 g^2 n + (4 n g^2 - d_kg^2)(4 n g^2 + d_Ww^2) = 0
 
 and the antisymmetry theta_t(Gamma_R - eps) = -theta_t(Gamma_R + eps) that
-together make the tilting-angle jump an exact reversal.
+together make the tilting-angle jump an exact reversal. Like the boundary
+closed forms it stands on (boundaries._solve), it takes a ParamGrid in place
+of ModelParams and checks every point at once, bit for bit what a call per
+point gives.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundaries import boundary_R
+from .boundaries import _solve, boundary_R
 from .errors import (
     AntiWindingError,
     GridTooCoarseError,
@@ -50,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .oscillator import hermite_roots
-from .params import LevelIndex, ModelParams, elementwise, raise_where, where
+from .params import LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, raise_where, where
 from .spectrum import block_quantities
 from .texture import (
     STANDARD_POINTS,
@@ -435,13 +438,21 @@ def tilt_of(c_y, c_z) -> TiltingAngle:
     return TiltingAngle(theta_t=_atan(ratio), ratio=ratio)
 
 
-def _theta_at_gamma(params: ModelParams, n: int, eta: int, Gamma: float) -> float:
-    coeffs = texture_coefficients(params.with_value("Gamma", Gamma), LevelIndex(n, eta))
+def _theta_at_gamma(params: ModelParams | ParamGrid, n: int, eta: int, Gamma):
+    """theta_t of (n, eta) with Gamma set to the given value(s)."""
+    coeffs = texture_coefficients(_replaced(params, "Gamma", Gamma), LevelIndex(n, eta))
     return tilting_angle(coeffs).theta_t
 
 
+def _on(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values where mask holds, nan elsewhere."""
+    out = np.full(mask.shape, math.nan)
+    out[mask] = values
+    return out
+
+
 def verify_reversal_identity(
-    params: ModelParams,
+    params: ModelParams | ParamGrid,
     n: int,
     eta: int = -1,
     eps: float = 1e-6,
@@ -449,35 +460,47 @@ def verify_reversal_identity(
     """Check the reversal-closure identity and tilt antisymmetry at Gamma_R.
 
     Not applicable (report only, no error) when the level has no reversal
-    point in Gamma: zero denominator or A >= 0 at the candidate.
+    point in Gamma: zero denominator or A >= 0 at the candidate. Over a
+    ParamGrid every field but n, eta and reason (empty) is an array of the
+    grid's shape holding what a call per point gives; the tilts are
+    evaluated at the applicable points only.
     """
-    c = params.composites()
-    d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, params.g
+    scalar = isinstance(params, ModelParams)
     blank = ReversalIdentityReport(
         applicable=False, reason="", n=n, eta=eta, gamma_reversal=math.nan,
         identity_residual=math.nan, antisymmetry_residual=math.nan,
         theta_below=math.nan, theta_above=math.nan,
     )
-    if g == 0.0:
-        return replace(blank, reason="no reversal point in Gamma: g = 0")
-    point = boundary_R(params, n, "Gamma")
-    if not point.valid:
-        return replace(blank, reason=f"A >= 0 at the candidate Gamma_R ({point.validity_detail})",
-                       gamma_reversal=point.value)
-    bq = block_quantities(params.with_value("Gamma", point.value), n)
+    if scalar:
+        if params.g == 0.0:
+            return replace(blank, reason="no reversal point in Gamma: g = 0")
+        point = boundary_R(params, n, "Gamma")
+        gamma_reversal, applicable = point.value, point.valid
+        if not applicable:
+            return replace(blank, reason=f"A >= 0 at the candidate Gamma_R ({point.validity_detail})",
+                           gamma_reversal=gamma_reversal)
+        at, gamma_at = params, gamma_reversal
+    else:
+        gamma_reversal, applicable, _, _ = _solve(params, "R", "Gamma", n)
+        at, gamma_at = params.take(applicable), gamma_reversal[applicable]
+    c = at.composites()
+    d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, at.g
+    bq = block_quantities(_replaced(at, "Gamma", gamma_at), n)
     term_root = 16.0 * bq.R * bq.R * g * g * n
     term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
-    scale = max(abs(term_root), abs(term_poly), 1e-300)
-    theta_below = _theta_at_gamma(params, n, eta, point.value - eps)
-    theta_above = _theta_at_gamma(params, n, eta, point.value + eps)
+    scale = maximum(abs(term_root), abs(term_poly), 1e-300)
+    theta_below = _theta_at_gamma(at, n, eta, gamma_at - eps)
+    theta_above = _theta_at_gamma(at, n, eta, gamma_at + eps)
+    fields = dict(identity_residual=abs(term_root + term_poly) / scale,
+                  antisymmetry_residual=abs(theta_below + theta_above),
+                  theta_below=theta_below, theta_above=theta_above)
+    if not scalar:
+        fields = {name: _on(applicable, values) for name, values in fields.items()}
     return ReversalIdentityReport(
-        applicable=True,
-        reason="reversal point exists (A < 0)",
+        applicable=applicable,
+        reason="reversal point exists (A < 0)" if scalar else "",
         n=n,
         eta=eta,
-        gamma_reversal=point.value,
-        identity_residual=abs(term_root + term_poly) / scale,
-        antisymmetry_residual=abs(theta_below + theta_above),
-        theta_below=theta_below,
-        theta_above=theta_above,
+        gamma_reversal=gamma_reversal,
+        **fields,
     )

@@ -17,12 +17,16 @@ ones the sweep's on_boundary flag uses.
 The per-draw checks evaluate all their draws at once: the draws form a
 ParamGrid of one row each, which block_quantities and the public functions
 built on it take in place of ModelParams, in chunks of about _CHUNK_POINTS
-points so that memory stays flat however many draws are asked for. Every
-residual is bit for bit what a loop over the draws gives (the loops are kept
-as the tests' reference). An error raised for one draw names its index in
-the seeded sequence, its six parameters and the level. The draws themselves
-are scored in blocks of candidates the same way (draw_sets), accepted in the
-order a one-at-a-time loop accepts them.
+points so that memory stays flat however many draws are asked for. The
+boundary and reversal-identity checks solve the R/GR/SI closed forms for
+all draws in one call per family and level (boundaries._solve, which the
+sweep overlays use too), so the kernel runs as often for 12 draws as for
+200. Every residual is bit for bit what a loop over the draws gives (the
+loops are kept as the tests' reference). An error raised for one draw names
+its index in the seeded sequence, its six parameters and the level. The
+draws themselves are scored in blocks of candidates the same way
+(draw_sets), accepted in the order a one-at-a-time loop accepts them. Only
+the node check still goes draw by draw, on its first two draws.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from typing import Callable
 
 import numpy as np
 
-from .boundaries import boundary_GR, boundary_R, boundary_SI
-from .errors import NegativeRateWarning, NhjcError, NoBoundaryError, ValidationError
+from .boundaries import _solve
+from .errors import NegativeRateWarning, NhjcError, ValidationError
 from .oscillator import hermite_roots
-from .params import N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise
+from .params import N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
@@ -334,65 +338,49 @@ def _check_nodes(draws, n_max) -> CheckResult:
 
 
 def _check_boundaries(draws, n_max) -> CheckResult:
-    worst = 0.0
-    checked = 0
-    for params in draws:
-        n = max(1, n_max // 2)
-        try:
-            r_point = boundary_R(params, n, "Gamma")
-            if r_point.valid:
-                bq = block_quantities(params.with_value("Gamma", r_point.value), n)
-                worst = max(worst, abs(bq.B) / bq.scale_B)
-                checked += 1
-        except NoBoundaryError:
-            pass
-        try:
-            gr_point = boundary_GR(params, "Gamma", n=n)
-            if gr_point.valid:
-                at = params.with_value("Gamma", gr_point.value)
-                bq = block_quantities(at, n)
-                coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
-                worst = max(worst, abs(coeffs.c_z) / bq.scale_Cz)
-                checked += 1
-        except NoBoundaryError:
-            pass
-        try:
-            at = params.with_value("gamma", boundary_SI(params, "gamma").value)
-            bq = block_quantities(at, n)
-            coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
-            worst = max(worst, abs(coeffs.c_y) / bq.scale_Cy)
-            checked += 1
-        except (NoBoundaryError, NhjcError):
-            pass
+    n = max(1, n_max // 2)
+    level = LevelIndex(n, -1)
+    grid = _draw_grid(draws)
+    r = _solve(grid, "R", "Gamma", n)
+    scalars = [np.abs(r.block.B[r.valid]) / r.block.scale_B[r.valid]]
+    gr = _solve(grid, "GR", "Gamma", n)
+    at = _replaced(grid.take(gr.valid), "Gamma", gr.value[gr.valid])
+    bq = block_quantities(at, n)
+    scalars.append(np.abs(texture_coefficients(at, level, bq).c_z) / bq.scale_Cz)
+    # an SI point no record holds, or where the state is undefined, is skipped
+    si = _solve(grid, "SI", "gamma", n)
+    held = si.valid & np.isfinite(si.value)
+    at = _replaced(grid.take(held), "gamma", si.value[held])
+    bq = block_quantities(at, n)
+    defined = ~(bq.exceptional | branch_solution(at, level, bq)[1])
+    scalars.append((np.abs(branch_coefficients(at, level.eta, bq).c_y) / bq.scale_Cy)[defined])
+    checked = sum(map(len, scalars))
+    worst = max([0.0, *np.concatenate(scalars).tolist()])
     return CheckResult("boundary defining scalars", checked > 0 and worst < 1e-12,
                        f"{checked} boundary points, worst normalized scalar {worst:.2e} (< 1e-12)")
 
 
 def _check_reversal_identity(draws, n_max) -> CheckResult:
     eps = 1e-6
-    worst_id = worst_anti = 0.0
-    applicable = 0
+    grid = _draw_grid(draws)
+    identity, antisymmetry = [0.0], [0.0]
     anti_ok = True
-
-    def probe(params, n):
-        nonlocal applicable, worst_id, worst_anti, anti_ok
-        report = verify_reversal_identity(params, n, eps=eps)
-        if not report.applicable:
-            return
-        applicable += 1
-        worst_id = max(worst_id, report.identity_residual)
-        worst_anti = max(worst_anti, report.antisymmetry_residual)
+    for n in range(1, min(5, n_max) + 1):
+        report = verify_reversal_identity(grid, n, eps=eps)
+        held = report.applicable
+        at, gamma_r = grid.take(held), report.gamma_reversal[held]
+        residual = report.antisymmetry_residual[held]
+        identity += report.identity_residual[held].tolist()
+        antisymmetry += residual.tolist()
         # the antisymmetry residual grows linearly with the smooth tilt slope;
         # allow that first-order term on generic draws
-        slope = max(
-            abs(report.theta_below - _theta_at_gamma(params, n, -1, report.gamma_reversal - 2 * eps)),
-            abs(report.theta_above - _theta_at_gamma(params, n, -1, report.gamma_reversal + 2 * eps)),
+        slope = np.maximum(
+            np.abs(report.theta_below[held] - _theta_at_gamma(at, n, -1, gamma_r - 2 * eps)),
+            np.abs(report.theta_above[held] - _theta_at_gamma(at, n, -1, gamma_r + 2 * eps)),
         ) / eps
-        anti_ok &= report.antisymmetry_residual < max(1e-4, 20.0 * eps * slope)
-
-    for params in draws:
-        for n in range(1, min(5, n_max) + 1):
-            probe(params, n)
+        anti_ok &= bool(np.all(residual < np.maximum(1e-4, 20.0 * eps * slope)))
+    applicable = len(identity) - 1
+    worst_id, worst_anti = max(identity), max(antisymmetry)
     # always include the reference configuration at the strict bound
     base = ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2,
                        kappa=0.5, gamma=0.2)

@@ -1,17 +1,21 @@
-"""Reference invariant checks: the seeded draws and the six per-draw checks of
+"""Reference invariant checks: the seeded draws and the per-draw checks of
 nhjc.verify written one draw and one level at a time through the scalar
-public API. The library evaluates them over whole blocks and chunks of draws;
-these loops are the oracle its results are compared with, draw by draw, check
-by check and string by string."""
+public API, and the boundary checks on the scalar closed forms of
+reference_boundaries with a record per substituted value. The library
+evaluates them over whole blocks and chunks of draws; these loops are the
+oracle its results are compared with, draw by draw, check by check and
+string by string."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from nhjc import (
     LevelIndex,
     ModelParams,
+    ReversalIdentityReport,
     block_quantities,
     eigen_solution,
     nodes,
@@ -26,14 +30,9 @@ from nhjc import (
     winding_integral,
     winding_node_sum,
 )
-from nhjc.errors import NegativeRateWarning, NhjcError
-from nhjc.verify import (
-    BOUNDARY_MARGIN,
-    CheckResult,
-    _check_boundaries,
-    _check_nodes,
-    _check_reversal_identity,
-)
+from nhjc.errors import NegativeRateWarning, NhjcError, NoBoundaryError
+from nhjc.verify import BOUNDARY_MARGIN, CheckResult, _check_nodes
+from reference_boundaries import boundary_GR, boundary_R, boundary_SI
 
 
 def reference_margin(params, n_values, etas=(-1, 1)):
@@ -200,8 +199,118 @@ def check_tilting(draws, n_max):
                        f"pointwise ratio-constancy {worst_const:.2e} (both < 1e-12)")
 
 
+def check_boundaries(draws, n_max):
+    worst = 0.0
+    checked = 0
+    for params in draws:
+        n = max(1, n_max // 2)
+        try:
+            r_point = boundary_R(params, n, "Gamma")
+            if r_point.valid:
+                bq = block_quantities(params.with_value("Gamma", r_point.value), n)
+                worst = max(worst, abs(bq.B) / bq.scale_B)
+                checked += 1
+        except NoBoundaryError:
+            pass
+        try:
+            gr_point = boundary_GR(params, "Gamma", n=n)
+            if gr_point.valid:
+                at = params.with_value("Gamma", gr_point.value)
+                bq = block_quantities(at, n)
+                coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+                worst = max(worst, abs(coeffs.c_z) / bq.scale_Cz)
+                checked += 1
+        except NoBoundaryError:
+            pass
+        try:
+            at = params.with_value("gamma", boundary_SI(params, "gamma").value)
+            bq = block_quantities(at, n)
+            coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+            worst = max(worst, abs(coeffs.c_y) / bq.scale_Cy)
+            checked += 1
+        except (NoBoundaryError, NhjcError):
+            pass
+    return CheckResult("boundary defining scalars", checked > 0 and worst < 1e-12,
+                       f"{checked} boundary points, worst normalized scalar {worst:.2e} (< 1e-12)")
+
+
+def theta_at_gamma(params, n, eta, Gamma):
+    coeffs = texture_coefficients(params.with_value("Gamma", Gamma), LevelIndex(n, eta))
+    return tilting_angle(coeffs).theta_t
+
+
+def reversal_identity(params, n, eta=-1, eps=1e-6):
+    """topology.verify_reversal_identity of one ModelParams."""
+    c = params.composites()
+    d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, params.g
+    blank = ReversalIdentityReport(
+        applicable=False, reason="", n=n, eta=eta, gamma_reversal=math.nan,
+        identity_residual=math.nan, antisymmetry_residual=math.nan,
+        theta_below=math.nan, theta_above=math.nan,
+    )
+    if g == 0.0:
+        return replace(blank, reason="no reversal point in Gamma: g = 0")
+    point = boundary_R(params, n, "Gamma")
+    if not point.valid:
+        return replace(blank, reason=f"A >= 0 at the candidate Gamma_R ({point.validity_detail})",
+                       gamma_reversal=point.value)
+    bq = block_quantities(params.with_value("Gamma", point.value), n)
+    term_root = 16.0 * bq.R * bq.R * g * g * n
+    term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
+    scale = max(abs(term_root), abs(term_poly), 1e-300)
+    theta_below = theta_at_gamma(params, n, eta, point.value - eps)
+    theta_above = theta_at_gamma(params, n, eta, point.value + eps)
+    return ReversalIdentityReport(
+        applicable=True,
+        reason="reversal point exists (A < 0)",
+        n=n,
+        eta=eta,
+        gamma_reversal=point.value,
+        identity_residual=abs(term_root + term_poly) / scale,
+        antisymmetry_residual=abs(theta_below + theta_above),
+        theta_below=theta_below,
+        theta_above=theta_above,
+    )
+
+
+def check_reversal_identity(draws, n_max):
+    eps = 1e-6
+    worst_id = worst_anti = 0.0
+    applicable = 0
+    anti_ok = True
+
+    def probe(params, n):
+        nonlocal applicable, worst_id, worst_anti, anti_ok
+        report = reversal_identity(params, n, eps=eps)
+        if not report.applicable:
+            return
+        applicable += 1
+        worst_id = max(worst_id, report.identity_residual)
+        worst_anti = max(worst_anti, report.antisymmetry_residual)
+        slope = max(
+            abs(report.theta_below - theta_at_gamma(params, n, -1, report.gamma_reversal - 2 * eps)),
+            abs(report.theta_above - theta_at_gamma(params, n, -1, report.gamma_reversal + 2 * eps)),
+        ) / eps
+        anti_ok &= report.antisymmetry_residual < max(1e-4, 20.0 * eps * slope)
+
+    for params in draws:
+        for n in range(1, min(5, n_max) + 1):
+            probe(params, n)
+    base = ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2,
+                       kappa=0.5, gamma=0.2)
+    strict = [reversal_identity(base, n, eps=eps) for n in range(1, 6)]
+    applicable += sum(r.applicable for r in strict)
+    strict_ok = all(r.applicable and r.identity_residual < 1e-10
+                    and r.antisymmetry_residual < 1e-4 for r in strict)
+    return CheckResult("reversal-closure identity",
+                       worst_id < 1e-10 and anti_ok and strict_ok,
+                       f"{applicable} applicable points, identity residual {worst_id:.2e} "
+                       f"(< 1e-10), worst tilt antisymmetry {worst_anti:.2e} "
+                       f"(slope-aware bound; reference config < 1e-4: {strict_ok})")
+
+
 CHECKS = (check_eigen, check_dual_route, check_parity, check_hermitian, _check_nodes,
-          check_winding, check_tilting, _check_boundaries, _check_reversal_identity)
+          check_winding, check_tilting, check_boundaries, check_reversal_identity)
 
 
 def reference_suite(draws=200, n_max=8, seed=20240901, quick=False):

@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import struct
+import warnings
 
+import numpy as np
 import pytest
 
+import reference_boundaries as reference
 from nhjc import (
     LevelIndex,
     ModelParams,
+    NhjcError,
     NoBoundaryError,
     ValidationError,
     all_boundaries,
@@ -16,6 +22,9 @@ from nhjc import (
     texture_coefficients,
     winding_direction,
 )
+from nhjc.boundaries import FAMILIES, SOLVABLE, _solve
+from nhjc.errors import NegativeRateWarning
+from nhjc.params import PARAM_NAMES, ParamGrid
 from conftest import G_REF, make_reference
 
 BASE = make_reference(Gamma=0.0)  # kappa=0.5, gamma=0.2, omega=0.9, g at 0.1 of scale
@@ -159,3 +168,97 @@ def test_solve_for_validation():
         boundary_R(BASE, 2, "omega")
     with pytest.raises(ValidationError):
         boundary_R(BASE, 0, "Gamma")
+
+
+# zero denominators of every family and solve-for: Omega = omega, kappa =
+# gamma, g = 0 and Gamma = 0 (with a negative rate among them); values past
+# float range (R and GR: no record holds them; SI: returned as they are); and
+# random points
+_EDGE_POINTS = [
+    ModelParams(omega=1.0, Omega=1.0, g=0.05, kappa=0.5, gamma=0.2, Gamma=0.1),
+    ModelParams(omega=0.9, Omega=1.0, g=0.05, kappa=0.3, gamma=0.3, Gamma=0.1),
+    ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2, Gamma=0.1),
+    ModelParams(omega=0.9, Omega=1.0, g=0.05, kappa=0.5, gamma=0.2, Gamma=0.0),
+    ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.3, gamma=0.3, Gamma=0.0),
+    ModelParams(omega=1.0, Omega=1.0, g=0.0, kappa=0.3, gamma=0.3, Gamma=0.0),
+    ModelParams(omega=5e-324, Omega=1e-300, g=1e10, kappa=0.5, gamma=0.2, Gamma=1e10),
+    ModelParams(omega=0.9, Omega=1.0, g=1e-310, kappa=0.5, gamma=0.2, Gamma=1e10),
+    ModelParams(omega=0.9, Omega=1.0, g=1e10, kappa=0.5, gamma=0.2, Gamma=1e-310),
+    ModelParams(omega=0.9, Omega=1.0, g=1e-200, kappa=0.5, gamma=0.2, Gamma=0.1),
+    BASE,
+    make_reference(),
+    ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
+]
+
+
+def _random_points(count, seed):
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRateWarning)
+        return [ModelParams(*rng.uniform(0.01, 1.2, 2).tolist(), *rng.uniform(-0.3, 1.2, 4).tolist())
+                for _ in range(count)]
+
+
+def _bits(point):
+    return dataclasses.replace(point, value=struct.pack("<d", point.value))
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call gives: the point(s) with the value's bits, or the error."""
+    try:
+        result = fn(*args, **kwargs)
+    except NhjcError as exc:
+        return type(exc), str(exc)
+    return list(map(_bits, result)) if isinstance(result, list) else _bits(result)
+
+
+@pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_closed_forms_match_the_scalar_reference(n):
+    for params in _EDGE_POINTS + _random_points(40, n):
+        for solved_for in SOLVABLE:
+            cases = [(boundary_R, reference.boundary_R, (params, n, solved_for), {}),
+                     (boundary_GR, reference.boundary_GR, (params, solved_for), {"n": n}),
+                     (boundary_GR, reference.boundary_GR, (params, solved_for), {}),
+                     (boundary_SI, reference.boundary_SI, (params, solved_for), {}),
+                     (all_boundaries, reference.all_boundaries, (params, n, solved_for), {})]
+            for fn, oracle, args, kwargs in cases:
+                assert _outcome(fn, *args, **kwargs) == _outcome(oracle, *args, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("solved_for", SOLVABLE)
+def test_grid_solutions_match_the_scalar_reference(family, solved_for):
+    # every point a grid can hold a value for: zero denominators give nan and
+    # not valid where a single record raises NoBoundaryError
+    points = _EDGE_POINTS[:6] + _EDGE_POINTS[9:] + _random_points(60, 3)
+    grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
+    for n in (1, 3):
+        solution = _solve(grid, family, solved_for, n)
+        for params, value, valid in zip(points, solution.value.tolist(), solution.valid.tolist()):
+            try:
+                if family == "R":
+                    point = reference.boundary_R(params, n, solved_for)
+                elif family == "GR":
+                    point = reference.boundary_GR(params, solved_for, n=n)
+                else:
+                    point = reference.boundary_SI(params, solved_for)
+            except NoBoundaryError:
+                assert math.isnan(value) and valid is False
+            else:
+                assert struct.pack("<d", value) == struct.pack("<d", point.value)
+                assert valid is point.valid
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family, edge", [("R", _EDGE_POINTS[6]), ("GR", _EDGE_POINTS[8])])
+def test_grid_value_past_float_range_raises_as_a_record_does(family, edge):
+    # kappa = inf at the edge point
+    grid = ParamGrid(*(np.array([getattr(p, name) for p in (BASE, edge, edge)]) for name in PARAM_NAMES))
+    expected = _outcome(getattr(reference, f"boundary_{family}"), edge,
+                        *((1, "kappa") if family == "R" else ("kappa",)))
+    assert expected == (ValidationError, "kappa must be finite, got inf")
+    with pytest.raises(ValidationError, match="^kappa must be finite, got inf$"):
+        _solve(grid, family, "kappa", 1)

@@ -349,3 +349,67 @@ def test_malformed_params_files_are_one_line_usage_errors(tmp_path_factory, cont
     message = err.getvalue()
     assert rc == 2 and out.getvalue() == "", message
     assert message.startswith("error: ") and message.count("\n") == 1 and "Traceback" not in message
+
+
+@given(n=st.integers(max_value=-1) | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024),
+       command=st.sampled_from(["eigen", "boundaries"]))
+@example(n=10 ** 320, command="eigen")
+@example(n=10 ** 320, command="boundaries")
+@example(n=-1, command="boundaries")
+@settings(max_examples=100, deadline=None)
+def test_negative_levels_and_levels_past_float_range_are_one_line_usage_errors(tmp_path_factory, n, command):
+    # a level past float range ended in an OverflowError traceback
+    path = tmp_path_factory.getbasetemp() / "params.json"
+    path.write_text(json.dumps(PARAMS))
+    argv = [command, "--params", str(path), "--n", str(n)]
+    if command == "boundaries":
+        argv += ["--solve-for", "Gamma"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    message = err.getvalue()
+    assert rc == 2 and out.getvalue() == "", message
+    assert message.startswith("error: ") and message.count("\n") == 1 and "Traceback" not in message
+
+
+@pytest.mark.parametrize("axis, message", [
+    ('{"name": "Gamma", "min": 0.0, "max": 0.1, "count": 1%s}' % ("0" * 5000), "'count' must be an integer"),
+    ('{"name": "Gamma", "min": "0.0", "max": 0.1, "count": 3}', "'min' must be a number"),
+], ids=["5001-digit count", "string min"])
+def test_sweep_spec_numbers_follow_the_parameter_file_rule(tmp_path, capsys, axis, message):
+    # a 5 001-digit count ended in a ValueError traceback; a string was read as a number
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"params": %s, "axes": [%s], "levels": [{"n": 1}]}' % (json.dumps(PARAMS), axis))
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
+    assert message in _one_line_usage_error(rc, capsys)
+
+
+def _boundaries(tmp_path, capsys, params, family, solve_for="kappa"):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc = main(["boundaries", "--params", str(path), "--n", "1", "--solve-for", solve_for, "--family", family])
+    return rc, capsys.readouterr()
+
+
+_HUGE_R = {"omega": 5e-324, "Omega": 1e-300, "g": 1e10, "kappa": 0.5, "gamma": 0.2, "Gamma": 1e10}
+_HUGE_GR = {"omega": 0.9, "Omega": 1.0, "g": 1e10, "kappa": 0.5, "gamma": 0.2, "Gamma": 1e-310}
+_HUGE_SI = {"omega": 0.9, "Omega": 1.0, "g": 1e-310, "kappa": 0.5, "gamma": 0.2, "Gamma": 1e10}
+
+
+@pytest.mark.parametrize("family, params", [("all", _HUGE_R), ("R", _HUGE_R), ("GR", _HUGE_GR), ("SI", _HUGE_SI)])
+def test_boundary_values_past_float_range(tmp_path, capsys, family, params):
+    # R and GR read validity at a record holding the value, which cannot hold
+    # inf; SI reports the value as it is
+    rc, captured = _boundaries(tmp_path, capsys, params, family)
+    if family == "SI":
+        assert rc == 0 and json.loads(captured.out)[0]["value"] == -math.inf
+    else:
+        assert rc == 2 and captured.err == "error: kappa must be finite, got inf\n"
+
+
+def test_gapped_reversal_of_a_weak_coupling_keeps_every_level(tmp_path, capsys):
+    # (d_kg / 2g)^2 leaves float range: it ended in an OverflowError traceback
+    params = {"omega": 0.9, "Omega": 1.0, "g": 1e-200, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.1}
+    rc, captured = _boundaries(tmp_path, capsys, params, "GR", "Gamma")
+    assert rc == 0
+    assert json.loads(captured.out)[0]["validity_detail"].startswith("transition exists for levels n < inf")

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from nhjc import (
 )
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
+from reference_boundaries import reference_overlay
 
 # draw 122 of the full `nhjc verify` run (seed 20240901): its smallest margin is
 # the SI distance |Cy| of level (8, -1), just above BOUNDARY_MARGIN
@@ -444,6 +446,8 @@ _spec_dicts = st.fixed_dictionaries(
 @example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 0.1, "count": math.inf}]))
 @example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 10 ** 400, "count": 3}]))
 @example(data=dict(VALID_SPEC, params={"omega": 0.9, "Omega": 1.0, "g": 10 ** 400}))
+@example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 0.1, "count": 10 ** 5000}]))
+@example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": "0.0", "max": 0.1, "count": 3}]))
 @settings(max_examples=400, deadline=None)
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # drawn rates may be negative
 def test_malformed_specs_raise_spec_or_validation_errors(data):
@@ -452,3 +456,90 @@ def test_malformed_specs_raise_spec_or_validation_errors(data):
     except (SweepSpecError, ValidationError):
         return
     assert 0.0 <= spec.spot_check_fraction <= 1.0
+
+    # what was accepted was read from JSON numbers in float range, integers
+    # for counts and levels, as parameter files are
+    def number(value, kind=(int, float)):
+        return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+    assert all(number(a["min"]) and number(a["max"]) and number(a["count"], int) for a in data["axes"])
+    assert all(number(l["n"], int) and number(l.get("eta", -1), int) for l in data["levels"])
+    assert number(data.get("spot_check_fraction", 0.01))
+
+
+# sampled axes through every zero denominator: g = 0, Gamma = 0, kappa =
+# gamma (kappa from 0 to 0.4 with gamma = 0.2) and omega = Omega (omega from
+# 0.5 to 1.5 with Omega = 1)
+OVERLAY_CASES = {
+    "one axis": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 5),)),
+    "g, Gamma zero": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 4), Axis("g", 0.0, 0.1, 5))),
+    "kappa = gamma": (make_reference(), (Axis("g", 0.0, 0.1, 3), Axis("kappa", 0.0, 0.4, 5),
+                                         Axis("Gamma", 0.0, 0.1, 3))),
+    "omega = Omega": (make_reference(), (Axis("omega", 0.5, 1.5, 5), Axis("kappa", 0.0, 1.2, 4),
+                                         Axis("g", 0.0, 0.1, 3))),
+    "Gamma through kappa = gamma": (make_reference(), (Axis("kappa", 0.0, 0.4, 5), Axis("Gamma", 0.0, 0.2, 3))),
+    "gamma": (make_reference(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 7), Axis("g", 0.005, 0.2, 4))),
+    "no closed form": (make_reference(), (Axis("omega", 0.5, 1.5, 3),)),
+}
+
+
+@pytest.mark.parametrize("levels", [GRID_LEVELS, (LevelIndex(0),), (LevelIndex(3, 1), LevelIndex(1, -1))])
+@pytest.mark.parametrize("case", sorted(OVERLAY_CASES))
+def test_overlays_match_the_scalar_reference(case, levels):
+    base, axes = OVERLAY_CASES[case]
+    spec = SweepSpec(base=base, axes=axes, levels=levels, observables=("thetaT",))
+    for family in ("R", "GR", "SI"):
+        columns, rows = nhjc.sweep._overlay(spec, family)
+        expected_columns, expected = reference_overlay(spec, family)
+        assert columns == expected_columns
+        assert [list(map(_bits, row)) for row in rows] == [list(map(_bits, row)) for row in expected]
+
+
+def test_overlay_kernel_calls_do_not_grow_with_the_samples(monkeypatch):
+    # one block per level for R (its validity), none for GR and SI
+    original = nhjc.spectrum.block_quantities
+    calls = []
+
+    def counted(params, n):
+        calls.append(n)
+        return original(params, n)
+
+    for module in (nhjc, nhjc.spectrum, nhjc.boundaries, nhjc.sweep):
+        if getattr(module, "block_quantities", None) is original:
+            monkeypatch.setattr(module, "block_quantities", counted)
+    counts = []
+    for samples in (3, 41):
+        calls.clear()
+        spec = small_spec(axes=(Axis("Gamma", 0.0, 0.12, samples), Axis("g", 0.001, 0.1, samples),
+                                Axis("gamma", 0.0, 1.2, samples)),
+                          levels=(LevelIndex(1, -1), LevelIndex(2, -1)))
+        result = run_sweep(spec)
+        assert len(result.overlays["R"][1]) == 2 * samples ** 2
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_overlay_values_lie_in_the_cells_where_the_direction_flips(n):
+    # Gamma_GR = 0.016 and Gamma_R(n) = 10 Gamma_GR / n on a 2 001-point axis
+    # whose points 80 and 800/n lie on them: each boundary value lies in a
+    # cell across which thetaT and nWzx change sign, every such cell holds
+    # one, and the on_boundary rows are the points inside those cells
+    spec = SweepSpec(base=make_reference(Gamma=0.0), axes=(Axis("Gamma", 0.0, 25 * GR_2, 2001),),
+                     levels=(LevelIndex(n, -1),), observables=("thetaT", "nWzx"), overlays=("R", "GR"),
+                     spot_check_fraction=0.0)
+    result = run_sweep(spec)
+    gamma, theta, winding, on_boundary = (
+        np.array([row[result.columns.index(c)] for row in result.rows], dtype=float)
+        for c in ("Gamma", "thetaT", "nWzx", "on_boundary"))
+    values = [row[-2] for family in ("R", "GR") for row in result.overlays[family][1] if row[-1]]
+    assert len(values) == 2
+    defined = np.flatnonzero(~np.isnan(winding))
+    cells = list(zip(defined[:-1], defined[1:]))
+    flips = [(i, j) for i, j in cells if np.sign(winding[i]) != np.sign(winding[j])]
+    assert flips == [(i, j) for i, j in cells if np.sign(theta[i]) != np.sign(theta[j])]
+    assert sorted(flips) == sorted(next((i, j) for i, j in flips if gamma[i] <= v <= gamma[j])
+                                   for v in values)
+    inside = {k for i, j in flips for k in range(i + 1, j)}
+    assert set(np.flatnonzero(on_boundary == 1)) == inside == {80, 800 // n}
+    assert set(np.flatnonzero(np.isnan(winding))) == inside

@@ -1,23 +1,27 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import nhjc
+import nhjc.boundaries
 import nhjc.spectrum
 import nhjc.texture
 import nhjc.topology
 import nhjc.verify
-from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution
+from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution, verify_reversal_identity
 from nhjc.cli import main
 from nhjc.params import PARAM_NAMES, ParamGrid
 from nhjc.verify import (
     DEFAULT_SEED,
+    _check_boundaries,
     _check_dual_route,
     _check_eigen,
     _check_hermitian,
     _check_parity,
+    _check_reversal_identity,
     _check_tilting,
     _check_winding,
     boundary_margin,
@@ -25,7 +29,7 @@ from nhjc.verify import (
     draw_sets,
     run_suite,
 )
-from reference_verify import reference_draw, reference_margin, reference_suite
+from reference_verify import reference_draw, reference_margin, reference_suite, reversal_identity
 
 BATCHED = (_check_eigen, _check_dual_route, _check_parity, _check_hermitian, _check_winding,
            _check_tilting)
@@ -163,3 +167,59 @@ def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
     # only the draw records themselves (a few hundred bytes each) grow
     assert peaks[1] < 2 * 2 ** 20
     assert peaks[1] - peaks[0] < 2 ** 18
+
+
+def _count_kernel_calls(monkeypatch):
+    original = nhjc.spectrum.block_quantities
+    calls = []
+
+    def counted(params, n):
+        calls.append(n)
+        return original(params, n)
+
+    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.boundaries, nhjc.verify):
+        if getattr(module, "block_quantities", None) is original:
+            monkeypatch.setattr(module, "block_quantities", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check", [_check_boundaries, _check_reversal_identity])
+def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(monkeypatch, check):
+    # the scalar loops took 110 and 435 evaluations for 50 draws
+    calls = _count_kernel_calls(monkeypatch)
+    counts = []
+    for count in (12, 50):
+        draws = seeded_draws(count, 8)
+        calls.clear()
+        assert check(draws, 8).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # the reference's records
+def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
+    # draws, the reference point, a point without coupling (no Gamma_R) and
+    # one with A >= 0 at its Gamma_R (not applicable)
+    points = seeded_draws(30, 8) + [
+        ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2, kappa=0.5, gamma=0.2),
+        ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2),
+        ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
+    ]
+    grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
+    fields = ("applicable", "gamma_reversal", "identity_residual", "antisymmetry_residual",
+              "theta_below", "theta_above")
+    for n in (1, 2, 5):
+        report = verify_reversal_identity(grid, n)
+        assert report.n == n and report.eta == -1 and report.reason == ""
+        for k, params in enumerate(points):
+            expected = reversal_identity(params, n)
+            scalar = verify_reversal_identity(params, n)
+            assert scalar.reason == expected.reason
+            assert [_bits(getattr(scalar, name)) for name in fields] \
+                == [_bits(getattr(report, name)[k].item()) for name in fields] \
+                == [_bits(getattr(expected, name)) for name in fields]
+    assert report.applicable.any() and not report.applicable.all()
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) and not math.isnan(value) else repr(value)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NoBoundaryError, ValidationError
-from .params import ModelParams, ParamGrid, _replaced, elementwise, raise_where, where
+from .params import ModelParams, ParamGrid, _replaced, elementwise, quiet_overflow, raise_where, where
 from .spectrum import BlockQuantities, block_quantities
 
 __all__ = ["BoundaryPoint", "boundary_R", "boundary_GR", "boundary_SI", "all_boundaries", "SOLVABLE"]
@@ -107,6 +107,7 @@ def _check_solvable(solved_for: str) -> None:
         )
 
 
+@quiet_overflow
 def _solve(params: ModelParams | ParamGrid, family: str, solved_for: str, n: int | None) -> _Solution:
     """The family's point solved for one parameter, the others from params.
 

@@ -106,6 +106,20 @@ def raise_where(flags, error, message: str, **values) -> None:
     raise error(message, index=index)
 
 
+def quiet_overflow(fn):
+    """fn(params, ...) run under np.errstate(over="ignore", divide="ignore")
+    when params is a ParamGrid: numpy warns of the inf that float arithmetic
+    gives a ModelParams silently. The values are the same either way."""
+    @functools.wraps(fn)
+    def run(params, *args, **kwargs):
+        if not isinstance(params, ParamGrid):
+            return fn(params, *args, **kwargs)
+        import numpy as np
+        with np.errstate(over="ignore", divide="ignore"):
+            return fn(params, *args, **kwargs)
+    return run
+
+
 def _complex_array(re, im):
     """complex(re, im) of every element of two arrays; copying the parts in is exact."""
     import numpy as np

@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
-from .params import LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, raise_where, where
+from .params import (LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, quiet_overflow,
+                     raise_where, where)
 
 __all__ = [
     "BlockQuantities",
@@ -138,6 +139,7 @@ class GapPair:
     delta_plus: float
 
 
+@quiet_overflow
 def block_quantities(params: ModelParams | ParamGrid, n: int) -> BlockQuantities:
     """Branch invariants and scales of block n >= 1 (see BlockQuantities).
 

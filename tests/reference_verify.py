@@ -18,6 +18,7 @@ from nhjc import (
     ReversalIdentityReport,
     block_quantities,
     eigen_solution,
+    hermite_roots,
     nodes,
     standard_grid,
     texture_closed_form,
@@ -31,7 +32,7 @@ from nhjc import (
     winding_node_sum,
 )
 from nhjc.errors import NegativeRateWarning, NhjcError, NoBoundaryError
-from nhjc.verify import BOUNDARY_MARGIN, CheckResult, _check_nodes
+from nhjc.verify import BOUNDARY_MARGIN, CheckResult
 from reference_boundaries import boundary_GR, boundary_R, boundary_SI
 
 
@@ -146,6 +147,32 @@ def check_hermitian(draws, n_max):
     return CheckResult("hermitian limit", worst_sy < 1e-13 and exact_theta and worst_im < 1e-14,
                        f"max |sigma_y| {worst_sy:.2e} (< 1e-13), theta_t exactly 0: {exact_theta}, "
                        f"max |Im E|/(n+1) {worst_im:.2e} (< 1e-14)")
+
+
+def check_nodes(draws, n_max):
+    if len(draws) < 2:
+        return CheckResult("invariant nodes", False, "needs at least two draws")
+    worst_pos = 0.0
+    counts_ok = shared = True
+    for n in (1, 2, n_max):
+        union = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
+                                        hermite_roots(n))))
+        sets = []
+        for params in draws[:2]:
+            level = LevelIndex(n, -1)
+            nz = nodes(params, level, "z")
+            ny = nodes(params, level, "y")
+            nx = nodes(params, level, "x")
+            counts_ok &= len(nz.positions) == 2 * n - 1 == len(ny.positions)
+            counts_ok &= len(nx.positions) == 2 * n
+            shared &= np.array_equal(ny.positions, nz.positions)
+            worst_pos = max(worst_pos, float(np.max(np.abs(nz.positions - union))))
+            worst_pos = max(worst_pos, float(np.max(np.abs(ny.positions - nz.positions))))
+            sets.append(nz.positions)
+        worst_pos = max(worst_pos, float(np.max(np.abs(sets[0] - sets[1]))))
+    return CheckResult("invariant nodes", counts_ok and shared and worst_pos < 1e-10,
+                       f"counts 2n-1/2n: {counts_ok}, max position deviation "
+                       f"{worst_pos:.2e} (< 1e-10)")
 
 
 def check_winding(draws, n_max):
@@ -309,7 +336,7 @@ def check_reversal_identity(draws, n_max):
                        f"(slope-aware bound; reference config < 1e-4: {strict_ok})")
 
 
-CHECKS = (check_eigen, check_dual_route, check_parity, check_hermitian, _check_nodes,
+CHECKS = (check_eigen, check_dual_route, check_parity, check_hermitian, check_nodes,
           check_winding, check_tilting, check_boundaries, check_reversal_identity)
 
 

@@ -1,7 +1,11 @@
 """Acceptance gate: every shipped guarantee, one test per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
-per criterion. Tolerances are pinned here and nowhere else.
+per criterion. Criteria 2-7 run the invariant checks of `nhjc verify` (the
+table nhjc.verify._CHECKS) on their own seeds, draw counts and levels, at
+the bounds that table holds, and print the check's detail; criterion 9
+reads the reversal check's bounds from it. The tolerances of the criteria
+verify does not cover (1, 8, 10-12) are pinned here.
 """
 
 import functools
@@ -19,21 +23,13 @@ from nhjc import (
     boundary_R,
     boundary_SI,
     gaps,
-    hermite_roots,
-    nodes,
     run_sweep,
-    standard_grid,
-    texture_closed_form,
     texture_coefficients,
-    texture_from_wavefunctions,
     tilting_angle,
     verify_reversal_identity,
     winding_direction,
-    winding_grid,
-    winding_integral,
-    winding_node_sum,
 )
-from nhjc.verify import draw_params
+from nhjc.verify import _CHECKS, _bound_text, draw_sets
 from conftest import make_reference
 
 
@@ -65,136 +61,58 @@ def test_c01_gapped_reversal_value():
     return f"Gamma_GR = {point.value:.5f}, {elapsed * 1e6:.0f} us"
 
 
-def _winding_cases():
-    rng = np.random.default_rng(2024)
-    cases = []
-    for index in range(200):
-        params = draw_params(rng, n_max=8)
-        eta = -1 if index % 2 else +1
-        cases.append((params, eta))
-    return cases
+def _passes(key, draws, levels):
+    """The detail of verify's check `key` on these draws and levels, which
+    must pass."""
+    result = _CHECKS[key](draws, levels)
+    assert result.passed, result.detail
+    return result.detail
+
+
+@functools.cache
+def _winding_detail():
+    """The winding check on 200 margin-respecting draws at n = 1..8, both
+    eta, and the seconds drawing and checking took."""
+    start = time.perf_counter()
+    detail = _passes("winding", draw_sets(np.random.default_rng(2024), 200, n_max=8), range(1, 9))
+    return detail, time.perf_counter() - start
 
 
 @criterion(2, "winding magnitude law on 200 margin-respecting draws (< 30 s)")
 def test_c02_winding_magnitude_law():
-    start = time.perf_counter()
-    worst_residual = 0.0
-    checked = 0
-    for params, eta in _winding_cases():
-        for n in range(1, 9):
-            level = LevelIndex(n, eta)
-            node_sets = {c: nodes(params, level, c) for c in ("z", "y", "x")}
-            tex = texture_closed_form(params, level,
-                                      winding_grid(params, level, node_sets["x"]))
-            for plane in ("zx", "yx"):
-                fast = winding_node_sum(node_sets[plane[0]], node_sets["x"])
-                slow = winding_integral(tex, plane)
-                assert abs(fast.signed) == n, (params, level, plane)
-                assert abs(slow.signed) == n, (params, level, plane)
-                assert slow.residual < 0.1
-                worst_residual = max(worst_residual, slow.residual)
-                checked += 1
-    elapsed = time.perf_counter() - start
+    detail, elapsed = _winding_detail()
     assert elapsed < 30.0
-    test_c02_winding_magnitude_law.cases = checked
-    return f"{checked} plane-cases, worst residual {worst_residual:.1e}, {elapsed:.1f} s"
+    return f"{detail}, {elapsed:.1f} s"
 
 
 @criterion(3, "method equivalence: node-sum == integral on every criterion-2 case")
 def test_c03_method_equivalence():
-    mismatches = 0
-    checked = 0
-    for params, eta in _winding_cases():
-        for n in range(1, 9):
-            level = LevelIndex(n, eta)
-            node_sets = {c: nodes(params, level, c) for c in ("z", "y", "x")}
-            tex = texture_closed_form(params, level,
-                                      winding_grid(params, level, node_sets["x"]))
-            for plane in ("zx", "yx"):
-                fast = winding_node_sum(node_sets[plane[0]], node_sets["x"]).signed
-                slow = winding_integral(tex, plane).signed
-                mismatches += fast != slow
-                checked += 1
-    assert mismatches == 0  # integers, zero tolerance
-    return f"{checked} cases, {mismatches} mismatches"
+    # the check passes only with zero mismatches (integers, zero tolerance)
+    return _winding_detail()[0].partition(", |n_w|")[0]
 
 
 @criterion(4, "hermitian limit: sigma_y vanishes and the tilt is exactly zero")
 def test_c04_hermitian_limit():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(5):
-        omega, Omega, g = rng.uniform(0.1, 1.2, 3)
-        params = ModelParams(omega=float(omega), Omega=float(Omega), g=float(g))
-        for n in range(1, 21):
-            for eta in (-1, 1):
-                level = LevelIndex(n, eta)
-                tex = texture_closed_form(params, level, standard_grid(n))
-                worst = max(worst, float(np.max(np.abs(tex.sy))))
-                assert tilting_angle(tex.coeffs).theta_t == 0.0
-    assert worst < 1e-13
-    return f"max |sigma_y| = {worst:.1e}"
+    draws = [ModelParams(*rng.uniform(0.1, 1.2, 3).tolist()) for _ in range(5)]
+    return _passes("hermitian", draws, range(1, 21))
 
 
-@criterion(5, "dual-route texture equivalence below 1e-11 (n <= 20, 50 draws)")
+@criterion(5, f"dual-route texture equivalence below {_bound_text(_CHECKS['dual-route'].bounds['difference'])}"
+               " (n <= 20, 50 draws)")
 def test_c05_dual_route_equivalence():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for index in range(50):
-        params = draw_params(rng, n_max=8)
-        eta = -1 if index % 2 else +1
-        for n in range(1, 21):
-            level = LevelIndex(n, eta)
-            grid = standard_grid(n)
-            a = texture_closed_form(params, level, grid)
-            b = texture_from_wavefunctions(params, level, grid)
-            worst = max(worst,
-                        float(np.max(np.abs(a.sx - b.sx))),
-                        float(np.max(np.abs(a.sy - b.sy))),
-                        float(np.max(np.abs(a.sz - b.sz))))
-    assert worst < 1e-11
-    return f"worst pointwise difference {worst:.1e}"
+    return _passes("dual-route", draw_sets(np.random.default_rng(11), 50, n_max=8), range(1, 21))
 
 
-@criterion(6, "parity: sigma_x even, sigma_z and sigma_y odd, below 1e-12")
+@criterion(6, "parity: sigma_x even, sigma_z and sigma_y odd, below "
+               f"{_bound_text(_CHECKS['parity'].bounds['texture'])}")
 def test_c06_parity():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(10):
-        params = draw_params(rng, n_max=8)
-        for n in (1, 3, 8, 14, 20):
-            for eta in (-1, 1):
-                tex = texture_closed_form(params, LevelIndex(n, eta), standard_grid(n))
-                worst = max(worst,
-                            float(np.max(np.abs(tex.sx - tex.sx[::-1]))),
-                            float(np.max(np.abs(tex.sy + tex.sy[::-1]))),
-                            float(np.max(np.abs(tex.sz + tex.sz[::-1]))))
-    assert worst < 1e-12
-    return f"worst symmetry residual {worst:.1e}"
+    return _passes("parity", draw_sets(np.random.default_rng(13), 10, n_max=8), (1, 3, 8, 14, 20))
 
 
 @criterion(7, "invariant nodes: Hermite-root positions, counts 2n-1 and 2n")
 def test_c07_invariant_nodes():
-    rng = np.random.default_rng(17)
-    draws = [draw_params(rng, n_max=8) for _ in range(2)]
-    worst = 0.0
-    for n in range(1, 9):
-        union = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
-                                        hermite_roots(n))))
-        positions = []
-        for params in draws:
-            level = LevelIndex(n, -1)
-            nz = nodes(params, level, "z")
-            ny = nodes(params, level, "y")
-            nx = nodes(params, level, "x")
-            assert len(nz.positions) == 2 * n - 1 == len(ny.positions)
-            assert len(nx.positions) == 2 * n
-            worst = max(worst, float(np.max(np.abs(nz.positions - union))))
-            assert np.array_equal(nz.positions, ny.positions)
-            positions.append(nz.positions)
-        worst = max(worst, float(np.max(np.abs(positions[0] - positions[1]))))
-    assert worst < 1e-10
-    return f"worst node deviation {worst:.1e}"
+    return _passes("nodes", draw_sets(np.random.default_rng(17), 2, n_max=8), range(1, 9))
 
 
 @criterion(8, "gap laws: closing at reversal points, open at the gapped reversal")
@@ -222,8 +140,9 @@ def test_c09_reversal_identity():
         assert report.applicable
         worst_id = max(worst_id, report.identity_residual)
         worst_anti = max(worst_anti, report.antisymmetry_residual)
-    assert worst_id < 1e-10
-    assert worst_anti < 1e-4
+    bounds = _CHECKS["reversal-identity"].bounds
+    assert worst_id < bounds["identity"]
+    assert worst_anti < bounds["antisymmetry"]
     return f"identity {worst_id:.1e}, antisymmetry {worst_anti:.1e}"
 
 

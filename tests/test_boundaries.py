@@ -227,7 +227,6 @@ def test_closed_forms_match_the_scalar_reference(n):
 
 
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("solved_for", SOLVABLE)
 def test_grid_solutions_match_the_scalar_reference(family, solved_for):
@@ -252,7 +251,6 @@ def test_grid_solutions_match_the_scalar_reference(family, solved_for):
                 assert valid is point.valid
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("family, edge", [("R", _EDGE_POINTS[6]), ("GR", _EDGE_POINTS[8])])
 def test_grid_value_past_float_range_raises_as_a_record_does(family, edge):
     # kappa = inf at the edge point

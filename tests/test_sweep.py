@@ -28,6 +28,7 @@ from nhjc import (
     texture_coefficients,
     tilting_angle,
     winding_node_sum,
+    winding_report,
 )
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
@@ -403,6 +404,28 @@ def test_grid_cases_reach_every_kind_of_row():
     # degenerate, exceptional and on_boundary points, and regular ones
     assert flags == {(True, False, False), (False, True, False), (False, False, True),
                      (False, False, False)}
+
+
+def test_a_window_around_an_exceptional_point_flags_only_the_point(capsys):
+    # block 1 of EP_BASE is exceptional at g = 0.2 (A = g^2 - 0.04, B = 0):
+    # below it the state sits on the reversal line (B = 0 under A < 0)
+    levels = (LevelIndex(1, -1), LevelIndex(1, 1), LevelIndex(2, -1))
+    spec = SweepSpec(base=EP_BASE, axes=(Axis("g", 0.2 - 1e-6, 0.2 + 1e-6, 5),), levels=levels,
+                     observables=("nWzx", "nWyx"), overlays=(), spot_check_fraction=1.0)
+    rows = run_sweep(spec).rows
+    assert len(rows) == 15 and sorted({row[0] for row in rows})[2] == 0.2
+    for g, n, eta, zx, yx, degenerate, exceptional, on_boundary in rows:
+        assert not degenerate
+        assert exceptional == (g == 0.2 and n == 1)
+        assert on_boundary == (g < 0.2 and n == 1)
+        if exceptional or on_boundary:
+            assert math.isnan(zx) and math.isnan(yx)
+            continue
+        reports = [winding_report(EP_BASE.with_value("g", g), LevelIndex(n, eta), plane)
+                   for plane in ("zx", "yx")]
+        assert all(report["agreement"] for report in reports)
+        assert (zx, yx) == tuple(report["node_sum"] for report in reports)
+    assert capsys.readouterr() == ("", "")
 
 
 _json = st.recursive(

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +16,8 @@ from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_s
 from nhjc.cli import main
 from nhjc.params import PARAM_NAMES, ParamGrid
 from nhjc.verify import (
+    _CHECKS,
     DEFAULT_SEED,
-    _check_boundaries,
-    _check_dual_route,
-    _check_eigen,
-    _check_hermitian,
-    _check_parity,
-    _check_reversal_identity,
-    _check_tilting,
-    _check_winding,
     boundary_margin,
     draw_params,
     draw_sets,
@@ -31,8 +25,13 @@ from nhjc.verify import (
 )
 from reference_verify import reference_draw, reference_margin, reference_suite, reversal_identity
 
-BATCHED = (_check_eigen, _check_dual_route, _check_parity, _check_hermitian, _check_winding,
-           _check_tilting)
+BATCHED = ("eigen", "dual-route", "parity", "hermitian", "winding", "tilting")
+
+
+def run_check(key, draws, n_max):
+    """The table's check at the levels run_suite gives it for n_max."""
+    check = _CHECKS[key]
+    return check(draws, check.levels(n_max))
 
 
 def seeded_draws(count, n_max, seed=DEFAULT_SEED):
@@ -48,6 +47,22 @@ def test_suite_matches_the_scalar_reference(seed, draws, n_max, quick):
     results = run_suite(draws, n_max, seed, quick)
     assert results == reference_suite(draws, n_max, seed, quick)
     assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
+def test_suite_emits_no_warning(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(result.passed for result in run_suite(12, 4, seed))
+
+
+def test_winding_laws_hold_on_margin_draws_up_to_n_25():
+    # 24 draws x n = 1..25 x eta = +-1: 1 200 node-sum cases, two planes each,
+    # every draw at the boundary margin for all 25 levels
+    draws = draw_sets(np.random.default_rng(DEFAULT_SEED), 24, n_max=25)
+    result = _CHECKS["winding"](draws, range(1, 26))
+    assert result.passed, result.detail
+    assert result.detail.startswith("2400 cases: method mismatches 0, |n_w|=n True")
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
@@ -95,9 +110,9 @@ def test_a_broken_wavefunction_route_fails_the_dual_route_check(monkeypatch):
         return up_x, down_x, up_z, down_z
 
     draws = seeded_draws(12, 4)
-    assert _check_dual_route(draws, 4).passed
+    assert run_check("dual-route", draws, 4).passed
     monkeypatch.setattr(nhjc.texture, "wavefunction_components", broken)
-    result = _check_dual_route(draws, 4)
+    result = run_check("dual-route", draws, 4)
     assert not result.passed and "worst pointwise difference" in result.detail
 
 
@@ -107,7 +122,7 @@ def test_shifted_sigma_x_nodes_stop_the_winding_check(monkeypatch):
     original = nhjc.texture.ratio_roots
     monkeypatch.setattr(nhjc.texture, "ratio_roots", lambda n, c: original(n, c) + 0.05)
     with pytest.raises(GridTooCoarseError, match=r"\(draw 2: .*, n=2, eta=-1\)"):
-        _check_winding(seeded_draws(4, 4), 4)
+        run_check("winding", seeded_draws(4, 4), 4)
 
 
 def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):
@@ -149,8 +164,8 @@ def test_batched_checks_evaluate_the_kernel_at_most_200_times(monkeypatch):
     for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.verify):
         if getattr(module, "block_quantities", None) is original:
             monkeypatch.setattr(module, "block_quantities", counted)
-    for check in BATCHED:
-        assert check(draws[:12] if check is _check_winding else draws, 8).passed
+    for key in BATCHED:
+        assert run_check(key, draws[:12] if key == "winding" else draws, 8).passed
     assert 0 < len(calls) <= 200
 
 
@@ -183,15 +198,16 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("check", [_check_boundaries, _check_reversal_identity])
-def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(monkeypatch, check):
+@pytest.mark.parametrize("key", ["boundaries", "reversal-identity"],
+                         ids=["_check_boundaries", "_check_reversal_identity"])
+def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(monkeypatch, key):
     # the scalar loops took 110 and 435 evaluations for 50 draws
     calls = _count_kernel_calls(monkeypatch)
     counts = []
     for count in (12, 50):
         draws = seeded_draws(count, 8)
         calls.clear()
-        assert check(draws, 8).passed
+        assert run_check(key, draws, 8).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 

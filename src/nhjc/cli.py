@@ -137,8 +137,8 @@ def _cmd_texture(args) -> int:
 
     params = load_params(args.params)
     level = _oscillator_level(args)
-    if args.grid_points < 2:
-        raise ValidationError(f"--grid-points must be >= 2, got {args.grid_points}")
+    if not 2 <= args.grid_points <= sys.maxsize:
+        raise ValidationError(f"--grid-points must be in [2, {sys.maxsize}], got {args.grid_points}")
     grid = standard_grid(level.n, args.grid_points)
     tex = texture_closed_form(params, level, grid)
     if args.format == "json":
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except NhjcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return COMPUTE_ERROR
+    except MemoryError as exc:  # a request too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 
 

@@ -28,7 +28,7 @@ class DegenerateStateError(NhjcError):
 
 
 class GridTooCoarseError(NhjcError):
-    """Phase unwrapping saw an angle step >= pi/2 even after refinement."""
+    """Phase unwrapping saw an angle step >= pi/2 on its grid."""
 
 
 class NodeCountError(NhjcError):

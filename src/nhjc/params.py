@@ -237,6 +237,12 @@ class ParamGrid:
         values.update((name, m.ravel()) for name, m in zip(axes, mesh))
         return cls(**values)
 
+    @classmethod
+    def rows(cls, records) -> "ParamGrid":
+        """The ModelParams records as a grid of one row each (shape (records, 1))."""
+        import numpy as np
+        return cls(**{name: np.array([[getattr(p, name)] for p in records]) for name in PARAM_NAMES})
+
     def composites(self) -> ComplexComposites:
         return _composites(self, _complex_array)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
 from .params import (LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, quiet_overflow,
@@ -111,6 +111,10 @@ class BlockQuantities:
         GR (|Cz|) and SI (|Cy|) for a branch with coefficients c_z, c_y."""
         d_r = where(self.A < 0.0, abs(self.B) / self.scale_B, math.inf)
         return d_r, abs(c_z) / self.scale_Cz, abs(c_y) / self.scale_Cy
+
+    def take(self, index) -> "BlockQuantities":
+        """The block of the selected elements of its grid (ParamGrid.take)."""
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "n"})
 
 
 @dataclass(frozen=True)

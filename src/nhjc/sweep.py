@@ -19,11 +19,11 @@ on_boundary points are masks within the same arrays. The rows are bit for
 bit what eigen_solution, texture_coefficients, gaps, tilting_angle, nodes and
 winding_node_sum give point by point.
 
-Winding numbers use the exact-integer node-sum route, with the sigma_x nodes
-of all points of a level from one ratio_roots call; a deterministic 1%
-subsample is re-checked with the phase-unwrapping integral and any mismatch
-aborts the sweep naming the offending grid point. Any other error raised
-while a level is evaluated names the failing grid point, n and eta. Points
+Winding numbers are the exact-integer node sums of topology.Windings, one
+sigma_x node solve per level and block; a deterministic 1% subsample of rows
+is re-derived by its phase-unwrapping integral, a level at a time, and a
+mismatch aborts the sweep naming the row. Any other error, the spot check's
+too, names the failing grid point, n and eta. Points
 within 1e-9 (relative) of a reversal/gapped-reversal/super-invariant boundary
 are flagged on_boundary and their direction-dependent observables are left as
 nan, since the winding direction is genuinely undefined there. The distances
@@ -53,15 +53,8 @@ from .boundaries import SOLVABLE, _solve
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
 from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
-from .texture import (
-    branch_coefficients,
-    coefficient_ratio,
-    nodes,
-    texture_closed_form,
-    x_node_arrays,
-    zy_node_arrays,
-)
-from .topology import node_sum_windings, tilt_of, winding_grid, winding_integral
+from .texture import branch_coefficients
+from .topology import Windings, tilt_of
 
 __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
@@ -110,6 +103,9 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 3:
             raise SweepSpecError(f"1 to 3 axes required, got {len(self.axes)}")
+        if math.prod(a.count for a in self.axes) > sys.maxsize:
+            raise SweepSpecError(f"the grid must have at most {sys.maxsize} points, got "
+                                 f"{' x '.join(str(a.count) for a in self.axes)}")
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise SweepSpecError(f"axis parameters must be distinct, got {names}")
@@ -245,13 +241,6 @@ def _write_csv(path, columns, rows) -> None:
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _integral_winding(params: ModelParams, level: LevelIndex, plane: str) -> int:
-    bq = block_quantities(params, level.n)
-    grid = winding_grid(params, level, nodes(params, level, "x", bq))
-    tex = texture_closed_form(params, level, grid, bq)
-    return winding_integral(tex, plane).signed
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep. Deterministic: identical specs give identical rows
     (axes row-major, levels innermost) and byte-identical CSV output."""
@@ -278,17 +267,21 @@ def _grid_rows(spec: SweepSpec, columns) -> list[tuple]:
             try:
                 values, flags, checked = _level_columns(block, level, spec.observables)
             except NhjcError as exc:
-                if exc.index is None:
-                    at = "on the grid"
-                else:
-                    point = start + exc.index
-                    at = "at " + ", ".join(f"{a.name}={c[point]!r}" for a, c in zip(spec.axes, coords))
-                raise type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})") from exc
+                raise _named(exc, spec, coords, range(start, start + count), level) from exc
             tables.append(zip(*block_coords, [level.n] * count, [level.eta] * count, *values, *flags))
             winding_rows.extend((start + point) * levels + k for point in checked.tolist())
         rows.extend(row for point_rows in zip(*tables) for row in point_rows)
-    _spot_check(spec, grid, columns, rows, sorted(winding_rows))
+    _spot_check(spec, grid, coords, columns, rows, sorted(winding_rows))
     return rows
+
+
+def _named(exc: NhjcError, spec: SweepSpec, coords, points, level: LevelIndex) -> NhjcError:
+    """exc again, naming the grid point points[exc.index] (or the grid), n and eta."""
+    if exc.index is None:
+        at = "on the grid"
+    else:
+        at = "at " + ", ".join(f"{a.name}={c[points[exc.index]]!r}" for a, c in zip(spec.axes, coords))
+    return type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})")
 
 
 def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
@@ -314,7 +307,14 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < _BOUNDARY_RTOL)
     # the winding direction is undefined on a boundary
     checked = np.flatnonzero(regular & ~on_boundary) if windings else np.empty(0, int)
-    signed = _node_sums(n, windings, sol, coeffs, checked)
+    signed = dict.fromkeys(windings, np.empty(0, int))
+    if checked.size:  # a failed check names its point by its index into the grid
+        try:
+            found = Windings(grid.take(checked[:, None]), level, bq.take(checked[:, None]))
+            signed = {obs: found.node_sums(obs[2:]) for obs in windings}
+        except NhjcError as exc:
+            exc.index = None if exc.index is None else int(checked[exc.index])
+            raise
     gp = gaps(grid, n, bq) if {"deltaMinus", "deltaPlus"}.intersection(observables) else None
     values = []
     for obs in observables:
@@ -337,45 +337,39 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     return values, (degenerate.tolist(), exceptional.tolist(), on_boundary.tolist()), checked
 
 
-def _node_sums(n: int, windings, sol, coeffs, checked) -> dict:
-    """Node-sum windings of the checked points, one array per winding
-    observable: one sigma_x node solve for all of them. A failed check names
-    its point by the index into the level's grid."""
-    if not windings or not checked.size:
-        return {obs: np.empty(0, int) for obs in windings}
-    try:
-        x_nodes = x_node_arrays(n, coefficient_ratio(sol.c_up[checked], sol.c_down[checked]))
-        amplitudes = {"nWzx": coeffs.c_z, "nWyx": coeffs.c_y}
-        return {obs: node_sum_windings(obs[2:], zy_node_arrays(n, amplitudes[obs][checked]), x_nodes)
-                for obs in windings}
-    except NhjcError as exc:
-        if exc.index is not None:
-            exc.index = int(checked[exc.index])
-        raise
-
-
-def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, rows, winding_rows) -> None:
-    """Re-derive a deterministic 1% subsample of windings via the integral;
-    winding_rows are the indices of the rows with node-sum windings."""
+def _spot_check(spec: SweepSpec, grid: ParamGrid, coords, columns, rows, winding_rows) -> None:
+    """Re-derive a deterministic 1% subsample of windings via the integral,
+    a level at a time over blocks of the picked rows; winding_rows are the
+    indices of the rows with node-sum windings. An error names its point."""
     if not winding_rows or spec.spot_check_fraction <= 0.0:
         return
     count = max(1, round(spec.spot_check_fraction * len(winding_rows)))
     picks = random.Random(_SPOT_CHECK_SEED).sample(range(len(winding_rows)), min(count, len(winding_rows)))
+    picked = np.array(winding_rows)[sorted(picks)]
     planes = [obs for obs in spec.observables if obs in WINDINGS]
-    for pick in sorted(picks):
-        row_index = winding_rows[pick]
-        point, k = divmod(row_index, len(spec.levels))
-        params, level = grid.point(point), spec.levels[k]
-        row = rows[row_index]
-        for obs in planes:
-            fast = row[columns.index(obs)]
-            slow = _integral_winding(params, level, obs[2:])
-            if int(fast) != slow:
-                raise SweepConsistencyError(
-                    f"winding methods disagree at row {row_index} "
-                    f"({', '.join(f'{c}={v}' for c, v in zip(columns, row))}): "
-                    f"node-sum {fast} vs integral {slow} in {obs}"
-                )
+    levels = len(spec.levels)
+    for start in range(0, len(picked), _GRID_BLOCK):
+        block = picked[start:start + _GRID_BLOCK]
+        for k, level in enumerate(spec.levels):
+            at = block[block % levels == k]
+            if not at.size:
+                continue
+            points = grid.take(at[:, None] // levels)
+            try:
+                found = Windings(points, level, block_quantities(points, level.n)).integrals(
+                    [obs[2:] for obs in planes])
+            except NhjcError as exc:
+                raise _named(exc, spec, coords, at // levels, level) from exc
+            for i, row_index in enumerate(at.tolist()):
+                row = rows[row_index]
+                for obs, (signed, _) in zip(planes, found.values()):
+                    fast, slow = row[columns.index(obs)], int(signed[i])
+                    if int(fast) != slow:
+                        raise SweepConsistencyError(
+                            f"winding methods disagree at row {row_index} "
+                            f"({', '.join(f'{c}={v}' for c, v in zip(columns, row))}): "
+                            f"node-sum {fast} vs integral {slow} in {obs}"
+                        )
 
 
 def _overlay(spec: SweepSpec, family: str):

@@ -1,7 +1,9 @@
 """Spin-winding topology: winding numbers, directions, and plane tilting.
 
 The winding number of the planar vector (<sigma_a(x)>, <sigma_b(x)>) over the
-real line is computed two independent ways:
+real line is computed two independent ways, for one texture or, by Windings,
+for a batch of points of one level from one sigma_x node solve (the sweep,
+its spot check, verify and winding_report all go through Windings):
 
  * winding_integral: accumulated angle by phase unwrapping over a sampled
    texture (each step folded into (-pi, pi)); equivalent to the defining
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -48,22 +49,27 @@ from .boundaries import _solve, boundary_R
 from .errors import (
     AntiWindingError,
     GridTooCoarseError,
+    NhjcError,
     OnBoundaryError,
     UndefinedTiltError,
     ValidationError,
 )
 from .oscillator import hermite_roots
 from .params import LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, raise_where, where
-from .spectrum import block_quantities
+from .spectrum import BlockQuantities, block_quantities, eigen_solution
 from .texture import (
     STANDARD_POINTS,
     NodeSet,
     SpinTexture,
     TextureCoefficients,
+    branch_coefficients,
+    coefficient_ratio,
     nodes,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
+    x_node_arrays,
+    zy_node_arrays,
 )
 
 __all__ = [
@@ -72,10 +78,9 @@ __all__ = [
     "TiltingAngle",
     "ReversalIdentityReport",
     "asymptotic_signs",
+    "Windings",
     "winding_grid",
-    "winding_grids",
     "winding_integral",
-    "integral_windings",
     "winding_node_sum",
     "winding_direction",
     "winding_report",
@@ -163,76 +168,43 @@ def _alive(x_comp: np.ndarray, y_comp: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _unwrap_totals(x_comp: np.ndarray, y_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total swept angle of (x_comp, y_comp) along each row and the largest
-    interior step; nan (padding past the end of a row's grid) counts as a
-    vanished vector.
+def winding_integral(texture: SpinTexture, plane: str) -> WindingResult:
+    """Signed winding number by phase unwrapping of the sampled texture.
+
+    A single interior angle step of magnitude >= pi/2 marks the grid too
+    coarse (GridTooCoarseError).
+    """
+    _plane_components(plane)
+    if texture.coeffs is None:  # n = 0 state: no transverse components
+        return WindingResult(plane=plane, signed=0, method="integral",
+                             residual=0.0, degenerate=True)
+    signed, residual = integral_windings(texture, plane, [len(texture.grid)])
+    return WindingResult(plane=plane, signed=int(signed[0]), method="integral",
+                         residual=float(residual[0]))
+
+
+def integral_windings(texture: SpinTexture, plane: str, counts) -> tuple[np.ndarray, np.ndarray]:
+    """winding_integral of the rows of a texture (a 1-D texture is one row),
+    row i sampled on the first counts[i] points of its grid row (nan past
+    them counts as a vanished vector): the signed windings and residuals; a
+    grid too coarse raises GridTooCoarseError with the index of its row.
 
     Both tails converge to the exact direction (0, -1), angle -pi/2; closing
     the walk onto that limit removes the truncation bias (the winding between
     the cutoff and infinity is below pi, so folding the closing increments is
     safe: at most the outermost sigma_x node lies beyond the grid).
     """
+    alpha, beta = _plane_components(plane)
+    x_comp, y_comp = (np.atleast_2d(texture.component(c)) for c in (alpha, beta))
     alive = _alive(x_comp, y_comp)
     raise_where(np.count_nonzero(alive, axis=-1) < 2, GridTooCoarseError,
                 "winding vector vanishes on the whole grid")
     first = np.argmax(alive, axis=-1)
     last = alive.shape[-1] - 1 - np.argmax(alive[:, ::-1], axis=-1)
     angles = np.arctan2(y_comp, x_comp)
-    steps = np.diff(angles)
-    steps -= 2.0 * math.pi * np.round(steps / (2.0 * math.pi))
+    steps = _fold(np.diff(angles))
     inside = (first[:, None] <= np.arange(steps.shape[-1])) & (np.arange(steps.shape[-1]) < last[:, None])
     worst = np.max(np.abs(steps), axis=-1, where=inside, initial=0.0)
-    # each row's own slice, so the pairwise sum adds what a 1-D call adds
-    sums = np.array([np.sum(row[lo:hi]) for row, lo, hi in zip(steps, first.tolist(), last.tolist())])
-    rows = np.arange(len(first))
-    total = _fold(angles[rows, first] + 0.5 * math.pi) + sums + _fold(-0.5 * math.pi - angles[rows, last])
-    return total, worst
-
-
-# unresolved-step escalation: 4x density per round before giving up
-_REFINE_ROUNDS = 3
-
-
-def winding_integral(
-    texture: SpinTexture,
-    plane: str,
-    refine: Callable[[int], SpinTexture] | None = None,
-) -> WindingResult:
-    """Signed winding number by phase unwrapping of the sampled texture.
-
-    A single interior angle step of magnitude >= pi/2 marks the grid too
-    coarse; given a refine callback the texture is re-sampled at 4x density
-    (up to three rounds, enough to resolve windings squashed down to the
-    1e-3 boundary margin) before giving up.
-    """
-    alpha, beta = _plane_components(plane)
-    if texture.coeffs is None:  # n = 0 state: no transverse components
-        return WindingResult(plane=plane, signed=0, method="integral",
-                             residual=0.0, degenerate=True)
-    total, worst = _unwrap_totals(texture.component(alpha)[None], texture.component(beta)[None])
-    rounds = 0
-    while worst[0] >= _MAX_STEP and refine is not None and rounds < _REFINE_ROUNDS:
-        rounds += 1
-        texture = refine(4 * (len(texture.grid) - 1) + 1)
-        total, worst = _unwrap_totals(texture.component(alpha)[None], texture.component(beta)[None])
-    signed, residual = _rounded(total, worst, plane, [len(texture.grid)])
-    return WindingResult(plane=plane, signed=int(signed[0]), method="integral",
-                         residual=float(residual[0]))
-
-
-def integral_windings(texture: SpinTexture, plane: str,
-                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """winding_integral (no refinement) of a batch of cases: the signed
-    windings and residuals of the rows of a texture, row i sampled on the
-    first counts[i] points of its grid row. A grid too coarse raises
-    GridTooCoarseError with the index of the first such row."""
-    alpha, beta = _plane_components(plane)
-    return _rounded(*_unwrap_totals(texture.component(alpha), texture.component(beta)), plane, counts)
-
-
-def _rounded(total, worst, plane, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest integers to total / 2 pi and the distances to them."""
     coarse = worst >= _MAX_STEP
     if coarse.any():
         i = int(np.argmax(coarse))
@@ -240,6 +212,10 @@ def _rounded(total, worst, plane, counts) -> tuple[np.ndarray, np.ndarray]:
             f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({counts[i]} grid points)",
             index=i,
         )
+    # each row's own slice, so the pairwise sum adds what a 1-D call adds
+    sums = np.array([np.sum(row[lo:hi]) for row, lo, hi in zip(steps, first.tolist(), last.tolist())])
+    rows = np.arange(len(first))
+    total = _fold(angles[rows, first] + 0.5 * math.pi) + sums + _fold(-0.5 * math.pi - angles[rows, last])
     raw = total / (2.0 * math.pi)
     signed = np.rint(raw)
     return signed.astype(int), np.abs(raw - signed)
@@ -377,8 +353,56 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :counts.max()], counts
 
 
+# profile samples (cases x grid points) evaluated at once: Windings.integrals
+# goes through its points in chunks of about this many, which bounds memory
+_CHUNK_POINTS = 2 ** 14
+
+
+class Windings:
+    """The windings of one level (n >= 1, eta) at a batch of points by both
+    routes, from one sigma_x node solve: grid holds one row per point (shape
+    (points, 1), as texture_closed_form takes it) and block is its block n.
+
+    Construction checks the states and solves the nodes; node_sums and
+    integrals share them. An error carries the index of its point.
+    """
+
+    def __init__(self, grid: ParamGrid, level: LevelIndex, block: BlockQuantities):
+        sol = eigen_solution(grid, level, block)
+        self.grid, self.level, self.block = grid, level, block
+        self.coeffs = branch_coefficients(grid, level.eta, block)
+        self.x_nodes = x_node_arrays(level.n, coefficient_ratio(sol.c_up, sol.c_down).ravel())
+
+    def node_sums(self, plane: str) -> np.ndarray:
+        """The signed node-sum windings in the plane, one per point."""
+        alpha, _ = _plane_components(plane)
+        amp = self.coeffs.c_z if alpha == "z" else self.coeffs.c_y
+        return node_sum_windings(plane, zy_node_arrays(self.level.n, amp.ravel()), self.x_nodes)
+
+    def integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The signed integral windings and residuals in each plane, one per
+        point, from the texture on each point's winding_grid."""
+        n, positions = self.level.n, self.x_nodes[0]
+        # a winding grid is the standard one plus 90 shell points around each of the 4n - 1 nodes
+        step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 90 * (4 * n - 1)))
+        parts = {plane: [] for plane in planes}
+        for start in range(0, len(positions), step):
+            rows = slice(start, start + step)
+            grids, counts = winding_grids(n, positions[rows])
+            tex = texture_closed_form(self.grid.take(rows), self.level, grids, self.block.take(rows))
+            try:
+                for plane, part in parts.items():
+                    part.append(integral_windings(tex, plane, counts))
+            except NhjcError as exc:
+                exc.index = None if exc.index is None else start + exc.index
+                raise
+            del grids, tex  # before the next chunk's are built
+        return {plane: tuple(map(np.concatenate, zip(*part))) for plane, part in parts.items()}
+
+
 def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
-    """Both winding routes plus the coefficient-sign prediction for one plane."""
+    """Both winding routes plus the coefficient-sign prediction for one
+    plane: Windings over a grid of the one point."""
     _plane_components(plane)
     if level.n == 0:
         return {
@@ -389,33 +413,23 @@ def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
             "integral_residual": 0.0,
             "agreement": True,
         }
-    alpha, beta = PLANES[plane]
-    bq = block_quantities(params, level.n)
-    nodes_alpha = nodes(params, level, alpha, bq)
-    nodes_x = nodes(params, level, beta, bq)
-    ns = winding_node_sum(nodes_alpha, nodes_x)
-    grid = winding_grid(params, level, nodes_x)
-    tex = texture_closed_form(params, level, grid, bq)
-    integ = winding_integral(
-        tex, plane,
-        refine=lambda m: texture_closed_form(
-            params, level,
-            _distinct_rows(np.concatenate((grid, standard_grid(level.n, m)))[None])[0][0], bq,
-        ),
-    )
-    coeffs = tex.coeffs
+    grid = ParamGrid.rows([params])
+    windings = Windings(grid, level, block_quantities(grid, level.n))
+    node_sum = int(windings.node_sums(plane)[0])
+    signed, residual = windings.integrals([plane])[plane]
+    integral = int(signed[0])
     try:
-        predicted = -winding_direction(coeffs, plane) * level.n
+        predicted = -winding_direction(windings.coeffs, plane).item() * level.n
     except OnBoundaryError:
         predicted = None
     return {
         "plane": plane,
         "degenerate": False,
-        "node_sum": ns.signed,
-        "integral": integ.signed,
-        "integral_residual": integ.residual,
+        "node_sum": node_sum,
+        "integral": integral,
+        "integral_residual": float(residual[0]),
         "direction_rule": predicted,
-        "agreement": ns.signed == integ.signed and (predicted in (None, ns.signed)),
+        "agreement": node_sum == integral and (predicted in (None, node_sum)),
     }
 
 

@@ -26,7 +26,8 @@ The per-draw checks evaluate all their draws at once: the draws form a
 ParamGrid of one row each, which block_quantities and the public functions
 built on it take in place of ModelParams, in chunks of about _CHUNK_POINTS
 points so that memory stays flat however many draws are asked for. The
-boundary and reversal-identity checks solve the R/GR/SI closed forms for
+winding check judges the laws on what topology.Windings gives, the routine
+the sweep and winding_report use too. The boundary and reversal-identity checks solve the R/GR/SI closed forms for
 all draws in one call per family and level (boundaries._solve, which the
 sweep overlays use too), so the kernel runs as often for 12 draws as for
 200. Every residual is bit for bit what a loop over the draws gives (the
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -48,30 +50,27 @@ import numpy as np
 
 from .boundaries import _solve
 from .errors import NhjcError, ValidationError
-from .oscillator import hermite_roots
+from .oscillator import phi_pair
 from .params import N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
     branch_coefficients,
-    coefficient_ratio,
     nodes,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     texture_from_wavefunctions,
     wavefunction_components,
-    x_node_arrays,
-    zy_node_arrays,
 )
 from .topology import (
+    _CHUNK_POINTS,
+    PLANES,
+    Windings,
     _theta_at_gamma,
-    integral_windings,
-    node_sum_windings,
     tilting_angle,
     verify_reversal_identity,
     winding_direction,
-    winding_grids,
 )
 
 __all__ = ["CheckResult", "run_suite", "draw_sets", "draw_params", "boundary_margin"]
@@ -79,11 +78,6 @@ __all__ = ["CheckResult", "run_suite", "draw_sets", "draw_params", "boundary_mar
 DEFAULT_SEED = 20240901
 
 BOUNDARY_MARGIN = 1e-3
-
-# profile samples (draws x grid points x profiles held) evaluated at once;
-# the draws of a check go through in chunks of about this many, which bounds
-# the suite's memory
-_CHUNK_POINTS = 2 ** 14
 
 _square = elementwise(lambda z: z ** 2, complex)
 _abs, _tan = elementwise(abs), elementwise(math.tan)
@@ -102,7 +96,7 @@ def boundary_margin(params: ModelParams | ParamGrid, n_values, etas=(-1, 1)) -> 
     nan distance is skipped. Going through the levels in order, the first
     exceptional block makes it 0.0 and the first degenerate state nan (no
     margin). Over a ParamGrid, an array of margins, one per point."""
-    grid = _draw_grid([params]) if isinstance(params, ModelParams) else params
+    grid = ParamGrid.rows([params]) if isinstance(params, ModelParams) else params
     margin = _abs(grid.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
     settled = np.zeros(margin.shape, bool)  # margin fixed by an exceptional block or degenerate state
     fixed = np.zeros(margin.shape)
@@ -153,11 +147,6 @@ def draw_params(
     """One parameter set, each component uniform in [0, high], redrawn until
     it sits at least `margin` away from every boundary for n = 1..n_max."""
     return draw_sets(rng, 1, n_max, high, margin)[0]
-
-
-def _draw_grid(draws) -> ParamGrid:
-    """The draws as a ParamGrid of one row each (shape (draws, 1))."""
-    return ParamGrid(**{name: np.array([[getattr(p, name)] for p in draws]) for name in PARAM_NAMES})
 
 
 def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: STANDARD_POINTS) -> list[np.ndarray]:
@@ -218,7 +207,7 @@ def _eigen_residuals(chunk, bq, level):
 
 
 def _eigen(draws, levels, residual):
-    worst = _worst(*_levels(_draw_grid(draws), levels, _eigen_residuals, lambda n: 1))
+    worst = _worst(*_levels(ParamGrid.rows(draws), levels, _eigen_residuals, lambda n: 1))
     return worst < residual, f"worst relative residual {worst:.2e} (< {_bound_text(residual)})"
 
 
@@ -231,7 +220,7 @@ def _dual_route_difference(chunk, bq, level):
 
 def _dual_route(draws, levels, difference):
     # both routes' profiles are held at once
-    worst = _worst(*_levels(_draw_grid(draws), levels, _dual_route_difference, lambda n: 2 * STANDARD_POINTS))
+    worst = _worst(*_levels(ParamGrid.rows(draws), levels, _dual_route_difference, lambda n: 2 * STANDARD_POINTS))
     return worst < difference, f"worst pointwise difference {worst:.2e} (< {_bound_text(difference)})"
 
 
@@ -244,7 +233,7 @@ def _parity_residuals(chunk, bq, level):
 
 
 def _parity(draws, levels, texture, wavefunction):
-    *sigma, wave = _levels(_draw_grid(draws), levels, _parity_residuals, lambda n: 2 * STANDARD_POINTS)
+    *sigma, wave = _levels(ParamGrid.rows(draws), levels, _parity_residuals, lambda n: 2 * STANDARD_POINTS)
     worst, wv = _worst(*sigma), _worst(wave)
     return (worst < texture and wv < wavefunction,
             f"texture residual {worst:.2e} (< {_bound_text(texture)}), "
@@ -260,7 +249,7 @@ def _hermitian_residuals(chunk, bq, level):
 
 def _hermitian(draws, levels, sigma_y, im_energy):
     """The draws with their rates set to zero."""
-    hermitian = _draw_grid([ModelParams(omega=p.omega, Omega=p.Omega, g=p.g) for p in draws])
+    hermitian = ParamGrid.rows([ModelParams(omega=p.omega, Omega=p.Omega, g=p.g) for p in draws])
     sy, zero_theta, im = _levels(hermitian, levels, _hermitian_residuals)
     worst_sy, exact_theta, worst_im = _worst(sy), bool(zero_theta.all()), _worst(im)
     return (worst_sy < sigma_y and exact_theta and worst_im < im_energy,
@@ -271,14 +260,15 @@ def _hermitian(draws, levels, sigma_y, im_energy):
 def _nodes(draws, levels, position):
     """The public nodes() of the first two draws at eta = -1: counts 2n-1
     (sigma_z, sigma_y) and 2n (sigma_x), the sigma_y nodes exactly the
-    sigma_z ones, and both draws' at the roots of H_{n-1} and H_n."""
+    sigma_z ones, and both draws' at the roots of H_n and H_{n-1}, which
+    interlace: each within a Newton step |phi_k / phi_k'| (phi_k' =
+    sqrt(2k) phi_{k-1} - x phi_k) of a root, a test apart from the Jacobi
+    solve that placed them."""
     if len(draws) < 2:
         return False, "needs at least two draws"
     worst_pos = 0.0
     counts_ok = shared = True
     for n in levels:
-        union = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
-                                        hermite_roots(n))))
         sets = []
         for params in draws[:2]:
             level = LevelIndex(n, -1)
@@ -287,7 +277,10 @@ def _nodes(draws, levels, position):
             counts_ok &= len(nz) == 2 * n - 1 == len(ny)
             counts_ok &= len(nx) == 2 * n
             shared &= np.array_equal(ny, nz)
-            worst_pos = max(worst_pos, float(np.max(np.abs(nz - union))))
+            for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
+                lo, hi = phi_pair(k, x)
+                step = np.abs(hi / (math.sqrt(2 * k) * lo - x * hi))
+                worst_pos = max(worst_pos, float(np.max(step, initial=0.0)))
             worst_pos = max(worst_pos, float(np.max(np.abs(ny - nz))))
             sets.append(nz)
         worst_pos = max(worst_pos, float(np.max(np.abs(sets[0] - sets[1]))))
@@ -299,29 +292,26 @@ def _winding_laws(chunk, bq, level):
     """Per draw: method mismatches, worst integral residual, and whether
     |n_w| = n, the direction rule and the plane coupling hold."""
     n = level.n
-    sol = eigen_solution(chunk, level, bq)
-    x_nodes = x_node_arrays(n, coefficient_ratio(sol.c_up, sol.c_down).ravel())
-    grids, counts = winding_grids(n, x_nodes[0])
-    tex = texture_closed_form(chunk, level, grids, bq)
+    windings = Windings(chunk, level, bq)
+    coeffs = windings.coeffs
+    node_sums = {plane: windings.node_sums(plane) for plane in PLANES}
     mismatches = residual = 0
     magnitude = direction = True
-    for plane in ("zx", "yx"):
-        amp = tex.coeffs.c_z if plane == "zx" else tex.coeffs.c_y
-        signed = node_sum_windings(plane, zy_node_arrays(n, amp.ravel()), x_nodes)
-        integral, plane_residual = integral_windings(tex, plane, counts)
+    for plane, (integral, plane_residual) in windings.integrals(PLANES).items():
+        signed = node_sums[plane]
         mismatches = mismatches + (signed != integral)
         residual = np.maximum(residual, plane_residual)
         magnitude = magnitude & (np.abs(signed) == n)
-        direction = direction & (signed == -winding_direction(tex.coeffs, plane).ravel() * n)
-    coupling = (winding_direction(tex.coeffs, "zx") * winding_direction(tex.coeffs, "yx")
-                == np.where(tex.coeffs.c_z * tex.coeffs.c_y > 0, 1, -1))
+        direction = direction & (signed == -winding_direction(coeffs, plane).ravel() * n)
+    coupling = (winding_direction(coeffs, "zx") * winding_direction(coeffs, "yx")
+                == np.where(coeffs.c_z * coeffs.c_y > 0, 1, -1))
     return mismatches, residual, magnitude, direction, coupling
 
 
 def _winding(draws, levels, residual):
-    # a grid is the standard one plus 90 shell points around each of the 4n - 1 nodes
+    # Windings holds the 2n sigma_x nodes of each draw and integrates in chunks of its own
     mismatches, worst, magnitude, direction, coupling = _levels(
-        _draw_grid(draws), levels, _winding_laws, lambda n: STANDARD_POINTS + 90 * (4 * n - 1))
+        ParamGrid.rows(draws), levels, _winding_laws, lambda n: 2 * n)
     cases, mismatches, worst = 2 * len(mismatches), int(mismatches.sum()), _worst(worst)
     magnitude_ok, direction_ok, coupling_ok = (bool(a.all()) for a in (magnitude, direction, coupling))
     return (mismatches == 0 and magnitude_ok and direction_ok and coupling_ok and worst < residual,
@@ -341,7 +331,7 @@ def _tilting_residuals(chunk, bq, level):
 
 
 def _tilting(draws, levels, residual):
-    worst_ratio, worst_const = map(_worst, _levels(_draw_grid(draws), levels, _tilting_residuals))
+    worst_ratio, worst_const = map(_worst, _levels(ParamGrid.rows(draws), levels, _tilting_residuals))
     return (worst_ratio < residual and worst_const < residual,
             f"tan(theta)*Cz-Cy residual {worst_ratio:.2e}, "
             f"pointwise ratio-constancy {worst_const:.2e} (both < {_bound_text(residual)})")
@@ -350,7 +340,7 @@ def _tilting(draws, levels, residual):
 def _boundary_scalars(draws, levels, scalar):
     """B at R, Cz at GR (both solved for Gamma) and Cy at SI (solved for
     gamma), each over its own scale, at eta = -1."""
-    grid = _draw_grid(draws)
+    grid = ParamGrid.rows(draws)
     scalars = []
     for n in levels:
         level = LevelIndex(n, -1)
@@ -377,7 +367,7 @@ def _reversal_identity(draws, levels, identity, antisymmetry):
     """The draws at each level, plus the reference configuration at n = 1..5
     at the strict antisymmetry bound."""
     eps = 1e-6
-    grid = _draw_grid(draws)
+    grid = ParamGrid.rows(draws)
     worst_id, worst_anti = [0.0], [0.0]
     anti_ok = True
     for n in levels:
@@ -456,11 +446,11 @@ def run_suite(draws: int = 200, n_max: int = 8, seed: int = DEFAULT_SEED,
               quick: bool = False) -> list[CheckResult]:
     """Run every invariant check; quick mode shrinks to 50 draws, n <= 6.
 
-    draws >= 1 (at least 4 are drawn), 1 <= n_max <= N_MAX and seed >= 0,
-    else ValidationError.
+    1 <= draws <= sys.maxsize (at least 4 are drawn), 1 <= n_max <= N_MAX
+    and seed >= 0, else ValidationError.
     """
-    if not draws >= 1:
-        raise ValidationError(f"draws must be >= 1, got {draws}")
+    if not 1 <= draws <= sys.maxsize:
+        raise ValidationError(f"draws must be >= 1 and <= {sys.maxsize}, got {draws}")
     if not 1 <= n_max <= N_MAX:
         raise ValidationError(f"n_max must be in [1, {N_MAX}] (validity domain), got {n_max}")
     if not seed >= 0:

@@ -18,8 +18,8 @@ from nhjc import (
     ReversalIdentityReport,
     block_quantities,
     eigen_solution,
-    hermite_roots,
     nodes,
+    phi_pair,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
@@ -155,8 +155,6 @@ def check_nodes(draws, n_max):
     worst_pos = 0.0
     counts_ok = shared = True
     for n in (1, 2, n_max):
-        union = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
-                                        hermite_roots(n))))
         sets = []
         for params in draws[:2]:
             level = LevelIndex(n, -1)
@@ -166,7 +164,12 @@ def check_nodes(draws, n_max):
             counts_ok &= len(nz.positions) == 2 * n - 1 == len(ny.positions)
             counts_ok &= len(nx.positions) == 2 * n
             shared &= np.array_equal(ny.positions, nz.positions)
-            worst_pos = max(worst_pos, float(np.max(np.abs(nz.positions - union))))
+            # a Newton step from each node to its root: the roots of H_n
+            # and H_{n-1} alternate, those of H_n first
+            for i, x in enumerate(nz.positions.tolist()):
+                k = n - i % 2
+                lo, hi = phi_pair(k, x)
+                worst_pos = max(worst_pos, abs(hi / (math.sqrt(2 * k) * lo - x * hi)))
             worst_pos = max(worst_pos, float(np.max(np.abs(ny.positions - nz.positions))))
             sets.append(nz.positions)
         worst_pos = max(worst_pos, float(np.max(np.abs(sets[0] - sets[1]))))

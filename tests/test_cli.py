@@ -150,6 +150,7 @@ def test_verify_quick(capsys):
     (["--seed", "-1"], "seed must be >= 0"),
     (["--draws", "0"], "draws must be >= 1"),
     (["--draws", "-3"], "draws must be >= 1"),
+    (["--draws", str(10 ** 23)], f"draws must be >= 1 and <= {sys.maxsize}, got {10 ** 23}"),
 ])
 def test_verify_flags_outside_their_domain_are_usage_errors(flags, message, capsys):
     assert message in _one_line_usage_error(main(["verify", *flags]), capsys)
@@ -219,6 +220,35 @@ def test_non_numeric_sweep_count_is_usage_error(tmp_path, capsys):
 def test_texture_grid_points_below_two_is_usage_error(params_file, points, capsys):
     rc = main(["texture", "--params", params_file, "--n", "2", "--grid-points", points])
     assert "--grid-points" in _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("command", ["texture", "sweep"])
+def test_counts_past_sys_maxsize_are_usage_errors(params_file, tmp_path, capsys, command):
+    # numpy raised ValueError: Maximum allowed size exceeded, a traceback
+    if command == "texture":
+        argv = ["texture", "--params", params_file, "--n", "2", "--grid-points", str(10 ** 23)]
+    else:
+        spec = {"params": PARAMS, "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": 10 ** 23}],
+                "levels": [{"n": 1}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.csv")]
+    assert str(sys.maxsize) in _one_line_usage_error(main(argv), capsys)
+
+
+def test_out_of_memory_is_a_one_line_computation_error(params_file, capsys, monkeypatch):
+    # what numpy raises for --grid-points 1000000000000; never allocated here
+    import nhjc.texture
+
+    def allocate(n, points):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({points},) "
+                          "and data type float64")
+
+    monkeypatch.setattr(nhjc.texture, "standard_grid", allocate)
+    rc = main(["texture", "--params", params_file, "--n", "2", "--grid-points", str(10 ** 12)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+                            "(1000000000000,) and data type float64\n")
 
 
 @pytest.mark.parametrize("command", ["winding", "texture"])

@@ -67,7 +67,9 @@ SWEEP_FILES = {
     },
 }
 
-VERIFY_QUICK = "fc968b4d4b5b15496482c788dcd75e9dca5b6bf87e800e41c0ae50ed2be49d39"
+# the "invariant nodes" line reads the Newton step from each node to its
+# Hermite root (1.14e-16), where it read a deviation of 0 by construction
+VERIFY_QUICK = "8191cb769a3e3fec0dba718c13161f2b499c259a13a2326dff679e399da714b7"
 
 
 def _sha256(data: bytes) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import nhjc
 from nhjc import (
     Axis,
     DegenerateStateError,
+    GridTooCoarseError,
     LevelIndex,
     ModelParams,
     SweepSpec,
@@ -209,15 +211,26 @@ def test_spec_validation_errors():
 
 
 def test_spot_check_disagreement_aborts(monkeypatch):
-    import nhjc.sweep as sweep_module
     from nhjc import SweepConsistencyError
 
-    monkeypatch.setattr(sweep_module, "_integral_winding",
-                        lambda params, level, plane: 99)
+    monkeypatch.setattr(nhjc.topology.Windings, "integrals", lambda self, planes: {
+        plane: (np.full(len(self.x_nodes[0]), 99), np.zeros(len(self.x_nodes[0]))) for plane in planes})
     spec = small_spec(axes=(Axis("Gamma", 0.001, 0.03, 4),),
                       observables=("nWzx",), overlays=(), spot_check_fraction=1.0)
     with pytest.raises(SweepConsistencyError, match="row"):
         run_sweep(spec)
+
+
+def test_spot_check_error_names_its_grid_point(monkeypatch):
+    # shifted sigma_x nodes leave the node sums right, but the integral's
+    # grid then misses the squeezed passage of the loop near Gamma_GR
+    original = nhjc.texture.ratio_roots
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", lambda n, c: original(n, c) + 0.05)
+    spec = small_spec(axes=(Axis("Gamma", 0.0, 0.12, 25),), observables=("nWzx",), overlays=(),
+                      spot_check_fraction=0.0)
+    run_sweep(spec)
+    with pytest.raises(GridTooCoarseError, match=r"in plane zx .* \(at Gamma=0\.015, n=2, eta=-1\)$"):
+        run_sweep(dataclasses.replace(spec, spot_check_fraction=1.0))
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -255,8 +268,6 @@ def test_3d_sweep_emits_surfaces_only_by_default():
     cols, rows = result.overlays["SI"]
     assert cols == ("Gamma", "g", "gamma", "valid")
     assert len(rows) == 3 * 2
-    import dataclasses
-
     full = run_sweep(dataclasses.replace(spec, volumetric=True))
     assert len(full.rows) == 3 * 3 * 2
 
@@ -547,10 +558,11 @@ def test_overlay_values_lie_in_the_cells_where_the_direction_flips(n):
     # Gamma_GR = 0.016 and Gamma_R(n) = 10 Gamma_GR / n on a 2 001-point axis
     # whose points 80 and 800/n lie on them: each boundary value lies in a
     # cell across which thetaT and nWzx change sign, every such cell holds
-    # one, and the on_boundary rows are the points inside those cells
+    # one, and the on_boundary rows are the points inside those cells; the
+    # integral route re-derives every winding row
     spec = SweepSpec(base=make_reference(Gamma=0.0), axes=(Axis("Gamma", 0.0, 25 * GR_2, 2001),),
                      levels=(LevelIndex(n, -1),), observables=("thetaT", "nWzx"), overlays=("R", "GR"),
-                     spot_check_fraction=0.0)
+                     spot_check_fraction=1.0)
     result = run_sweep(spec)
     gamma, theta, winding, on_boundary = (
         np.array([row[result.columns.index(c)] for row in result.rows], dtype=float)

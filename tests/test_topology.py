@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +127,21 @@ def test_direction_flips_across_the_three_special_points():
     s_yx = [s[1] for s in signs]
     assert s_zx[0] != s_zx[1] and s_zx[1] != s_zx[2] and s_zx[2] == s_zx[3]
     assert s_yx[0] == s_yx[1] == s_yx[2] and s_yx[2] != s_yx[3]
+
+
+def test_winding_loops_script_prints_the_flips_and_writes_the_loops(tmp_path):
+    # the states bracket GR (1 -> 2), R (2 -> 3) and SI (3 -> 4) at n = 4
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "winding_loops.py"), "--out-dir", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"winding_loop_{i}.csv" for i in range(1, 5)]
+    assert all(len(path.read_text().splitlines()) == 802 for path in tmp_path.iterdir())
+    windings = [tuple(int(w) for w in re.findall(r"n_w\^(?:zx|yx) = ([+-]\d+)", line))
+                for line in proc.stdout.splitlines()]
+    assert len(windings) == 4 and all(abs(w) == 4 for pair in windings for w in pair)
+    zx_flips, yx_flips = ([a[plane] != b[plane] for a, b in zip(windings, windings[1:])] for plane in (0, 1))
+    assert zx_flips == [True, True, False] and yx_flips == [False, False, True]
 
 
 def test_plane_coupling_sign(reference_params):

@@ -116,6 +116,19 @@ def test_a_broken_wavefunction_route_fails_the_dual_route_check(monkeypatch):
     assert not result.passed and "worst pointwise difference" in result.detail
 
 
+def test_shifted_hermite_roots_fail_the_node_check(monkeypatch):
+    # the check compared the nodes with the roots they are built from, so a
+    # wrong root passed with deviation 0
+    draws = draw_sets(np.random.default_rng(17), 2, 8)
+    assert _CHECKS["nodes"](draws, range(1, 9)).passed
+    original = nhjc.texture.hermite_roots
+    for module in (nhjc.texture, nhjc.verify):
+        if getattr(module, "hermite_roots", None) is original:
+            monkeypatch.setattr(module, "hermite_roots", lambda n: original(n) + 0.01)
+    result = _CHECKS["nodes"](draws, range(1, 9))
+    assert not result.passed and "max position deviation 1.00e-02" in result.detail
+
+
 def test_shifted_sigma_x_nodes_stop_the_winding_check(monkeypatch):
     # the integral's grid refines around the sigma_x nodes: around wrong ones
     # it misses a squeezed passage of the winding loop

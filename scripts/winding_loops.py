@@ -16,8 +16,6 @@ from nhjc import (
     ModelParams,
     coupling_scale,
     texture_closed_form,
-    texture_coefficients,
-    winding_direction,
     winding_report,
 )
 
@@ -43,14 +41,11 @@ def main() -> int:
             fh.write("x,sx,sy,sz\n")
             for row in zip(tex.grid, tex.sx, tex.sy, tex.sz):
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        coeffs = texture_coefficients(params, level)
-        turning = {plane: winding_report(params, level, plane)["node_sum"]
-                   for plane in ("zx", "yx")}
-        names = {1: "counter-clockwise", -1: "clockwise"}
-        print(f"state {index} (Gamma={Gamma}, gamma={gamma}): "
-              f"n_w^zx = {turning['zx']:+d} ({names[-winding_direction(coeffs, 'zx')]}), "
-              f"n_w^yx = {turning['yx']:+d} ({names[-winding_direction(coeffs, 'yx')]}) "
-              f"-> {path}")
+        reports = winding_report(params, level, ("zx", "yx"))
+        turning = ", ".join(f"n_w^{plane} = {report['node_sum']:+d} "
+                            f"({'counter-clockwise' if report['direction_rule'] > 0 else 'clockwise'})"
+                            for plane, report in reports.items())
+        print(f"state {index} (Gamma={Gamma}, gamma={gamma}): {turning} -> {path}")
     return 0
 
 

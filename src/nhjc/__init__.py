@@ -24,9 +24,8 @@ _EXPORTS = {
     "texture": ("NodeSet", "SpinTexture", "TextureCoefficients", "nodes", "standard_grid",
                 "texture_closed_form", "texture_coefficients", "texture_from_wavefunctions",
                 "wavefunction_components"),
-    "topology": ("ReversalIdentityReport", "TiltingAngle", "WindingResult", "tilting_angle",
-                 "verify_reversal_identity", "winding_direction", "winding_grid", "winding_integral",
-                 "winding_node_sum", "winding_report"),
+    "topology": ("ReversalIdentityReport", "TiltingAngle", "tilting_angle", "verify_reversal_identity",
+                 "winding_direction", "winding_report"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

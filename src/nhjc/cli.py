@@ -163,15 +163,14 @@ def _cmd_winding(args) -> int:
     params = load_params(args.params)
     level = _oscillator_level(args)
     planes = ("zx", "yx") if args.plane == "both" else (args.plane,)
-    payload = {"n": level.n, "eta": level.eta, "planes": {}}
-    for plane in planes:
-        report = winding_report(params, level, plane)
+    reports = winding_report(params, level, planes)
+    for report in reports.values():
         if args.method == "integral":
             report.pop("node_sum", None)
         elif args.method == "nodes":
             report.pop("integral", None)
             report.pop("integral_residual", None)
-        payload["planes"][plane] = report
+    payload = {"n": level.n, "eta": level.eta, "planes": reports}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

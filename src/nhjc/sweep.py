@@ -16,8 +16,8 @@ points: block_quantities takes the grid's parameter arrays (a ParamGrid), so
 a level costs one kernel call for block n plus two for the neighbouring
 blocks n-1 and n+1 that deltaPlus needs. Exceptional, degenerate, n = 0 and
 on_boundary points are masks within the same arrays. The rows are bit for
-bit what eigen_solution, texture_coefficients, gaps, tilting_angle, nodes and
-winding_node_sum give point by point.
+bit what eigen_solution, texture_coefficients, gaps, tilting_angle and
+winding_report give point by point.
 
 Winding numbers are the exact-integer node sums of topology.Windings, one
 sigma_x node solve per level and block; a deterministic 1% subsample of rows

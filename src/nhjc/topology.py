@@ -1,22 +1,22 @@
 """Spin-winding topology: winding numbers, directions, and plane tilting.
 
 The winding number of the planar vector (<sigma_a(x)>, <sigma_b(x)>) over the
-real line is computed two independent ways, for one texture or, by Windings,
-for a batch of points of one level from one sigma_x node solve (the sweep,
-its spot check, verify and winding_report all go through Windings):
+real line is computed two independent ways by Windings, for a batch of points
+of one level from one sigma_x node solve (the sweep, its spot check, verify
+and winding_report all go through it):
 
- * winding_integral: accumulated angle by phase unwrapping over a sampled
-   texture (each step folded into (-pi, pi)); equivalent to the defining
-   integral because the eigenstate windings have no returning knots. The raw
-   total/2pi is rounded to an integer and the distance is reported as the
-   residual.
+ * integrals: accumulated angle by phase unwrapping over the texture sampled
+   on each point's winding grid (each step folded into (-pi, pi)); equivalent
+   to the defining integral because the eigenstate windings have no returning
+   knots. The raw total/2pi is rounded to an integer and the distance is
+   reported as the residual.
 
- * winding_node_sum: the algebraic sign-sum over the nodes of either
-   component; exact integer arithmetic, no sampling. Both sign-sum forms
-   (summing over the nodes of a with signs of b, and vice versa) are
-   evaluated and must agree. End signs at infinity are analytic limits:
-   sgn<sigma_{z,y}> -> 0 while |sgn<sigma_x>| -> 1 with sign -1 (the
-   -H_n^2 term dominates in both tails).
+ * node_sums: the algebraic sign-sum over the nodes of either component;
+   exact integer arithmetic, no sampling. Both sign-sum forms (summing over
+   the nodes of a with signs of b, and vice versa) are evaluated and must
+   agree. End signs at infinity are analytic limits: sgn<sigma_{z,y}> -> 0
+   while |sgn<sigma_x>| -> 1 with sign -1 (the -H_n^2 term dominates in both
+   tails).
 
 Directions: the winding is counter-clockwise iff the plane's coefficient
 (Cz for zx, Cy for yx) is negative, so the signed winding is
@@ -59,12 +59,10 @@ from .params import LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, 
 from .spectrum import BlockQuantities, block_quantities, eigen_solution
 from .texture import (
     STANDARD_POINTS,
-    NodeSet,
     SpinTexture,
     TextureCoefficients,
     branch_coefficients,
     coefficient_ratio,
-    nodes,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
@@ -74,14 +72,9 @@ from .texture import (
 
 __all__ = [
     "PLANES",
-    "WindingResult",
     "TiltingAngle",
     "ReversalIdentityReport",
-    "asymptotic_signs",
     "Windings",
-    "winding_grid",
-    "winding_integral",
-    "winding_node_sum",
     "winding_direction",
     "winding_report",
     "tilting_angle",
@@ -91,26 +84,11 @@ __all__ = [
 # plane -> (alpha, beta) component names; the winding vector is
 # (<sigma_alpha>, <sigma_beta>) with the angle measured from alpha toward beta
 PLANES = {"zx": ("z", "x"), "yx": ("y", "x")}
+# sgn<sigma_alpha> and sgn<sigma_x> at (-inf, +inf), per the leading Hermite behavior
+_END_SIGNS = ((0, 0), (-1, -1))
 
 _AMPLITUDE_FLOOR = 1e-280
 _MAX_STEP = 0.5 * math.pi
-
-
-@dataclass(frozen=True)
-class WindingResult:
-    plane: str
-    signed: int
-    method: str  # "integral" | "node-sum"
-    residual: float | None = None  # integral only: |raw - round(raw)|
-    degenerate: bool = False  # n = 0: no transverse components, winding 0
-
-    @property
-    def magnitude(self) -> int:
-        return abs(self.signed)
-
-    @property
-    def sign(self) -> int:
-        return (self.signed > 0) - (self.signed < 0)
 
 
 @dataclass(frozen=True)
@@ -130,15 +108,6 @@ class ReversalIdentityReport:
     antisymmetry_residual: float     # |theta_t(G-eps) + theta_t(G+eps)|
     theta_below: float
     theta_above: float
-
-
-def asymptotic_signs(component: str) -> tuple[int, int]:
-    """sgn<sigma_component> at (-inf, +inf) per the leading Hermite behavior."""
-    if component in ("z", "y"):
-        return (0, 0)
-    if component == "x":
-        return (-1, -1)
-    raise ValidationError(f"unknown spin component {component!r}")
 
 
 def _plane_components(plane: str) -> tuple[str, str]:
@@ -168,26 +137,12 @@ def _alive(x_comp: np.ndarray, y_comp: np.ndarray) -> np.ndarray:
     return alive
 
 
-def winding_integral(texture: SpinTexture, plane: str) -> WindingResult:
-    """Signed winding number by phase unwrapping of the sampled texture.
-
-    A single interior angle step of magnitude >= pi/2 marks the grid too
-    coarse (GridTooCoarseError).
-    """
-    _plane_components(plane)
-    if texture.coeffs is None:  # n = 0 state: no transverse components
-        return WindingResult(plane=plane, signed=0, method="integral",
-                             residual=0.0, degenerate=True)
-    signed, residual = integral_windings(texture, plane, [len(texture.grid)])
-    return WindingResult(plane=plane, signed=int(signed[0]), method="integral",
-                         residual=float(residual[0]))
-
-
 def integral_windings(texture: SpinTexture, plane: str, counts) -> tuple[np.ndarray, np.ndarray]:
-    """winding_integral of the rows of a texture (a 1-D texture is one row),
-    row i sampled on the first counts[i] points of its grid row (nan past
-    them counts as a vanished vector): the signed windings and residuals; a
-    grid too coarse raises GridTooCoarseError with the index of its row.
+    """Signed windings by phase unwrapping of the rows of a texture (a 1-D
+    texture is one row), row i sampled on the first counts[i] points of its
+    grid row (nan past them counts as a vanished vector), and their
+    residuals |raw - round(raw)|. An interior angle step of magnitude >= pi/2
+    marks a grid too coarse: GridTooCoarseError with the index of its row.
 
     Both tails converge to the exact direction (0, -1), angle -pi/2; closing
     the walk onto that limit removes the truncation bias (the winding between
@@ -239,33 +194,14 @@ def _sign_sum(outer: str, outer_signs: np.ndarray, other_at_nodes: np.ndarray,
     return ((signs_at[:, 1:] - signs_at[:, :-1]) * outer_signs).sum(axis=-1)  # 1/eta == eta for +-1
 
 
-def winding_node_sum(
-    nodes_alpha: NodeSet,
-    nodes_beta: NodeSet,
-    ends_alpha: tuple[int, int] | None = None,
-    ends_beta: tuple[int, int] | None = None,
-) -> WindingResult:
-    """Signed winding number from node positions and section signs alone.
-
-    Evaluates both sign-sum forms (over the beta nodes with alpha signs, and
-    over the alpha nodes with beta signs) and requires exact agreement.
-    """
-    plane = nodes_alpha.component + nodes_beta.component
-    _plane_components(plane)
-    signed = node_sum_windings(plane, (nodes_alpha.positions, nodes_alpha.signs),
-                               (nodes_beta.positions, nodes_beta.signs), ends_alpha, ends_beta)
-    return WindingResult(plane=plane, signed=int(signed[0]), method="node-sum")
-
-
-def node_sum_windings(plane: str, alpha, beta, ends_alpha=None, ends_beta=None) -> np.ndarray:
+def node_sum_windings(plane: str, alpha, beta) -> np.ndarray:
     """Signed node-sum windings of a batch of points in the plane. alpha and
     beta are the (positions, signs) of the two components' nodes: alpha's
     positions are shared by the batch, the others are shared (1-D) or one row
     per point (2-D). A failed check raises AntiWindingError with the index of
     the first failing point."""
     a, b = plane[0], plane[1]
-    ends_alpha = asymptotic_signs(a) if ends_alpha is None else ends_alpha
-    ends_beta = asymptotic_signs(b) if ends_beta is None else ends_beta
+    ends_alpha, ends_beta = _END_SIGNS
     a_pos = np.asarray(alpha[0])
     b_pos, a_signs, b_signs = (np.atleast_2d(v) for v in (beta[0], alpha[1], beta[1]))
     batch = np.broadcast_shapes((len(b_pos),), (len(a_signs),), (len(b_signs),))[0]
@@ -294,14 +230,19 @@ def node_sum_windings(plane: str, alpha, beta, ends_alpha=None, ends_beta=None) 
     return quarters_a // 4
 
 
+def _coefficient(coeffs: TextureCoefficients, plane: str):
+    """The plane's coefficient: Cz for zx, Cy for yx."""
+    alpha, _ = _plane_components(plane)
+    return coeffs.c_z if alpha == "z" else coeffs.c_y
+
+
 def winding_direction(coeffs: TextureCoefficients, plane: str) -> int:
     """Direction sign s_w of the winding in the plane: +1 clockwise,
     -1 counter-clockwise (s_w = sign of the plane's coefficient; arrays of
     coefficients give an array)."""
-    alpha, _ = _plane_components(plane)
-    value = coeffs.c_z if alpha == "z" else coeffs.c_y
+    value = _coefficient(coeffs, plane)
     raise_where(value == 0.0, OnBoundaryError,
-                f"C{alpha} = 0: winding direction in {plane} undefined on a reversal boundary")
+                f"C{plane[0]} = 0: winding direction in {plane} undefined on a reversal boundary")
     return where(value > 0.0, 1, -1)
 
 
@@ -310,9 +251,11 @@ _CLUSTER_REACH = 27.0
 _SHELLS = 1e-13 * 2.0 ** np.arange(0, 45)
 
 
-def winding_grid(params: ModelParams, level: LevelIndex, nodes_x: NodeSet | None = None) -> np.ndarray:
-    """Integration grid for phase unwrapping: the standard grid plus geometric
-    shells around every node of both families.
+def winding_grids(n: int, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integration grid for phase unwrapping of each row of sigma_x nodes
+    (shape (cases, 2n)) at level n: one grid per row, left-aligned and padded
+    with nan, and the number of points in each. A grid is the standard one
+    plus geometric shells around every node of both families.
 
     The winding loop passes close to the origin wherever a sigma_x node sits
     near a Hermite root (which happens whenever |C_up|/|C_down| is far from
@@ -322,16 +265,6 @@ def winding_grid(params: ModelParams, level: LevelIndex, nodes_x: NodeSet | None
     center crossing by 2 arctan(w0/w), comfortably under pi/2 for any squeeze
     the boundary margins admit (w0 = 1e-13).
     """
-    if nodes_x is None:
-        nodes_x = nodes(params, level, "x")
-    grids, counts = winding_grids(level.n, nodes_x.positions[None])
-    return grids[0, :counts[0]]
-
-
-def winding_grids(n: int, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The winding_grid of each row of sigma_x nodes (shape (cases, 2n)) at
-    level n: one grid per row, left-aligned and padded with nan, and the
-    number of points in each."""
     roots = np.concatenate((hermite_roots(n), hermite_roots(n - 1) if n > 1 else np.empty(0)))
     centers = np.concatenate((np.broadcast_to(roots, (len(x_nodes), roots.size)), x_nodes), axis=-1)
     local = _SHELLS * np.maximum(1.0, np.abs(centers))[..., None]
@@ -375,13 +308,12 @@ class Windings:
 
     def node_sums(self, plane: str) -> np.ndarray:
         """The signed node-sum windings in the plane, one per point."""
-        alpha, _ = _plane_components(plane)
-        amp = self.coeffs.c_z if alpha == "z" else self.coeffs.c_y
-        return node_sum_windings(plane, zy_node_arrays(self.level.n, amp.ravel()), self.x_nodes)
+        amp = _coefficient(self.coeffs, plane).ravel()
+        return node_sum_windings(plane, zy_node_arrays(self.level.n, amp), self.x_nodes)
 
     def integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """The signed integral windings and residuals in each plane, one per
-        point, from the texture on each point's winding_grid."""
+        point, from the texture on each point's grid of winding_grids."""
         n, positions = self.level.n, self.x_nodes[0]
         # a winding grid is the standard one plus 90 shell points around each of the 4n - 1 nodes
         step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 90 * (4 * n - 1)))
@@ -400,37 +332,34 @@ class Windings:
         return {plane: tuple(map(np.concatenate, zip(*part))) for plane, part in parts.items()}
 
 
-def winding_report(params: ModelParams, level: LevelIndex, plane: str) -> dict:
-    """Both winding routes plus the coefficient-sign prediction for one
-    plane: Windings over a grid of the one point."""
-    _plane_components(plane)
+def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, dict]:
+    """Both winding routes plus the coefficient-sign prediction in each of the
+    planes, {plane: report}, from one Windings over a grid of the one point.
+
+    A plane whose coefficient (Cz for zx, Cy for yx) is exactly 0 has no
+    winding direction, and its transverse component vanishes identically:
+    its routes, rule and agreement are null, and no integral is run for it.
+    """
+    for plane in planes:
+        _plane_components(plane)
     if level.n == 0:
-        return {
-            "plane": plane,
-            "degenerate": True,
-            "node_sum": 0,
-            "integral": 0,
-            "integral_residual": 0.0,
-            "agreement": True,
-        }
+        return {plane: {"plane": plane, "degenerate": True, "node_sum": 0, "integral": 0,
+                        "integral_residual": 0.0, "agreement": True} for plane in planes}
     grid = ParamGrid.rows([params])
     windings = Windings(grid, level, block_quantities(grid, level.n))
-    node_sum = int(windings.node_sums(plane)[0])
-    signed, residual = windings.integrals([plane])[plane]
-    integral = int(signed[0])
-    try:
-        predicted = -winding_direction(windings.coeffs, plane).item() * level.n
-    except OnBoundaryError:
-        predicted = None
-    return {
-        "plane": plane,
-        "degenerate": False,
-        "node_sum": node_sum,
-        "integral": integral,
-        "integral_residual": float(residual[0]),
-        "direction_rule": predicted,
-        "agreement": node_sum == integral and (predicted in (None, node_sum)),
-    }
+    live = [plane for plane in planes if _coefficient(windings.coeffs, plane).item() != 0.0]
+    integrals = windings.integrals(live) if live else {}
+    reports = {}
+    for plane in planes:
+        report = reports[plane] = {"plane": plane, "degenerate": False, "node_sum": None, "integral": None,
+                                   "integral_residual": None, "direction_rule": None, "agreement": None}
+        if plane in integrals:
+            (signed,), (residual,) = integrals[plane]
+            node_sum, integral = int(windings.node_sums(plane)[0]), int(signed)
+            predicted = -winding_direction(windings.coeffs, plane).item() * level.n
+            report.update(node_sum=node_sum, integral=integral, integral_residual=float(residual),
+                          direction_rule=predicted, agreement=node_sum == integral == predicted)
+    return reports
 
 
 _tilt_ratio = elementwise(lambda c_y, c_z: c_y / c_z if c_z != 0.0 else math.copysign(math.inf, c_y))

@@ -4,7 +4,12 @@ public API, and the boundary checks on the scalar closed forms of
 reference_boundaries with a record per substituted value. The library
 evaluates them over whole blocks and chunks of draws; these loops are the
 oracle its results are compared with, draw by draw, check by check and
-string by string."""
+string by string.
+
+The winding check counts node sums with a scalar sign-sum over NodeSet.sign_at
+(node_sum), written apart from topology.node_sum_windings, so a fault there
+shows as a mismatch with the integral; the integral itself goes through
+topology.winding_grids and integral_windings, the routine the library uses."""
 
 import math
 import warnings
@@ -27,11 +32,9 @@ from nhjc import (
     tilting_angle,
     wavefunction_components,
     winding_direction,
-    winding_grid,
-    winding_integral,
-    winding_node_sum,
 )
-from nhjc.errors import NegativeRateWarning, NhjcError, NoBoundaryError
+from nhjc.errors import AntiWindingError, NegativeRateWarning, NhjcError, NoBoundaryError
+from nhjc.topology import integral_windings, winding_grids
 from nhjc.verify import BOUNDARY_MARGIN, CheckResult
 from reference_boundaries import boundary_GR, boundary_R, boundary_SI
 
@@ -178,6 +181,31 @@ def check_nodes(draws, n_max):
                        f"{worst_pos:.2e} (< 1e-10)")
 
 
+# sgn<sigma_c> at (-inf, +inf): the -H_n^2 term of sigma_x dominates both tails
+END_SIGNS = {"z": (0, 0), "y": (0, 0), "x": (-1, -1)}
+
+
+def _sign_sum(outer, other):
+    """Quarter-sum over the sections of the outer NodeSet with the other
+    component's signs at the section ends."""
+    section = outer.signs
+    if any(a != -b for a, b in zip(section, section[1:])):
+        raise AntiWindingError(f"section signs of sigma_{outer.component} do not alternate")
+    ends = END_SIGNS[other.component]
+    signs_at = [ends[0], *(other.sign_at(float(x)) for x in outer.positions), ends[1]]
+    return sum((signs_at[i + 1] - signs_at[i]) * section[i] for i in range(len(section)))
+
+
+def node_sum(nodes_alpha, nodes_beta):
+    """The signed node-sum winding in the plane of two NodeSets: both
+    sign-sum forms, which must agree."""
+    quarters_a = -_sign_sum(nodes_beta, nodes_alpha)
+    quarters_b = _sign_sum(nodes_alpha, nodes_beta)
+    if quarters_a % 4 or quarters_a != quarters_b:
+        raise AntiWindingError(f"inconsistent node sums: {quarters_a}/4 vs {quarters_b}/4")
+    return quarters_a // 4
+
+
 def check_winding(draws, n_max):
     cases = mismatches = 0
     worst_residual = 0.0
@@ -188,16 +216,17 @@ def check_winding(draws, n_max):
                 level = LevelIndex(n, eta)
                 bq = block_quantities(params, n)
                 node_sets = {c: nodes(params, level, c, bq) for c in ("z", "y", "x")}
-                tex = texture_closed_form(params, level, winding_grid(params, level, node_sets["x"]), bq)
+                grids, counts = winding_grids(n, node_sets["x"].positions[None])
+                tex = texture_closed_form(params, level, grids[0, :counts[0]], bq)
                 coeffs = tex.coeffs
                 for plane in ("zx", "yx"):
-                    ns = winding_node_sum(node_sets[plane[0]], node_sets["x"])
-                    integ = winding_integral(tex, plane)
+                    ns = node_sum(node_sets[plane[0]], node_sets["x"])
+                    (integral,), (residual,) = integral_windings(tex, plane, counts)
                     cases += 1
-                    mismatches += ns.signed != integ.signed
-                    worst_residual = max(worst_residual, integ.residual)
-                    magnitude_ok &= abs(ns.signed) == n
-                    direction_ok &= ns.signed == -winding_direction(coeffs, plane) * n
+                    mismatches += ns != int(integral)
+                    worst_residual = max(worst_residual, float(residual))
+                    magnitude_ok &= abs(ns) == n
+                    direction_ok &= ns == -winding_direction(coeffs, plane) * n
                 s_zx = winding_direction(coeffs, "zx")
                 s_yx = winding_direction(coeffs, "yx")
                 coupling_ok &= s_zx * s_yx == (1 if coeffs.c_z * coeffs.c_y > 0 else -1)

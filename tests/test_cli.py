@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nhjc.boundaries import SOLVABLE
 from nhjc.cli import main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PARAMS = {"omega": 0.9, "Omega": 1.0, "g_rel": 0.1, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.1}
 
 
@@ -109,6 +111,58 @@ def test_winding_methods_filter(params_file, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert "integral" not in payload["planes"]["zx"]
+
+
+def _winding_payload(argv, capsys):
+    assert main(["winding", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_winding_on_a_zero_coefficient_prints_a_null_plane(capsys):
+    # Cy = 0 exactly in the Hermitian limit: the yx plane has no winding
+    # direction, and it no longer takes the zx report down with it
+    nulls = {"plane": "yx", "degenerate": False, "node_sum": None, "integral": None,
+             "integral_residual": None, "direction_rule": None, "agreement": None}
+    for n in (1, 2, 5, 20, 100):
+        for eta in ("1", "-1"):
+            argv = ["--params", str(CONFIGS / "hermitian.json"), "--n", str(n), "--eta", eta]
+            both = _winding_payload([*argv, "--plane", "both"], capsys)["planes"]
+            assert both == {"zx": _winding_payload([*argv, "--plane", "zx"], capsys)["planes"]["zx"],
+                            "yx": nulls}
+            assert both["zx"]["agreement"] and abs(both["zx"]["node_sum"]) == n
+            assert _winding_payload([*argv, "--plane", "yx"], capsys)["planes"] == {"yx": nulls}
+
+
+def test_winding_solves_the_sigma_x_nodes_once_for_both_planes(monkeypatch, capsys):
+    import nhjc.texture
+    import nhjc.topology
+
+    original, calls = nhjc.texture.x_node_arrays, []
+
+    def counted(n, ratio):
+        calls.append(n)
+        return original(n, ratio)
+
+    for module in (nhjc.texture, nhjc.topology):
+        monkeypatch.setattr(module, "x_node_arrays", counted)
+    payload = _winding_payload(["--params", str(CONFIGS / "reference.json"), "--n", "5",
+                                "--plane", "both", "--method", "both"], capsys)
+    assert sorted(payload["planes"]) == ["yx", "zx"] and calls == [5]
+
+
+@pytest.mark.parametrize("config", ["reference", "dissipative_base", "hermitian"])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_every_command_runs_on_the_shipped_parameter_files(config, n, capsys):
+    commands = [["eigen"], ["texture"], ["winding", "--plane", "both", "--method", "both"],
+                *(["boundaries", "--solve-for", name] for name in SOLVABLE)]
+    for command in commands:
+        rc = main([*command, "--params", str(CONFIGS / f"{config}.json"), "--n", str(n)])
+        if command[0] == "boundaries" and n == 0:  # the R family needs a level n >= 1
+            assert "n >= 1" in _one_line_usage_error(rc, capsys)
+        else:
+            captured = capsys.readouterr()
+            assert (rc, captured.err) == (0, ""), command
+            assert captured.out
 
 
 def test_boundaries_families(params_file, capsys):
@@ -400,6 +454,50 @@ def test_negative_levels_and_levels_past_float_range_are_one_line_usage_errors(t
     message = err.getvalue()
     assert rc == 2 and out.getvalue() == "", message
     assert message.startswith("error: ") and message.count("\n") == 1 and "Traceback" not in message
+
+
+_LEVELS = (st.integers(0, 4) | st.integers(max_value=-1) | st.integers(201, 10 ** 6)
+           | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024))
+_NOT_A_CHOICE = st.integers() | st.text(max_size=5)
+_FLAGS = {
+    "texture": {"--eta": st.sampled_from(["1", "-1"]) | _NOT_A_CHOICE,
+                # valid counts stay small: an oversized grid is never allocated
+                "--grid-points": st.integers(2, 40) | st.integers(max_value=1)
+                | st.integers(min_value=sys.maxsize + 1)},
+    "winding": {"--eta": st.sampled_from(["1", "-1"]) | _NOT_A_CHOICE,
+                "--plane": st.sampled_from(["zx", "yx", "both"]) | _NOT_A_CHOICE,
+                "--method": st.sampled_from(["integral", "nodes", "both"]) | _NOT_A_CHOICE},
+}
+
+
+@st.composite
+def _oscillator_argv(draw) -> list[str]:
+    """texture or winding with --n and any subset of the command's other
+    flags, each valid or not."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--n", str(draw(_LEVELS))]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@given(argv=_oscillator_argv())
+@example(argv=["winding", "--n", "201", "--plane", "both"])
+@example(argv=["texture", "--n", str(-2 ** 1024), "--grid-points", "1"])
+@example(argv=["texture", "--n", "3", "--grid-points", str(sys.maxsize + 1)])
+@example(argv=["winding", "--n", "2", "--eta", "0", "--method", "all"])
+@settings(max_examples=150, deadline=None)
+def test_texture_and_winding_flags_exit_cleanly(tmp_path_factory, argv):
+    path = tmp_path_factory.getbasetemp() / "params.json"
+    path.write_text(json.dumps(PARAMS))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--params", str(path)])
+    message = err.getvalue()
+    assert rc in (0, 1, 2) and "Traceback" not in message, message
+    assert sum("error:" in line for line in message.splitlines()) == (rc != 0), message
+    assert bool(out.getvalue()) == (rc == 0)
 
 
 @pytest.mark.parametrize("axis, message", [

@@ -16,19 +16,18 @@ NAMES = [
     "GridTooCoarseError", "LevelIndex", "ModelParams", "NhjcError", "NoBoundaryError",
     "NodeCountError", "NodeSet", "OnBoundaryError", "ReversalIdentityReport", "SpinTexture",
     "SweepConsistencyError", "SweepResult", "SweepSpec", "SweepSpecError", "TextureCoefficients",
-    "TiltingAngle", "UndefinedTiltError", "ValidationError", "WindingResult", "all_boundaries",
+    "TiltingAngle", "UndefinedTiltError", "ValidationError", "all_boundaries",
     "block_quantities", "boundaries", "boundary_GR", "boundary_R", "boundary_SI", "coupling_scale",
     "domain_cutoff", "eigen_solution", "errors", "gaps", "hermite_roots", "load_params", "nodes",
     "oscillator", "params", "params_from_dict", "phi", "phi_pair", "phi_ratio", "run_sweep",
     "spectrum", "standard_grid", "sweep", "texture", "texture_closed_form", "texture_coefficients",
     "texture_from_wavefunctions", "tilting_angle", "topology", "verify_reversal_identity",
-    "wavefunction_components", "winding_direction", "winding_grid", "winding_integral",
-    "winding_node_sum", "winding_report",
+    "wavefunction_components", "winding_direction", "winding_report",
 ]
 
 
 def test_namespace_is_pinned_and_every_name_resolves():
-    assert nhjc.__all__ == NAMES and len(NAMES) == 65
+    assert nhjc.__all__ == NAMES and len(NAMES) == 61
     for name in NAMES:
         value = getattr(nhjc, name)
         if isinstance(value, types.ModuleType):

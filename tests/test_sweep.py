@@ -29,12 +29,12 @@ from nhjc import (
     run_sweep,
     texture_coefficients,
     tilting_angle,
-    winding_node_sum,
     winding_report,
 )
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
 from reference_boundaries import reference_overlay
+from reference_verify import node_sum
 
 # draw 122 of the full `nhjc verify` run (seed 20240901): its smallest margin is
 # the SI distance |Cy| of level (8, -1), just above BOUNDARY_MARGIN
@@ -357,8 +357,7 @@ def _scalar_row(params, level, observables):
             except UndefinedTiltError:
                 row.append(nan)
         elif o in ("nWzx", "nWyx"):
-            row.append(nan if on_boundary else winding_node_sum(
-                nodes(params, level, o[2]), nodes(params, level, "x")).signed)
+            row.append(nan if on_boundary else node_sum(nodes(params, level, o[2]), nodes(params, level, "x")))
         else:
             row.append({"deltaMinus": gp.delta_minus, "deltaPlus": gp.delta_plus,
                         "imE": eigen_solution(params, level).im_energy,
@@ -432,8 +431,7 @@ def test_a_window_around_an_exceptional_point_flags_only_the_point(capsys):
         if exceptional or on_boundary:
             assert math.isnan(zx) and math.isnan(yx)
             continue
-        reports = [winding_report(EP_BASE.with_value("g", g), LevelIndex(n, eta), plane)
-                   for plane in ("zx", "yx")]
+        reports = winding_report(EP_BASE.with_value("g", g), LevelIndex(n, eta), ("zx", "yx")).values()
         assert all(report["agreement"] for report in reports)
         assert (zx, yx) == tuple(report["node_sum"] for report in reports)
     assert capsys.readouterr() == ("", "")

@@ -23,39 +23,39 @@ from nhjc import (
     tilting_angle,
     verify_reversal_identity,
     winding_direction,
-    winding_grid,
-    winding_integral,
-    winding_node_sum,
     winding_report,
 )
-from nhjc.topology import _AMPLITUDE_FLOOR, _alive, asymptotic_signs
+from nhjc.topology import _AMPLITUDE_FLOOR, _END_SIGNS, PLANES, _alive, node_sum_windings
 from conftest import make_reference
+from reference_verify import node_sum
 
 
-def test_end_sign_conventions():
-    assert asymptotic_signs("z") == asymptotic_signs("y") == (0, 0)
-    assert asymptotic_signs("x") == (-1, -1)
+def test_end_sign_conventions(reference_params):
+    # sgn<sigma_z>, sgn<sigma_y> -> 0 and sgn<sigma_x> -> -1 in both tails: at
+    # the ends of the standard grid sigma_x is negative and the largest component
+    assert _END_SIGNS == ((0, 0), (-1, -1))
+    for n in (1, 3, 8, 50):
+        tex = texture_closed_form(reference_params, LevelIndex(n, -1))
+        for end in (0, -1):
+            assert tex.sx[end] < 0
+            assert abs(tex.sz[end]) < abs(tex.sx[end]) and abs(tex.sy[end]) < abs(tex.sx[end])
 
 
 def test_hermitian_lowest_level_winds_counterclockwise():
     p = ModelParams(omega=0.9, Omega=1.0, g=0.04743)
-    report = winding_report(p, LevelIndex(1, -1), "zx")
+    report = winding_report(p, LevelIndex(1, -1), ("zx",))["zx"]
     assert report["node_sum"] == report["integral"] == +1
     assert report["agreement"]
 
 
 def test_vacuum_winding_is_degenerate_zero(reference_params):
-    for plane in ("zx", "yx"):
-        report = winding_report(reference_params, LevelIndex(0), plane)
-        assert report["degenerate"] and report["node_sum"] == 0
-        tex = texture_closed_form(reference_params, LevelIndex(0))
-        result = winding_integral(tex, plane)
-        assert result.degenerate and result.signed == 0
+    for plane, report in winding_report(reference_params, LevelIndex(0), PLANES).items():
+        assert report == {"plane": plane, "degenerate": True, "node_sum": 0, "integral": 0,
+                          "integral_residual": 0.0, "agreement": True}
 
 
 def test_reference_state_magnitudes(reference_params):
-    for plane in ("zx", "yx"):
-        report = winding_report(reference_params, LevelIndex(3, -1), plane)
+    for report in winding_report(reference_params, LevelIndex(3, -1), PLANES).values():
         assert abs(report["node_sum"]) == 3
         assert report["agreement"]
         assert report["integral_residual"] < 0.1
@@ -84,8 +84,7 @@ def test_node_sum_equals_integral_on_random_states(rng):
         for n in (1, 2, 4, 6):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
-                for plane in ("zx", "yx"):
-                    report = winding_report(params, level, plane)
+                for plane, report in winding_report(params, level, PLANES).items():
                     assert report["node_sum"] == report["integral"], (params, level, plane)
                     assert abs(report["node_sum"]) == n
                     assert report["integral_residual"] < 0.1
@@ -97,8 +96,8 @@ def test_both_sign_sum_forms_agree_despite_count_mismatch(reference_params):
     nz = nodes(reference_params, level, "z")
     nx = nodes(reference_params, level, "x")
     assert len(nx.positions) == len(nz.positions) + 1
-    result = winding_node_sum(nz, nx)  # raises if the two forms disagree
-    assert abs(result.signed) == 4
+    signed = node_sum_windings("zx", (nz.positions, nz.signs), (nx.positions, nx.signs))
+    assert signed.tolist() == [node_sum(nz, nx)] and abs(signed[0]) == 4  # both raise if the forms disagree
 
 
 def test_direction_law_matches_integral(rng):
@@ -108,11 +107,10 @@ def test_direction_law_matches_integral(rng):
         params = draw_params(rng, n_max=5)
         level = LevelIndex(5, -1)
         coeffs = texture_coefficients(params, level)
-        tex = texture_closed_form(params, level, winding_grid(params, level))
+        reports = winding_report(params, level, PLANES)
         for plane, coeff in (("zx", coeffs.c_z), ("yx", coeffs.c_y)):
-            integral = winding_integral(tex, plane)
             assert winding_direction(coeffs, plane) == (1 if coeff > 0 else -1)
-            assert integral.signed == -winding_direction(coeffs, plane) * 5
+            assert reports[plane]["integral"] == -winding_direction(coeffs, plane) * 5
 
 
 def test_direction_flips_across_the_three_special_points():
@@ -166,7 +164,9 @@ def test_anti_winding_detection():
     nx = NodeSet(component="x", positions=np.array([-1.5, -0.5, 0.5, 1.5]),
                  signs=(-1, 1, -1, 1, -1))
     with pytest.raises(AntiWindingError):
-        winding_node_sum(broken, nx)
+        node_sum_windings("zx", (broken.positions, broken.signs), (nx.positions, nx.signs))
+    with pytest.raises(AntiWindingError):
+        node_sum(broken, nx)
 
 
 def test_tilting_angle_hermitian_is_zero(hermitian_params):
@@ -238,9 +238,6 @@ def test_reversal_identity_without_coupling():
 
 
 def test_integral_winding_reports_residual(reference_params):
-    level = LevelIndex(2, -1)
-    tex = texture_closed_form(reference_params, level, winding_grid(reference_params, level))
-    result = winding_integral(tex, "zx")
-    assert result.method == "integral"
-    assert result.residual < 1e-10
-    assert result.magnitude == 2 and result.sign in (-1, 1)
+    report = winding_report(reference_params, LevelIndex(2, -1), ("zx",))["zx"]
+    assert report["integral_residual"] < 1e-10
+    assert abs(report["integral"]) == 2

@@ -23,7 +23,7 @@ from nhjc.verify import (
     draw_sets,
     run_suite,
 )
-from reference_verify import reference_draw, reference_margin, reference_suite, reversal_identity
+from reference_verify import check_winding, reference_draw, reference_margin, reference_suite, reversal_identity
 
 BATCHED = ("eigen", "dual-route", "parity", "hermitian", "winding", "tilting")
 
@@ -136,6 +136,17 @@ def test_shifted_sigma_x_nodes_stop_the_winding_check(monkeypatch):
     monkeypatch.setattr(nhjc.texture, "ratio_roots", lambda n, c: original(n, c) + 0.05)
     with pytest.raises(GridTooCoarseError, match=r"\(draw 2: .*, n=2, eta=-1\)"):
         run_check("winding", seeded_draws(4, 4), 4)
+
+
+def test_a_wrong_node_sum_fails_the_winding_check_and_not_its_reference(monkeypatch):
+    # the reference counts node sums by its own scalar sign-sum: had it gone
+    # through node_sum_windings as well, it would share the fault and fail too
+    original = nhjc.topology.node_sum_windings
+    monkeypatch.setattr(nhjc.topology, "node_sum_windings", lambda plane, a, b: original(plane, a, b) + 1)
+    draws = seeded_draws(4, 4)
+    result = run_check("winding", draws, 4)
+    assert not result.passed and result.detail.startswith("64 cases: method mismatches 64, |n_w|=n False")
+    assert check_winding(draws, 4).passed
 
 
 def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):

@@ -30,13 +30,13 @@ return arrays, bit for bit what a call per point returns (see params).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
-from .params import (LevelIndex, ModelParams, ParamGrid, elementwise, maximum, minimum, quiet_overflow,
-                     raise_where, where)
+from .params import (LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise, maximum, minimum,
+                     modulus, quiet_overflow, raise_where, where)
 
 __all__ = [
     "BlockQuantities",
@@ -59,10 +59,22 @@ _EP_RTOL = 1e-14
 # eigenvector is considered collapsed
 _DEGENERATE_RTOL = 1e-24
 
-_atan2, _hypot, _sqrt, _cos, _sin = map(elementwise, (math.atan2, math.hypot, math.sqrt,
-                                                       math.cos, math.sin))
-_cexp = elementwise(cmath.exp, complex)
-_abs2 = elementwise(lambda z: abs(z) ** 2)  # |z|^2 as Python rounds it
+# a point whose |off|^2 (a lower bound of the norm) clears the degeneracy
+# floor by this factor is not degenerate
+_CLEAR_MARGIN = 100.0
+
+# magnitudes within which the degeneracy prefilter's squares neither
+# underflow nor overflow
+_TINY, _HUGE = 1e-140, 1e140
+
+_atan2, _hypot = elementwise(math.atan2), elementwise(math.hypot)
+_sqrt, _cos, _sin = (elementwise(fn, ufunc=fn.__name__) for fn in (math.sqrt, math.cos, math.sin))
+_square = elementwise(lambda x: x ** 2)  # as Python rounds it: libm pow
+
+
+def _abs2(z):
+    """|z|^2 as Python rounds abs(z) ** 2."""
+    return _square(modulus(z))
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,11 @@ class BlockQuantities:
 
     @property
     def root(self) -> complex:
-        """Branch root S = R exp(i*vartheta/2) for eta = +1."""
-        return self.R * _cexp(0.5j * self.vartheta)
+        """Branch root S = R exp(i*vartheta/2) for eta = +1, bit for bit as
+        cmath gives it: exp(+-0) = 1 and cos(vartheta/2) > 0, so the product
+        is complex(R cos, R sin + 0.0) (the + 0.0 turns -0.0 into +0.0)."""
+        make_complex = complex if isinstance(self.r_cos, float) else _complex_array
+        return make_complex(self.r_cos, self.r_sin + 0.0)
 
     def re_energy(self, eta: int) -> float:
         """Re E = (n - 1/2) omega + eta R cos(vartheta/2) of branch eta."""
@@ -128,10 +143,16 @@ class EigenSolution:
     level: LevelIndex
     c_up: complex | None
     c_down: complex | None
-    norm: float
     energy: complex
     re_energy: float
     im_energy: float
+
+    @cached_property
+    def norm(self) -> float:
+        """N = |C_up|^2 + |C_down|^2 (1 for n = 0), computed on first read."""
+        if self.c_up is None:
+            return 1.0
+        return _abs2(self.c_up) + _abs2(self.c_down)
 
 
 @dataclass(frozen=True)
@@ -199,7 +220,6 @@ def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
             level=level,
             c_up=None,
             c_down=None,
-            norm=1.0,
             energy=energy,
             re_energy=energy.real,
             im_energy=energy.imag,
@@ -219,19 +239,37 @@ def branch_solution(params: ModelParams | ParamGrid, level: LevelIndex,
     coefficients collapse (degenerate). Over a grid both are arrays, and
     exceptional or degenerate points hold meaningless values."""
     root = level.eta * bq.root
-    c_up = bq.e_minus + root
-    norm = _abs2(c_up) + _abs2(bq.off)
-    scale = _abs2(bq.e_minus) + level.n * _abs2(params.composites().g_t)
     sol = EigenSolution(
         level=level,
-        c_up=c_up,
+        c_up=bq.e_minus + root,
         c_down=bq.off,
-        norm=norm,
         energy=bq.e_plus + root,
         re_energy=bq.re_energy(level.eta),
         im_energy=-(level.n - 0.5) * params.kappa + level.eta * bq.r_sin,
     )
-    return sol, norm <= _DEGENERATE_RTOL * maximum(scale, _SUBNORMAL_GUARD)
+    g_t = params.composites().g_t
+    if isinstance(params, ModelParams):
+        return sol, _collapsed(sol.norm, bq.e_minus, level.n, g_t)
+    import numpy as np
+    # |off|^2 <= N: where it clears the floor by _CLEAR_MARGIN, with every
+    # square in float range, the point is not degenerate; the rest take the
+    # exact test, so every flag is the one a scalar call gives
+    off, e_minus = modulus(bq.off), modulus(bq.e_minus)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        clear = ((off > _TINY) & (off < _HUGE) & (e_minus < _HUGE)
+                 & (off * off > _CLEAR_MARGIN * _DEGENERATE_RTOL * (off * off + e_minus * e_minus)))
+    degenerate = np.zeros(clear.shape, bool)
+    if not clear.all():
+        rest = ~clear
+        norm = _abs2(sol.c_up[rest]) + _abs2(bq.off[rest])
+        degenerate[rest] = _collapsed(norm, bq.e_minus[rest], level.n, g_t[rest])
+    return sol, degenerate
+
+
+def _collapsed(norm, e_minus, n: int, g_t):
+    """Whether the norm N is below the degeneracy floor of its state."""
+    scale = _abs2(e_minus) + n * _abs2(g_t)
+    return norm <= _DEGENERATE_RTOL * maximum(scale, _SUBNORMAL_GUARD)
 
 
 def _re_energies(params: ModelParams | ParamGrid, n: int,

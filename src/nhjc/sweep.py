@@ -31,11 +31,11 @@ and their normalisers are those of spectrum.BlockQuantities, which verify's
 draw margins use too.
 
 Output is a flat table (one row per grid point per level, levels innermost)
-rendered to CSV a column at a time with 17-significant-digit floats and 0/1
-integer flags, so identical specs reproduce byte-identical files. Boundary
-overlays are written as sibling curves sampled on the same axes: each
-family is solved over the grid of the sampled axes at once, one call per
-level (boundaries._solve).
+rendered to CSV through one format string per table, with 17-significant-digit
+floats and 0/1 integer flags, so identical specs reproduce byte-identical
+files. Boundary overlays are written as sibling curves sampled on the same
+axes: each family is solved over the grid of the sampled axes at once, one
+call per level (boundaries._solve).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,6 @@ OVERLAY_FAMILIES = ("R", "GR", "SI")
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
 _BOUNDARY_RTOL = 1e-9
-_CSV_BLOCK = 128
 _GRID_BLOCK = 1024
 _SPOT_CHECK_SEED = 20240901
 
@@ -202,15 +202,9 @@ class SweepResult:
             fh.write("\n")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _json_cell(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return int(value)
     if isinstance(value, (int, np.integer)):
@@ -221,24 +215,16 @@ def _json_cell(value):
     return value
 
 
-def _format_column(values) -> list[str]:
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map("{:.17g}".format, values))
-    if kinds == {bool}:
-        return ["1" if v else "0" for v in values]
-    if kinds == {int}:
-        return list(map(str, values))
-    return list(map(_format_cell, values))
-
-
 def _write_csv(path, columns, rows) -> None:
+    """The table with one %-format per row: '%.17g' writes a float as
+    format(x, '.17g') does and a bool or an int exactly (every int in a
+    table is at most N_MAX); a column whose first cell is a str (the
+    overlay note) is written as it is."""
+    first = rows[0] if rows else ()
+    row_format = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        # formatted a column at a time, in blocks of rows to bound the memory
-        for start in range(0, len(rows), _CSV_BLOCK):
-            cells = [_format_column(column) for column in zip(*rows[start:start + _CSV_BLOCK])]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.writelines(row_format % row for row in rows)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -270,7 +256,7 @@ def _grid_rows(spec: SweepSpec, columns) -> list[tuple]:
                 raise _named(exc, spec, coords, range(start, start + count), level) from exc
             tables.append(zip(*block_coords, [level.n] * count, [level.eta] * count, *values, *flags))
             winding_rows.extend((start + point) * levels + k for point in checked.tolist())
-        rows.extend(row for point_rows in zip(*tables) for row in point_rows)
+        rows.extend(chain.from_iterable(zip(*tables)))
     _spot_check(spec, grid, coords, columns, rows, sorted(winding_rows))
     return rows
 
@@ -394,4 +380,4 @@ def _overlay(spec: SweepSpec, family: str):
         point = _solve(grid, family, solve_axis.name, n)
         level = ([n] * size,) if family == "R" else ()
         tables.append(zip(*coords, *level, point.value.tolist(), point.valid.tolist()))
-    return (columns, [row for point_rows in zip(*tables) for row in point_rows])
+    return (columns, list(chain.from_iterable(zip(*tables))))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
-from .params import LevelIndex, ModelParams, ParamGrid, elementwise
+from .params import LevelIndex, ModelParams, ParamGrid, modulus
 from .spectrum import BlockQuantities, block_quantities, eigen_solution
 
 __all__ = [
@@ -60,9 +60,14 @@ __all__ = [
 
 STANDARD_POINTS = 801
 
-# rho = |C_up|/|C_down|, inf where C_down = 0
-coefficient_ratio = elementwise(lambda c_up, c_down: abs(c_up) / abs(c_down) if c_down else math.inf)
-_sqrt = elementwise(math.sqrt)
+
+def coefficient_ratio(c_up, c_down):
+    """rho = |C_up|/|C_down|, inf where C_down = 0 (arrays give arrays)."""
+    if not isinstance(c_down, np.ndarray):
+        return abs(c_up) / abs(c_down) if c_down else math.inf
+    nonzero = c_down != 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(nonzero, modulus(c_up) / np.where(nonzero, modulus(c_down), 1.0), math.inf)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, 
     grid = np.asarray(grid, dtype=float)
     sol = eigen_solution(params, level, block)
     p_lo, p_hi = phi_pair(level.n, grid)
-    rn = _sqrt(sol.norm)
+    rn = np.sqrt(sol.norm)
     up_x = sol.c_up * p_lo / rn
     down_x = sol.c_down * p_hi / rn
     up_z = (up_x + down_x) / math.sqrt(2.0)

@@ -362,8 +362,16 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
     return reports
 
 
-_tilt_ratio = elementwise(lambda c_y, c_z: c_y / c_z if c_z != 0.0 else math.copysign(math.inf, c_y))
 _atan = elementwise(math.atan)
+
+
+def _tilt_ratio(c_y, c_z):
+    """Cy/Cz, +-inf (the sign of Cy) where Cz = 0 (arrays give arrays)."""
+    if not isinstance(c_z, np.ndarray):
+        return c_y / c_z if c_z != 0.0 else math.copysign(math.inf, c_y)
+    nonzero = c_z != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(nonzero, c_y / np.where(nonzero, c_z, 1.0), np.copysign(math.inf, c_y))
 
 
 def tilting_angle(coeffs: TextureCoefficients) -> TiltingAngle:

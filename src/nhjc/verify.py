@@ -51,7 +51,8 @@ import numpy as np
 from .boundaries import _solve
 from .errors import NhjcError, ValidationError
 from .oscillator import phi_pair
-from .params import N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise
+from .params import (N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise,
+                     modulus)
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
@@ -80,7 +81,7 @@ DEFAULT_SEED = 20240901
 BOUNDARY_MARGIN = 1e-3
 
 _square = elementwise(lambda z: z ** 2, complex)
-_abs, _tan = elementwise(abs), elementwise(math.tan)
+_tan = elementwise(math.tan)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def boundary_margin(params: ModelParams | ParamGrid, n_values, etas=(-1, 1)) -> 
     exceptional block makes it 0.0 and the first degenerate state nan (no
     margin). Over a ParamGrid, an array of margins, one per point."""
     grid = ParamGrid.rows([params]) if isinstance(params, ModelParams) else params
-    margin = _abs(grid.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
+    margin = modulus(grid.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
     settled = np.zeros(margin.shape, bool)  # margin fixed by an exceptional block or degenerate state
     fixed = np.zeros(margin.shape)
     for n in n_values:
@@ -201,9 +202,9 @@ def _eigen_residuals(chunk, bq, level):
     flat = matrix.reshape(-1, 4)  # the Frobenius norm, summed as np.linalg.norm sums it
     norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     vec = np.concatenate((sol.c_up, sol.c_down), axis=-1)
-    return (_abs(direct - _complex_array(bq.A, -bq.B)) / np.maximum(1.0, _abs(direct)),
+    return (modulus(direct - _complex_array(bq.A, -bq.B)) / np.maximum(1.0, modulus(direct)),
             _rows_max((matrix @ vec[..., None])[..., 0] - sol.energy * vec) / norm,
-            _abs(other.energy + sol.energy - 2 * bq.e_plus) / np.maximum(1.0, _abs(bq.e_plus)))
+            modulus(other.energy + sol.energy - 2 * bq.e_plus) / np.maximum(1.0, modulus(bq.e_plus)))
 
 
 def _eigen(draws, levels, residual):

@@ -1,6 +1,9 @@
+import cmath
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nhjc import (
@@ -97,3 +100,107 @@ def test_with_value_replaces_one_field():
     assert q.Gamma == 0.07 and q.g == 0.1 and p.Gamma == 0.0
     with pytest.raises(ValidationError):
         p.with_value("nope", 1.0)
+
+
+# --- numpy ufuncs standing in for math on grids (see the params docstring) ---
+
+_MAX = 1.7976931348623157e308
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+             math.pi, -math.pi, 0.5 * math.pi, 1e300, -1e300, _MAX, -_MAX, math.inf, -math.inf, math.nan]
+
+
+def _random_floats(rng, count):
+    """count floats with random signs and magnitudes spread over 1e-320 .. 1e300,
+    the specials appended."""
+    magnitude = 10.0 ** rng.uniform(-320.0, 300.0, count)
+    return np.concatenate((rng.choice([-1.0, 1.0], count) * magnitude, _SPECIALS))
+
+
+def _same_bits(got, want):
+    """Bit for bit equal, sign bits included; any nan matches any nan."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+
+
+def _complex(re, im):
+    z = np.empty(np.shape(re), complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _abs(z):
+    """abs(z), inf where it raises OverflowError (as modulus gives it)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _mapped(fn, *arrays):
+    return np.array([fn(*args) for args in zip(*(a.tolist() for a in arrays))])
+
+
+def test_grid_ufuncs_give_the_bits_of_math():
+    """Each ufunc a grid uses in place of math gives math's bits. A platform
+    or numpy build (SIMD dispatch) where one does not fails here, and that
+    function must go back to a map in nhjc.params."""
+    from nhjc.params import _finite, modulus
+    from nhjc.spectrum import _cos, _sin, _sqrt
+
+    rng = np.random.default_rng(20240901)
+    x = _random_floats(rng, 100_000)
+    y = _random_floats(rng, 100_000)
+    finite = x[np.isfinite(x)]  # math.cos/sin raise on +-inf; a half angle is never infinite
+    nonnegative = np.where(x < 0.0, -x, x)  # -0.0 kept
+    with np.errstate(invalid="ignore"):
+        cases = {
+            "sqrt": (_sqrt(nonnegative), _mapped(math.sqrt, nonnegative)),
+            "cos": (_cos(finite), _mapped(math.cos, finite)),
+            "sin": (_sin(finite), _mapped(math.sin, finite)),
+            "isfinite": (_finite(x), _mapped(math.isfinite, x)),
+            "modulus": (modulus(_complex(x, y)), _mapped(lambda a, b: _abs(complex(a, b)), x, y)),
+        }
+    # every pairing of the specials, as parts of a complex number
+    z = _complex(*np.meshgrid(_SPECIALS, _SPECIALS)).ravel()
+    cases["modulus of specials"] = (modulus(z), _mapped(_abs, z))
+    for name, (got, want) in cases.items():
+        assert got.shape == want.shape, name
+        assert _same_bits(got, want).all(), f"{name}: {np.count_nonzero(~_same_bits(got, want))} differ"
+
+
+def test_grid_root_and_ratios_give_the_bits_of_a_scalar_call():
+    """BlockQuantities.root equals R * cmath.exp(0.5j * vartheta), and the
+    tilt and coefficient ratios equal their scalar division, bit for bit."""
+    from nhjc.spectrum import block_quantities
+    from nhjc.texture import coefficient_ratio
+    from nhjc.topology import _tilt_ratio
+
+    rng = np.random.default_rng(7)
+    count = 100_000
+    R = np.concatenate((10.0 ** rng.uniform(-320.0, 300.0, count), [0.0, 5e-324, _MAX, math.inf, math.nan] * 4))
+    theta = np.concatenate((rng.uniform(-math.pi, math.pi, count),
+                            np.repeat([0.0, math.pi, -math.pi, math.nan], 5)))
+    scalar = block_quantities(ModelParams(0.9, 1.0, 0.1), 1)
+
+    def root_of(r, t, cos, sin):
+        return dataclasses.replace(scalar, R=r, vartheta=t, r_cos=r * cos(0.5 * t), r_sin=r * sin(0.5 * t)).root
+
+    with np.errstate(invalid="ignore"):  # inf * 0
+        root = root_of(R, theta, np.cos, np.sin)
+    want = _mapped(lambda r, t: r * cmath.exp(0.5j * t), R, theta)
+    assert _same_bits(root.real, want.real).all() and _same_bits(root.imag, want.imag).all()
+    # the scalar route builds the same complex from floats
+    sample = np.concatenate((R[:2000], R[-20:])), np.concatenate((theta[:2000], theta[-20:]))
+    root = _mapped(lambda r, t: root_of(r, t, math.cos, math.sin), *sample)
+    want = _mapped(lambda r, t: r * cmath.exp(0.5j * t), *sample)
+    assert _same_bits(root.real, want.real).all() and _same_bits(root.imag, want.imag).all()
+
+    # abs(complex) raises where the modulus leaves float range: keep clear of it
+    x, y = (np.where(np.abs(v) == _MAX, 1e300, v) for v in (_random_floats(rng, count), _random_floats(rng, count)))
+    y[::7] = 0.0  # a zero denominator in every seventh
+    y[1::7] = -0.0
+    for fn, args in ((_tilt_ratio, (x, y)),
+                     (coefficient_ratio, (_complex(x, y), _complex(y, -x))),
+                     (coefficient_ratio, (_complex(x, x), _complex(y, np.zeros_like(y))))):
+        got = fn(*args)
+        assert _same_bits(got, _mapped(fn, *args)).all(), fn.__name__

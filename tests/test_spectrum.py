@@ -16,6 +16,7 @@ from nhjc import (
     gaps,
 )
 from nhjc.params import PARAM_NAMES, ParamGrid
+from nhjc.spectrum import branch_solution
 from conftest import make_reference
 
 rates = st.floats(0.0, 1.2)
@@ -162,6 +163,44 @@ def test_degenerate_block_raises():
         eigen_solution(p, LevelIndex(1, -1))  # coefficients collapse on this branch
     other = eigen_solution(p, LevelIndex(1, +1))  # the opposite branch survives
     assert other.norm > 0.0
+
+
+def _edge_draws(rng, count):
+    """Draws whose coupling |g~| is 1e-10 .. 1e-14 of |e-| (around the
+    degeneracy floor at sqrt(n)|g~| = 1e-12 |e-|), then g = Gamma = 0, then
+    subnormal and huge rates."""
+    omega = rng.uniform(0.5, 1.5, count)
+    Omega = omega + rng.choice([-1.0, 1.0], count) * rng.uniform(0.01, 0.5, count)
+    kappa, gamma = rng.uniform(0.0, 1.0, (2, count))
+    e_minus = 0.5 * np.hypot(Omega - omega, kappa - gamma)
+    coupling = e_minus * 10.0 ** rng.uniform(-14.0, -10.0, count)
+    angle = rng.uniform(0.0, math.pi, count)  # Gamma >= 0
+    draws = [ModelParams(*values) for values in zip(omega.tolist(), Omega.tolist(), (coupling * np.cos(angle)).tolist(),
+                                                    kappa.tolist(), gamma.tolist(), (coupling * np.sin(angle)).tolist())]
+    draws += [ModelParams(0.9, 1.0 + k / 10.0, 0.0, kappa=0.1 * k, gamma=0.2) for k in range(5)]
+    for rate in (5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e100, 1e140, 1e150):
+        draws += [ModelParams(0.9, 1.0, rate, kappa=rate, gamma=0.2, Gamma=rate),
+                  ModelParams(0.9, 1.0, 1e-13, kappa=rate, gamma=0.0, Gamma=rate),
+                  ModelParams(0.9, 1.2, -rate, Gamma=rate)]
+    return draws
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_grid_degeneracy_flags_and_norms_match_the_scalar_route(n):
+    """The grid's prefilter settles most points without the norm; every flag,
+    and every norm read afterwards, is the one a scalar call gives."""
+    draws = _edge_draws(np.random.default_rng(20240901 + n), 3000)
+    grid = ParamGrid(**{name: np.array([getattr(p, name) for p in draws]) for name in PARAM_NAMES})
+    flags = []
+    for eta in (-1, 1):
+        level = LevelIndex(n, eta)
+        sol, degenerate = branch_solution(grid, level, block_quantities(grid, n))
+        scalar = [branch_solution(p, level, block_quantities(p, n)) for p in draws]
+        assert degenerate.tolist() == [bool(d) for _, d in scalar]
+        want = np.array([s.norm for s, _ in scalar])
+        assert ((sol.norm.view(np.int64) == want.view(np.int64)) | (np.isnan(sol.norm) & np.isnan(want))).all()
+        flags += degenerate.tolist()
+    assert 0 < sum(flags) < len(flags)  # both sides of the floor are reached
 
 
 def test_exceptional_point_flag_and_error():

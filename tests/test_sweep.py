@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,3 +578,127 @@ def test_overlay_values_lie_in_the_cells_where_the_direction_flips(n):
     inside = {k for i, j in flips for k in range(i + 1, j)}
     assert set(np.flatnonzero(on_boundary == 1)) == inside == {80, 800 // n}
     assert set(np.flatnonzero(np.isnan(winding))) == inside
+
+
+# --- the CSV writer ---
+
+def _reference_cell(value) -> str:
+    """The writer's cell as it was formatted a column at a time, with a str
+    written as it is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _reference_column(values) -> list[str]:
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map("{:.17g}".format, values))
+    if kinds == {bool}:
+        return ["1" if v else "0" for v in values]
+    if kinds == {int}:
+        return list(map(str, values))
+    return list(map(_reference_cell, values))
+
+
+def _reference_csv(columns, rows) -> str:
+    """Oracle for sweep._write_csv: every column formatted on its own, then
+    joined row by row."""
+    cells = [_reference_column(column) for column in zip(*rows)]
+    return "".join(",".join(row) + "\n" for row in [columns] + list(zip(*cells)))
+
+
+_EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-310, 1.7976931348623157e308, 0.1, 1e16, 1e17, 123456789012345680.0, -1.5e-7]
+
+
+def _random_column(rng: random.Random, kind: str, count: int) -> list:
+    if kind == "float":
+        return [rng.choice(_EDGE_FLOATS) if rng.random() < 0.3
+                else struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(count)]
+    if kind == "bool":
+        return [rng.random() < 0.5 for _ in range(count)]
+    if kind == "int":
+        return [rng.randint(-200, 200) for _ in range(count)]
+    if kind == "int/nan":  # a winding column: integers, nan off the checked points
+        return [math.nan if rng.random() < 0.3 else rng.choice([-200, -3, -1, 1, 2, 200]) for _ in range(count)]
+    return [rng.choice(["no closed-form axis for overlay", "", "a b"]) for _ in range(count)]
+
+
+def test_csv_writer_matches_the_column_formatter(tmp_path):
+    """Seeded tables of every cell kind a sweep writes (floats with nan,
+    +-0, +-inf and subnormals, bools, ints, int/nan columns, str) are
+    written byte for byte as the column-at-a-time formatter writes them."""
+    from nhjc.sweep import _write_csv
+
+    rng = random.Random(20240901)
+    path = tmp_path / "table.csv"
+    for _ in range(200):
+        kinds = [rng.choice(["float", "bool", "int", "int/nan", "str"]) for _ in range(rng.randint(1, 8))]
+        count = rng.choice([0, 1, 2, 5, 130])
+        columns = tuple(f"c{i}" for i in range(len(kinds)))
+        rows = list(zip(*(_random_column(rng, kind, count) for kind in kinds)))
+        _write_csv(path, columns, rows)
+        assert path.read_text(encoding="utf-8") == _reference_csv(columns, rows)
+
+
+def test_an_overlay_without_a_closed_form_axis_writes_its_note(tmp_path):
+    """An omega-only sweep has no axis to solve a boundary for: each overlay
+    file holds the note, in CSV and in JSON."""
+    spec = small_spec(axes=(Axis("omega", 0.8, 1.0, 3),), observables=("thetaT",))
+    result = run_sweep(spec)
+    result.to_csv(tmp_path / "out.csv")
+    result.to_json(tmp_path / "out.json")
+    for family in ("R", "GR", "SI"):
+        note = (tmp_path / f"out.csv.overlay.{family}.csv").read_text(encoding="utf-8")
+        assert note == "note\nno closed-form axis for overlay\n"
+    overlays = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["overlays"]
+    assert overlays == {family: {"columns": ["note"], "rows": [["no closed-form axis for overlay"]]}
+                        for family in ("R", "GR", "SI")}
+    assert len((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()) == 1 + 3
+
+
+def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
+    """The math functions the shipped (Gamma, g) plane maps over its grids,
+    by caller: the main pass maps only atan2, hypot and atan (no ufunc gives
+    their bits); x ** 2 (libm pow) is mapped only for the norm the spot
+    check's textures read and for the GR overlay's level bound; and the
+    degeneracy test maps nothing."""
+    maps = []
+
+    def counted(apply):
+        cells = dict(zip(apply.__code__.co_freevars, (c.cell_contents for c in apply.__closure__)))
+        fn = cells["fn"]
+
+        def run(*args):
+            if isinstance(args[0], np.ndarray) and not cells["ufunc"]:
+                callers, frame = [], sys._getframe(1)
+                while frame:
+                    callers.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                maps.append((f"{fn.__module__}.{fn.__name__}", callers, args[0].size))
+            return apply(*args)
+        return run
+
+    for module in (nhjc.params, nhjc.spectrum, nhjc.boundaries, nhjc.texture, nhjc.topology, nhjc.sweep):
+        for name, value in list(vars(module).items()):
+            if getattr(value, "__qualname__", "") == "elementwise.<locals>.apply":
+                monkeypatch.setattr(module, name, counted(value))
+    spec = SweepSpec.load(Path(__file__).resolve().parent.parent / "configs" / "sweep_gamma_g_plane.json")
+    result = run_sweep(spec)
+
+    def mapped(caller):
+        return {name for name, callers, _ in maps if caller in callers}
+
+    assert mapped("_level_columns") == {"math.atan2", "math.hypot", "math.atan"}
+    assert sum(size for _, callers, size in maps if "_level_columns" in callers) == 7 * len(result.rows)
+    assert mapped("_spot_check") == {"math.atan2", "math.hypot", "nhjc.spectrum.<lambda>"}
+    assert mapped("_overlay") == {"math.atan2", "math.hypot", "nhjc.boundaries._squared"}
+    assert not mapped("branch_solution")
+    # the spectrum's x ** 2 runs only for a norm read, and only in the spot check
+    squares = [callers for name, callers, _ in maps if name == "nhjc.spectrum.<lambda>"]
+    assert squares and all("norm" in callers and "_spot_check" in callers for callers in squares)

@@ -14,6 +14,7 @@ import nhjc.topology
 import nhjc.verify
 from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution, verify_reversal_identity
 from nhjc.cli import main
+from nhjc.oscillator import hermite_roots
 from nhjc.params import PARAM_NAMES, ParamGrid
 from nhjc.verify import (
     _CHECKS,
@@ -194,7 +195,10 @@ def test_batched_checks_evaluate_the_kernel_at_most_200_times(monkeypatch):
 
 
 def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
-    run_suite(12, 8)  # fill the Hermite-root cache first
+    # fill first what a run keeps: the Hermite roots of its levels and numpy.random
+    for n in range(1, 9):
+        hermite_roots(n)
+    np.random.default_rng(0)
     peaks = []
     for draws in (50, 200):
         tracemalloc.start()

@@ -55,6 +55,7 @@ __all__ = [
     "params_from_dict",
     "load_params",
     "N_MAX",
+    "PARAM_MAX",
 ]
 
 RATE_NAMES = ("kappa", "gamma", "Gamma")
@@ -63,6 +64,14 @@ SWEEPABLE = ("omega", "g", "kappa", "gamma", "Gamma")
 
 # highest level of the validity domain (n <= 200, |x| <= 40)
 N_MAX = 200
+
+# largest parameter magnitude of the validity domain. With every |p| <= P
+# (so |Omega - omega| <= P and |kappa - gamma| <= 2P), block n has
+# |A| <= (n + 5/4) P^2, |B| <= (2n + 1) P^2 and R^2 = hypot(A, B) <= |A| + |B|;
+# the largest product its formulas form is Dx <= (5 + 4 R^2/P^2 + 12 R/P) P^2,
+# about 2 710 P^2 at n = N_MAX, and |C_up|^2 (a ** that raises OverflowError
+# past float range) is below 660 P^2. P = 1e152 keeps both under 2.8e307.
+PARAM_MAX = 1e152
 
 
 def elementwise(fn, dtype=float, ufunc: str | None = None):
@@ -342,14 +351,19 @@ def params_from_dict(data: dict) -> ModelParams:
         g = _number(data, "g_rel") * coupling_scale(omega, Omega)
     else:
         g = _number(data, "g")
-    return ModelParams(
-        omega=omega,
-        Omega=Omega,
-        g=g,
-        kappa=_number(data, "kappa"),
-        gamma=_number(data, "gamma"),
-        Gamma=_number(data, "Gamma"),
-    )
+    values = dict(omega=omega, Omega=Omega, g=g, kappa=_number(data, "kappa"),
+                  gamma=_number(data, "gamma"), Gamma=_number(data, "Gamma"))
+    for name, value in values.items():
+        check_magnitude(name, value)
+    return ModelParams(**values)
+
+
+def check_magnitude(name: str, value: float) -> None:
+    """ValidationError if |value| is finite and past PARAM_MAX (the validity
+    domain); ModelParams names a non-finite value as it always did."""
+    if PARAM_MAX < abs(value) < math.inf:
+        raise ValidationError(f"parameter {name!r} must have magnitude <= {PARAM_MAX:g} "
+                              f"(validity domain), got {value!r}")
 
 
 def _number(data: dict, key: str) -> float:

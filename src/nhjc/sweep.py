@@ -52,7 +52,7 @@ import numpy as np
 
 from .boundaries import SOLVABLE, _solve
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
-from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, minimum, params_from_dict
+from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
 from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
 from .texture import branch_coefficients
 from .topology import Windings, tilt_of
@@ -125,8 +125,9 @@ class SweepSpec:
             raise SweepSpecError(f"spot_check_fraction must be a number in [0, 1], got {fraction!r}")
         for axis in self.axes:
             # every grid value lies between the axis ends; ModelParams checks them
-            self.base.with_value(axis.name, axis.start)
-            self.base.with_value(axis.name, axis.stop)
+            for value in (axis.start, axis.stop):
+                self.base.with_value(axis.name, value)
+                check_magnitude(axis.name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":

@@ -41,7 +41,7 @@ point gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -389,7 +389,7 @@ def tilt_of(c_y, c_z) -> TiltingAngle:
     return TiltingAngle(theta_t=_atan(ratio), ratio=ratio)
 
 
-def _theta_at_gamma(params: ModelParams | ParamGrid, n: int, eta: int, Gamma):
+def _theta_at_gamma(params: ParamGrid, n: int, eta: int, Gamma):
     """theta_t of (n, eta) with Gamma set to the given value(s)."""
     coeffs = texture_coefficients(_replaced(params, "Gamma", Gamma), LevelIndex(n, eta))
     return tilting_angle(coeffs).theta_t
@@ -414,26 +414,12 @@ def verify_reversal_identity(
     point in Gamma: zero denominator or A >= 0 at the candidate. Over a
     ParamGrid every field but n, eta and reason (empty) is an array of the
     grid's shape holding what a call per point gives; the tilts are
-    evaluated at the applicable points only.
+    evaluated at the applicable points only. A ModelParams is checked as a
+    grid of one point, its fields read back as floats, with the reason.
     """
-    scalar = isinstance(params, ModelParams)
-    blank = ReversalIdentityReport(
-        applicable=False, reason="", n=n, eta=eta, gamma_reversal=math.nan,
-        identity_residual=math.nan, antisymmetry_residual=math.nan,
-        theta_below=math.nan, theta_above=math.nan,
-    )
-    if scalar:
-        if params.g == 0.0:
-            return replace(blank, reason="no reversal point in Gamma: g = 0")
-        point = boundary_R(params, n, "Gamma")
-        gamma_reversal, applicable = point.value, point.valid
-        if not applicable:
-            return replace(blank, reason=f"A >= 0 at the candidate Gamma_R ({point.validity_detail})",
-                           gamma_reversal=gamma_reversal)
-        at, gamma_at = params, gamma_reversal
-    else:
-        gamma_reversal, applicable, _, _ = _solve(params, "R", "Gamma", n)
-        at, gamma_at = params.take(applicable), gamma_reversal[applicable]
+    grid = ParamGrid.rows([params]) if isinstance(params, ModelParams) else params
+    gamma_reversal, applicable, _, _ = _solve(grid, "R", "Gamma", n)
+    at, gamma_at = grid.take(applicable), gamma_reversal[applicable]
     c = at.composites()
     d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, at.g
     bq = block_quantities(_replaced(at, "Gamma", gamma_at), n)
@@ -445,13 +431,15 @@ def verify_reversal_identity(
     fields = dict(identity_residual=abs(term_root + term_poly) / scale,
                   antisymmetry_residual=abs(theta_below + theta_above),
                   theta_below=theta_below, theta_above=theta_above)
-    if not scalar:
-        fields = {name: _on(applicable, values) for name, values in fields.items()}
-    return ReversalIdentityReport(
-        applicable=applicable,
-        reason="reversal point exists (A < 0)" if scalar else "",
-        n=n,
-        eta=eta,
-        gamma_reversal=gamma_reversal,
-        **fields,
-    )
+    fields = {name: _on(applicable, values) for name, values in fields.items()}
+    fields.update(applicable=applicable, gamma_reversal=gamma_reversal)
+    if isinstance(params, ParamGrid):
+        return ReversalIdentityReport(reason="", n=n, eta=eta, **fields)
+    fields = {name: values.item() for name, values in fields.items()}
+    if params.g == 0.0:
+        reason = "no reversal point in Gamma: g = 0"
+    elif not fields["applicable"]:
+        reason = f"A >= 0 at the candidate Gamma_R ({boundary_R(params, n, 'Gamma').validity_detail})"
+    else:
+        reason = "reversal point exists (A < 0)"
+    return ReversalIdentityReport(reason=reason, n=n, eta=eta, **fields)

@@ -34,8 +34,9 @@ sweep overlays use too), so the kernel runs as often for 12 draws as for
 loops are kept as the tests' reference). An error raised for one draw names
 its index in the seeded sequence, its six parameters and the level. The
 draws themselves are scored in blocks of candidates the same way
-(draw_sets), accepted in the order a one-at-a-time loop accepts them. Only
-the node check still goes draw by draw, on its first two draws.
+(draw_sets), accepted in the order a one-at-a-time loop accepts them. The
+node check takes its first two draws as one grid, and the reversal check
+its reference configuration as a grid of one point.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
     branch_coefficients,
-    nodes,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     texture_from_wavefunctions,
     wavefunction_components,
+    zy_node_arrays,
 )
 from .topology import (
     _CHUNK_POINTS,
@@ -74,7 +75,7 @@ from .topology import (
     winding_direction,
 )
 
-__all__ = ["CheckResult", "run_suite", "draw_sets", "draw_params", "boundary_margin"]
+__all__ = ["CheckResult", "run_suite", "draw_sets", "boundary_margin"]
 
 DEFAULT_SEED = 20240901
 
@@ -91,13 +92,12 @@ class CheckResult:
     detail: str
 
 
-def boundary_margin(params: ModelParams | ParamGrid, n_values, etas=(-1, 1)) -> float | np.ndarray:
-    """Smallest normalized distance of the draw from any analytic boundary,
-    the exceptional set, or the degenerate line, over the tested levels; a
-    nan distance is skipped. Going through the levels in order, the first
-    exceptional block makes it 0.0 and the first degenerate state nan (no
-    margin). Over a ParamGrid, an array of margins, one per point."""
-    grid = ParamGrid.rows([params]) if isinstance(params, ModelParams) else params
+def boundary_margin(grid: ParamGrid, n_values, etas=(-1, 1)) -> np.ndarray:
+    """Smallest normalized distance of each point of the grid from any
+    analytic boundary, the exceptional set, or the degenerate line, over the
+    tested levels; a nan distance is skipped. Going through the levels in
+    order, the first exceptional block makes it 0.0 and the first degenerate
+    state nan (no margin). An array of margins, one per point."""
     margin = modulus(grid.composites().g_t)  # degenerate line g~ = 0 (unit natural scale)
     settled = np.zeros(margin.shape, bool)  # margin fixed by an exceptional block or degenerate state
     fixed = np.zeros(margin.shape)
@@ -112,8 +112,7 @@ def boundary_margin(params: ModelParams | ParamGrid, n_values, etas=(-1, 1)) -> 
         for flags, value in events:
             fixed[flags & ~settled] = value
             settled |= flags
-    margin = np.where(settled, fixed, margin)
-    return margin.item() if isinstance(params, ModelParams) else margin
+    return np.where(settled, fixed, margin)
 
 
 def draw_sets(
@@ -128,7 +127,7 @@ def draw_sets(
     n = 1..n_max (and omega, Omega >= 1e-3). Candidates are scored in blocks
     of as many as are still missing, so no block draws past the last set
     accepted and rng ends where drawing the candidates one at a time leaves
-    it: the sets are those of count draw_params calls."""
+    it: the sets are those a loop drawing one candidate at a time accepts."""
     n_values = range(1, n_max + 1)
     sets = []
     while len(sets) < count:
@@ -137,17 +136,6 @@ def draw_sets(
         margins = boundary_margin(ParamGrid(*block[usable].T), n_values)
         sets += [ModelParams(*block[i].tolist()) for i in usable[margins >= margin]]
     return sets
-
-
-def draw_params(
-    rng: np.random.Generator,
-    n_max: int = 8,
-    high: float = 1.2,
-    margin: float = BOUNDARY_MARGIN,
-) -> ModelParams:
-    """One parameter set, each component uniform in [0, high], redrawn until
-    it sits at least `margin` away from every boundary for n = 1..n_max."""
-    return draw_sets(rng, 1, n_max, high, margin)[0]
 
 
 def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: STANDARD_POINTS) -> list[np.ndarray]:
@@ -259,33 +247,26 @@ def _hermitian(draws, levels, sigma_y, im_energy):
 
 
 def _nodes(draws, levels, position):
-    """The public nodes() of the first two draws at eta = -1: counts 2n-1
-    (sigma_z, sigma_y) and 2n (sigma_x), the sigma_y nodes exactly the
-    sigma_z ones, and both draws' at the roots of H_n and H_{n-1}, which
-    interlace: each within a Newton step |phi_k / phi_k'| (phi_k' =
-    sqrt(2k) phi_{k-1} - x phi_k) of a root, a test apart from the Jacobi
-    solve that placed them."""
+    """The nodes of the first two draws at eta = -1, one grid of both per
+    level, from the node routines Windings uses: counts 2n-1 (sigma_z and
+    sigma_y share zy_node_arrays' positions) and 2n (sigma_x), and the
+    sigma_z nodes at the roots of H_n and H_{n-1}, which interlace: each
+    within a Newton step |phi_k / phi_k'| (phi_k' = sqrt(2k) phi_{k-1} -
+    x phi_k) of a root, a test apart from the Jacobi solve that placed them."""
     if len(draws) < 2:
         return False, "needs at least two draws"
+    grid = ParamGrid.rows(draws[:2])
     worst_pos = 0.0
-    counts_ok = shared = True
+    counts_ok = True
     for n in levels:
-        sets = []
-        for params in draws[:2]:
-            level = LevelIndex(n, -1)
-            bq = block_quantities(params, n)
-            nz, ny, nx = (nodes(params, level, component, bq).positions for component in "zyx")
-            counts_ok &= len(nz) == 2 * n - 1 == len(ny)
-            counts_ok &= len(nx) == 2 * n
-            shared &= np.array_equal(ny, nz)
-            for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
-                lo, hi = phi_pair(k, x)
-                step = np.abs(hi / (math.sqrt(2 * k) * lo - x * hi))
-                worst_pos = max(worst_pos, float(np.max(step, initial=0.0)))
-            worst_pos = max(worst_pos, float(np.max(np.abs(ny - nz))))
-            sets.append(nz)
-        worst_pos = max(worst_pos, float(np.max(np.abs(sets[0] - sets[1]))))
-    return (counts_ok and shared and worst_pos < position,
+        windings = Windings(grid, LevelIndex(n, -1), block_quantities(grid, n))
+        nz, _ = zy_node_arrays(n, windings.coeffs.c_z)
+        counts_ok &= len(nz) == 2 * n - 1 and windings.x_nodes[0].shape == (2, 2 * n)
+        for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
+            lo, hi = phi_pair(k, x)
+            step = np.abs(hi / (math.sqrt(2 * k) * lo - x * hi))
+            worst_pos = max(worst_pos, float(np.max(step, initial=0.0)))
+    return (counts_ok and worst_pos < position,
             f"counts 2n-1/2n: {counts_ok}, max position deviation {worst_pos:.2e} (< {_bound_text(position)})")
 
 

@@ -54,7 +54,7 @@ def reference_margin(params, n_values, etas=(-1, 1)):
 
 
 def reference_draw(rng, n_max=8, high=1.2, margin=BOUNDARY_MARGIN):
-    """verify.draw_params one candidate at a time."""
+    """One draw of verify.draw_sets, scoring one candidate at a time."""
     n_values = range(1, n_max + 1)
     while True:
         omega, Omega, g, kappa, gamma, Gamma = rng.uniform(0.0, high, 6)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from nhjc.boundaries import SOLVABLE
 from nhjc.cli import main
+from nhjc.params import N_MAX, PARAM_MAX
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PARAMS = {"omega": 0.9, "Omega": 1.0, "g_rel": 0.1, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.1}
@@ -309,6 +311,51 @@ def test_out_of_memory_is_a_one_line_computation_error(params_file, capsys, monk
 def test_level_above_validity_domain_is_usage_error(params_file, command, capsys):
     rc = main([command, "--params", params_file, "--n", "250"])
     assert "--n" in _one_line_usage_error(rc, capsys)
+
+
+# configs/reference.json scaled so that Omega sits at the bound
+_AT_BOUND = {"omega": 0.9 * PARAM_MAX, "Omega": PARAM_MAX, "g_rel": 0.1,
+             "kappa": 0.5 * PARAM_MAX, "gamma": 0.2 * PARAM_MAX, "Gamma": 0.1 * PARAM_MAX}
+_PAST_BOUND = math.nextafter(PARAM_MAX, math.inf)
+_NOT_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("n", [1, N_MAX])
+def test_outputs_at_the_parameter_bound_are_finite(tmp_path, capsys, n):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(_AT_BOUND))
+    for command in ("eigen", "texture", "winding"):
+        assert main([command, "--params", str(path), "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert out and not _NOT_FINITE.search(out), command
+
+
+@pytest.mark.parametrize("command", ["eigen", "texture", "winding", "boundaries"])
+def test_parameters_past_the_bound_are_one_line_usage_errors(tmp_path, capsys, command):
+    # "Gamma": 1e160 ended in an OverflowError traceback from the |z|^2 of the norm
+    path = tmp_path / "params.json"
+    for name, value in [("Gamma", 1e160), ("g_rel", 1e160), ("omega", _PAST_BOUND), ("Omega", _PAST_BOUND),
+                        ("g", -_PAST_BOUND), ("kappa", _PAST_BOUND), ("gamma", -_PAST_BOUND),
+                        ("Gamma", _PAST_BOUND)]:
+        params = {key: v for key, v in PARAMS.items() if not (name == "g" and key == "g_rel")}
+        path.write_text(json.dumps(dict(params, **{name: value})))
+        argv = [command, "--params", str(path), "--n", "1"]
+        if command == "boundaries":
+            argv += ["--solve-for", "Gamma"]
+        err = _one_line_usage_error(main(argv), capsys)
+        assert f"'{'g' if name == 'g_rel' else name}' must have magnitude <= 1e+152" in err
+
+
+@pytest.mark.parametrize("low", [-PARAM_MAX, -_PAST_BOUND])
+def test_sweep_axis_ends_are_held_to_the_bound(tmp_path, capsys, low):
+    spec = {"params": PARAMS, "axes": [{"name": "g", "min": low, "max": PARAM_MAX, "count": 3}],
+            "levels": [{"n": 1}, {"n": N_MAX}], "observables": ["thetaT", "deltaPlus", "CtZ"]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    rc = main(["sweep", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.csv")])
+    if low == -PARAM_MAX:
+        assert rc == 0 and "inf" not in (tmp_path / "out.csv").read_text()
+    else:
+        assert "'g' must have magnitude <= 1e+152" in _one_line_usage_error(rc, capsys)
 
 
 def _sweep_spec_error(tmp_path, capsys, **extra):

@@ -1,5 +1,5 @@
 """The behavioural contract: every shipped sweep spec, run at its shipped
-size, writes the same bytes as before, and so does `nhjc verify --quick`.
+size, writes the same bytes as before, and so do three `nhjc verify` runs.
 The sha256 values were taken from the outputs of the code the boundary
 overlays and the boundary checks of verify were evaluated with one point at
 a time; the four surfaces_* and two tilt_scan_* specs replace experiment
@@ -70,6 +70,10 @@ SWEEP_FILES = {
 # the "invariant nodes" line reads the Newton step from each node to its
 # Hermite root (1.14e-16), where it read a deviation of 0 by construction
 VERIFY_QUICK = "8191cb769a3e3fec0dba718c13161f2b499c259a13a2326dff679e399da714b7"
+# the node check at n = 8, which the quick run (n <= 6) does not reach, and
+# the reversal check at n = 1..5
+VERIFY_FULL = "f50976257edb658cdf8e51584e2e38d55cadd7625ec532f984d75c53a7ba1a32"
+VERIFY_SEED_7 = "c20efd97d413e15772651d93b2de7d48e563abd1805bcb953d70a72fcb4a0508"
 
 
 def _sha256(data: bytes) -> str:
@@ -94,3 +98,14 @@ def test_quick_verify_report_is_pinned():
     with contextlib.redirect_stdout(out):
         assert main(["verify", "--quick"]) == 0
     assert _sha256(out.getvalue().encode()) == VERIFY_QUICK
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], VERIFY_FULL),
+    (["--draws", "50", "--n-max", "8", "--seed", "7"], VERIFY_SEED_7),
+], ids=["full", "seed-7"])
+def test_verify_report_is_pinned(argv, expected):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", *argv]) == 0
+    assert _sha256(out.getvalue().encode()) == expected

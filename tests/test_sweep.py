@@ -33,6 +33,7 @@ from nhjc import (
     tilting_angle,
     winding_report,
 )
+from nhjc.params import ParamGrid
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
 from reference_boundaries import reference_overlay
@@ -309,9 +310,10 @@ def test_cy_margin_is_normalised_by_cy_terms():
     g, Gamma = params.g, params.Gamma
     scale_cy = (abs(Gamma * c.d_Omega_omega) + abs(g * c.d_kappa_gamma)
                 + 2.0 * bq.R * (abs(g) + abs(Gamma)))
-    margin = boundary_margin(params, [8], etas=(-1,))
+    grid = ParamGrid.rows([params])
+    margin = boundary_margin(grid, [8], etas=(-1,)).item()
     assert margin == pytest.approx(abs(coeffs.c_y) / scale_cy, rel=1e-12)
-    assert boundary_margin(params, range(1, 9)) == margin >= BOUNDARY_MARGIN
+    assert boundary_margin(grid, range(1, 9)).item() == margin >= BOUNDARY_MARGIN
 
 
 def test_on_boundary_and_boundary_margin_share_normalisers():
@@ -323,8 +325,8 @@ def test_on_boundary_and_boundary_margin_share_normalisers():
                      levels=(level,), observables=("CtY",))
     result = run_sweep(spec)
     flags = [row[result.columns.index("on_boundary")] for row in result.rows]
-    margins = [boundary_margin(DRAW_122.with_value("gamma", row[0]), [8], etas=(-1,))
-               for row in result.rows]
+    grid = ParamGrid.rows([DRAW_122.with_value("gamma", row[0]) for row in result.rows])
+    margins = boundary_margin(grid, [8], etas=(-1,)).ravel().tolist()
     assert any(flags) and not all(flags)
     assert [bool(f) for f in flags] == [m < 1e-9 for m in margins]
 

@@ -77,10 +77,10 @@ def test_alive_mask_is_the_hypot_test_bit_for_bit():
 
 
 def test_node_sum_equals_integral_on_random_states(rng):
-    from nhjc.verify import draw_params
+    from nhjc.verify import draw_sets
 
     for _ in range(12):
-        params = draw_params(rng, n_max=6)
+        params = draw_sets(rng, 1, n_max=6)[0]
         for n in (1, 2, 4, 6):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
@@ -101,10 +101,10 @@ def test_both_sign_sum_forms_agree_despite_count_mismatch(reference_params):
 
 
 def test_direction_law_matches_integral(rng):
-    from nhjc.verify import draw_params
+    from nhjc.verify import draw_sets
 
     for _ in range(10):
-        params = draw_params(rng, n_max=5)
+        params = draw_sets(rng, 1, n_max=5)[0]
         level = LevelIndex(5, -1)
         coeffs = texture_coefficients(params, level)
         reports = winding_report(params, level, PLANES)

@@ -1,7 +1,9 @@
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import nhjc
 import nhjc.boundaries
 import nhjc.spectrum
+import nhjc.sweep
 import nhjc.texture
 import nhjc.topology
 import nhjc.verify
@@ -16,15 +19,17 @@ from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_s
 from nhjc.cli import main
 from nhjc.oscillator import hermite_roots
 from nhjc.params import PARAM_NAMES, ParamGrid
+from nhjc.sweep import SweepSpec, run_sweep
 from nhjc.verify import (
     _CHECKS,
     DEFAULT_SEED,
     boundary_margin,
-    draw_params,
     draw_sets,
     run_suite,
 )
 from reference_verify import check_winding, reference_draw, reference_margin, reference_suite, reversal_identity
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BATCHED = ("eigen", "dual-route", "parity", "hermitian", "winding", "tilting")
 
@@ -39,7 +44,7 @@ def seeded_draws(count, n_max, seed=DEFAULT_SEED):
     """The first `count` draws of run_suite's seeded sequence; its winding
     draws are the first max(4, draws // 4) of them."""
     rng = np.random.default_rng(seed)
-    return [draw_params(rng, n_max) for _ in range(count)]
+    return [draw_sets(rng, 1, n_max)[0] for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
@@ -74,7 +79,7 @@ def test_drawn_sets_match_the_scalar_reference(seed, n_max, margin):
     assert draw_sets(rng, 60, n_max, margin=margin) == [reference_draw(reference, n_max, margin=margin)
                                                          for _ in range(60)]
     assert rng.bit_generator.state == reference.bit_generator.state
-    assert draw_params(rng, n_max, margin=margin) == reference_draw(reference, n_max, margin=margin)
+    assert draw_sets(rng, 1, n_max, margin=margin) == [reference_draw(reference, n_max, margin=margin)]
 
 
 def test_margins_over_a_grid_match_the_scalar_reference():
@@ -92,9 +97,9 @@ def test_margins_over_a_grid_match_the_scalar_reference():
         try:
             expected = reference_margin(params, range(1, 9))
         except NhjcError:
-            assert math.isnan(margin) and math.isnan(boundary_margin(params, range(1, 9)))
+            assert math.isnan(margin) and math.isnan(boundary_margin(ParamGrid.rows([params]), range(1, 9)).item())
         else:
-            assert margin == expected == boundary_margin(params, range(1, 9))
+            assert margin == expected == boundary_margin(ParamGrid.rows([params]), range(1, 9)).item()
     assert margins[:2].tolist() == [0.0, 0.0] and math.isnan(margins[3])
 
 
@@ -213,17 +218,30 @@ def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
 
 
 def _count_kernel_calls(monkeypatch):
+    """Count block_quantities calls through every nhjc binding of it; each
+    call records whether it was passed a ModelParams."""
     original = nhjc.spectrum.block_quantities
     calls = []
 
     def counted(params, n):
-        calls.append(n)
+        calls.append(isinstance(params, ModelParams))
         return original(params, n)
 
-    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.boundaries, nhjc.verify):
-        if getattr(module, "block_quantities", None) is original:
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "nhjc" and vars(module).get("block_quantities") is original:
             monkeypatch.setattr(module, "block_quantities", counted)
     return calls
+
+
+def test_suite_and_plane_sweep_pass_the_kernel_only_grids(monkeypatch):
+    # the node check and the reversal check's reference configuration took
+    # 26 records in this run_suite call, one draw or one level at a time
+    calls = _count_kernel_calls(monkeypatch)
+    assert all(result.passed for result in run_suite(50, 8, seed=7))
+    suite_calls = len(calls)
+    run_sweep(SweepSpec.load(CONFIGS / "sweep_gamma_g_plane.json"))
+    assert suite_calls > 0 and len(calls) > suite_calls
+    assert not any(calls)
 
 
 @pytest.mark.parametrize("key", ["boundaries", "reversal-identity"],

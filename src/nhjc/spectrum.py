@@ -59,6 +59,9 @@ _EP_RTOL = 1e-14
 # eigenvector is considered collapsed
 _DEGENERATE_RTOL = 1e-24
 
+# distance (BlockQuantities.distances) within float reach of an R/GR/SI boundary
+BOUNDARY_RTOL = 1e-9
+
 # a point whose |off|^2 (a lower bound of the norm) clears the degeneracy
 # floor by this factor is not degenerate
 _CLEAR_MARGIN = 100.0
@@ -158,10 +161,10 @@ class EigenSolution:
 @dataclass(frozen=True)
 class GapPair:
     """Real-part gaps: delta_minus within the block, delta_plus to the
-    nearest adjacent block (either branch, E0 for n' = 0)."""
+    nearest adjacent block (either branch, E0 for n' = 0; or None)."""
 
     delta_minus: float
-    delta_plus: float
+    delta_plus: float | None
 
 
 @quiet_overflow
@@ -285,14 +288,15 @@ def _re_energies(params: ModelParams | ParamGrid, n: int,
     return (bq.re_energy(1), bq.re_energy(-1))
 
 
-def gaps(params: ModelParams | ParamGrid, n: int, block: BlockQuantities | None = None) -> GapPair:
+def gaps(params: ModelParams | ParamGrid, n: int, block: BlockQuantities | None = None,
+         neighbours: bool = True) -> GapPair:
     """Intra-block gap delta_minus = |Re E(n,+) - Re E(n,-)| and the smallest
     real-part distance delta_plus to the blocks n-1 and n+1 (both branches).
-    Block n is evaluated here unless the caller passes it."""
+    Block n is evaluated here unless the caller passes it; neighbours=False
+    skips blocks n-1 and n+1 and leaves delta_plus None."""
     if n < 1:
         raise ValidationError(f"block index n must be >= 1, got {n}")
     own = _re_energies(params, n, block)
-    delta_minus = abs(own[0] - own[1])
-    neighbors = _re_energies(params, n - 1) + _re_energies(params, n + 1)
-    delta_plus = minimum(*(abs(a - b) for a in own for b in neighbors))
-    return GapPair(delta_minus=delta_minus, delta_plus=delta_plus)
+    others = _re_energies(params, n - 1) + _re_energies(params, n + 1) if neighbours else ()
+    delta_plus = minimum(*(abs(a - b) for a in own for b in others)) if neighbours else None
+    return GapPair(delta_minus=abs(own[0] - own[1]), delta_plus=delta_plus)

@@ -12,30 +12,23 @@ subset of the observables
     CtZ, CtY    closed-form texture coefficients
 
 Each level is evaluated over the whole grid at once, in blocks of 1024
-points: block_quantities takes the grid's parameter arrays (a ParamGrid), so
-a level costs one kernel call for block n plus two for the neighbouring
-blocks n-1 and n+1 that deltaPlus needs. Exceptional, degenerate, n = 0 and
-on_boundary points are masks within the same arrays. The rows are bit for
-bit what eigen_solution, texture_coefficients, gaps, tilting_angle and
-winding_report give point by point.
+points: one kernel call for block n, plus blocks n-1 and n+1 for deltaPlus.
+Exceptional, degenerate, n = 0 and on_boundary points (within BOUNDARY_RTOL
+of an R, GR or SI boundary, where the direction-dependent columns are nan)
+are masks within the same arrays. The rows are bit for bit what
+eigen_solution, texture_coefficients, gaps, tilting_angle and winding_report
+give point by point.
 
-Winding numbers are the exact-integer node sums of topology.Windings, one
-sigma_x node solve per level and block; a deterministic 1% subsample of rows
-is re-derived by its phase-unwrapping integral, a level at a time, and a
-mismatch aborts the sweep naming the row. Any other error, the spot check's
-too, names the failing grid point, n and eta. Points
-within 1e-9 (relative) of a reversal/gapped-reversal/super-invariant boundary
-are flagged on_boundary and their direction-dependent observables are left as
-nan, since the winding direction is genuinely undefined there. The distances
-and their normalisers are those of spectrum.BlockQuantities, which verify's
-draw margins use too.
+Winding numbers are the exact-integer node sums of topology.Windings, which
+solve no sigma_x node. A deterministic 1% subsample of rows is re-derived by
+its phase-unwrapping integral, and a mismatch aborts the sweep naming the
+row; any other error names the grid point, n and eta.
 
-Output is a flat table (one row per grid point per level, levels innermost)
-rendered to CSV through one format string per table, with 17-significant-digit
-floats and 0/1 integer flags, so identical specs reproduce byte-identical
-files. Boundary overlays are written as sibling curves sampled on the same
-axes: each family is solved over the grid of the sampled axes at once, one
-call per level (boundaries._solve).
+The table is kept as one array per column (one row per grid point per
+level, levels innermost) and rendered to CSV column by column, with
+17-significant-digit floats and 0/1 flags, so identical specs give
+byte-identical files. Each overlay family is solved over the grid of the
+other axes at once, one call per level (boundaries._solve).
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +46,8 @@ import numpy as np
 from .boundaries import SOLVABLE, _solve
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
-from .spectrum import block_quantities, branch_solution, eigen_solution, gaps
-from .texture import branch_coefficients
+from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
+from .texture import TextureCoefficients, branch_coefficients
 from .topology import Windings, tilt_of
 
 __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
@@ -65,7 +58,6 @@ OVERLAY_FAMILIES = ("R", "GR", "SI")
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
-_BOUNDARY_RTOL = 1e-9
 _GRID_BLOCK = 1024
 _SPOT_CHECK_SEED = 20240901
 
@@ -179,13 +171,23 @@ def _spec_number(data: dict, key: str, kind=float, default=None):
 
 @dataclass
 class SweepResult:
+    """A sweep's table, one array per column (windings as floats, nan off
+    the checked points), and its overlays. rows builds the rows, as Python
+    values with int windings, on each read."""
+
     spec: SweepSpec
     columns: tuple[str, ...]
-    rows: list[tuple]
+    table: dict[str, np.ndarray]
     overlays: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
 
+    @property
+    def rows(self) -> list[tuple]:
+        cells = ((name, self.table[name].tolist()) for name in self.columns)
+        return list(zip(*([v if math.isnan(v) else int(v) for v in c] if name in WINDINGS else c
+                          for name, c in cells)))
+
     def to_csv(self, path: str | Path) -> None:
-        _write_csv(path, self.columns, self.rows)
+        _write_table(path, self.spec, self.columns, self.table)
         for family, (cols, rows) in self.overlays.items():
             _write_csv(f"{path}.overlay.{family}.csv", cols, rows)
 
@@ -204,23 +206,33 @@ class SweepResult:
 
 
 def _json_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    value = float(value)
-    if math.isnan(value):
-        return None
-    return value
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    return int(value) if isinstance(value, bool) else value
+
+
+def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -> None:
+    """The table as CSV, a block of _GRID_BLOCK rows at a time: each axis
+    value, n and eta is formatted once, the flags are one of 8 strings, and
+    only the observable cells go through '%.17g'."""
+    texts = {axis.name: {v: "%.17g," % v for v in axis.values().tolist()} for axis in spec.axes}
+    texts.update({name: {v: f"{v}," for v in (getattr(lv, name) for lv in spec.levels)} for name in ("n", "eta")})
+    flag_text = np.array(["%d,%d,%d\n" % bits for bits in product((0, 1), repeat=3)], dtype=object)
+    row_format = "%s" * len(texts) + "%.17g," * len(spec.observables) + "%s"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table["n"]), _GRID_BLOCK):
+            rows = slice(start, start + _GRID_BLOCK)
+            cells = [list(map(text.__getitem__, table[name][rows].tolist())) for name, text in texts.items()]
+            cells += [table[name][rows].tolist() for name in spec.observables]
+            flags = sum(table[name][rows] * bit for name, bit in zip(FLAG_COLUMNS, (4, 2, 1)))
+            cells.append(flag_text[flags].tolist())
+            fh.writelines(map(row_format.__mod__, zip(*cells)))
 
 
 def _write_csv(path, columns, rows) -> None:
-    """The table with one %-format per row: '%.17g' writes a float as
-    format(x, '.17g') does and a bool or an int exactly (every int in a
-    table is at most N_MAX); a column whose first cell is a str (the
-    overlay note) is written as it is."""
+    """An overlay table, one %-format per row: '%.17g' for a float, bool or
+    int, and a column whose first cell is a str (the note) as it is."""
     first = rows[0] if rows else ()
     row_format = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -233,56 +245,57 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     (axes row-major, levels innermost) and byte-identical CSV output."""
     columns = tuple(a.name for a in spec.axes) + ("n", "eta") + tuple(spec.observables) + FLAG_COLUMNS
     volumetric = spec.volumetric if spec.volumetric is not None else len(spec.axes) < 3
-    rows = _grid_rows(spec, columns) if volumetric else []
+    table = _grid_table(spec, columns) if volumetric else dict.fromkeys(columns, np.empty(0))
     overlays = {family: _overlay(spec, family) for family in spec.overlays}
-    return SweepResult(spec=spec, columns=columns, rows=rows, overlays=overlays)
+    return SweepResult(spec=spec, columns=columns, table=table, overlays=overlays)
 
 
-def _grid_rows(spec: SweepSpec, columns) -> list[tuple]:
-    """Every row of the table. Each level is evaluated over a block of grid
-    points at once; the blocks bound the memory the arrays take."""
+def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
+    """Every column of the table. Each level is evaluated over a block of
+    grid points at once; the blocks bound the memory."""
     grid = ParamGrid.product(spec.base, {a.name: a.values() for a in spec.axes})
-    coords = [getattr(grid, a.name).tolist() for a in spec.axes]
-    size, levels = len(coords[0]), len(spec.levels)
-    rows, winding_rows = [], []
+    size, levels = grid.g.size, len(spec.levels)
+    table = {a.name: np.repeat(getattr(grid, a.name), levels) for a in spec.axes}
+    table.update((name, np.tile([getattr(level, name) for level in spec.levels], size)) for name in ("n", "eta"))
+    table.update((name, np.empty(size * levels, bool if name in FLAG_COLUMNS else float))
+                 for name in columns[len(spec.axes) + 2:])
+    winding_rows = []
     for start in range(0, size, _GRID_BLOCK):
         block = grid.take(slice(start, start + _GRID_BLOCK))
         count = block.g.size
-        block_coords = [c[start:start + count] for c in coords]
-        tables = []
         for k, level in enumerate(spec.levels):
             try:
-                values, flags, checked = _level_columns(block, level, spec.observables)
+                values, checked = _level_columns(block, level, spec.observables)
             except NhjcError as exc:
-                raise _named(exc, spec, coords, range(start, start + count), level) from exc
-            tables.append(zip(*block_coords, [level.n] * count, [level.eta] * count, *values, *flags))
-            winding_rows.extend((start + point) * levels + k for point in checked.tolist())
-        rows.extend(chain.from_iterable(zip(*tables)))
-    _spot_check(spec, grid, coords, columns, rows, sorted(winding_rows))
-    return rows
+                raise _named(exc, spec, grid, range(start, start + count), level) from exc
+            rows = slice(start * levels + k, (start + count) * levels, levels)
+            for name, column in values.items():
+                table[name][rows] = column
+            winding_rows.append((start + checked) * levels + k)
+    _spot_check(spec, grid, columns, table, np.sort(np.concatenate(winding_rows)))
+    return table
 
 
-def _named(exc: NhjcError, spec: SweepSpec, coords, points, level: LevelIndex) -> NhjcError:
+def _named(exc: NhjcError, spec: SweepSpec, grid: ParamGrid, points, level: LevelIndex) -> NhjcError:
     """exc again, naming the grid point points[exc.index] (or the grid), n and eta."""
     if exc.index is None:
         at = "on the grid"
     else:
-        at = "at " + ", ".join(f"{a.name}={c[points[exc.index]]!r}" for a, c in zip(spec.axes, coords))
+        point = points[exc.index]
+        at = "at " + ", ".join(f"{a.name}={getattr(grid, a.name)[point].item()!r}" for a in spec.axes)
     return type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})")
 
 
 def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
-    """One level over the grid: a list per observable, the (degenerate,
-    exceptional, on_boundary) flag lists and the indices of the points whose
-    windings came from the node sum (the spot check's population)."""
+    """One level over the grid: {column: array or scalar} for the observables
+    and flags, and the indices of the points whose windings came from the
+    node sum (the spot check's population)."""
     n, size = level.n, grid.g.size
     windings = [obs for obs in observables if obs in WINDINGS]
     if n == 0:
-        im_energy = eigen_solution(grid, level).im_energy.tolist()
-        nans = [math.nan] * size
-        values = [im_energy if obs == "imE" else [0] * size if obs in windings else nans
-                  for obs in observables]
-        return values, ([True] * size, [False] * size, [False] * size), np.empty(0, int)
+        im_energy = eigen_solution(grid, level).im_energy
+        values = {obs: im_energy if obs == "imE" else 0.0 if obs in windings else math.nan for obs in observables}
+        return dict(values, degenerate=True, exceptional=False, on_boundary=False), np.empty(0, int)
 
     bq = block_quantities(grid, n)
     sol, degenerate = branch_solution(grid, level, bq)
@@ -291,19 +304,20 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     regular = ~(exceptional | degenerate)
     coeffs = branch_coefficients(grid, level.eta, bq)
     # within float reach of an R (branch cut), GR (Cz = 0) or SI (Cy = 0) point
-    on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < _BOUNDARY_RTOL)
+    on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < BOUNDARY_RTOL)
     # the winding direction is undefined on a boundary
     checked = np.flatnonzero(regular & ~on_boundary) if windings else np.empty(0, int)
-    signed = dict.fromkeys(windings, np.empty(0, int))
-    if checked.size:  # a failed check names its point by its index into the grid
+    if windings:  # a failed check names its point by its index into the grid
         try:
-            found = Windings(grid.take(checked[:, None]), level, bq.take(checked[:, None]))
+            held = TextureCoefficients(coeffs.c_z[checked], coeffs.c_y[checked], coeffs.d_x[checked])
+            found = Windings(grid.take(checked[:, None]), level, bq.take(checked[:, None]), held)
             signed = {obs: found.node_sums(obs[2:]) for obs in windings}
         except NhjcError as exc:
             exc.index = None if exc.index is None else int(checked[exc.index])
             raise
-    gp = gaps(grid, n, bq) if {"deltaMinus", "deltaPlus"}.intersection(observables) else None
-    values = []
+    if {"deltaMinus", "deltaPlus"} & set(observables):
+        gp = gaps(grid, n, bq, neighbours="deltaPlus" in observables)
+    values = dict(degenerate=degenerate, exceptional=exceptional, on_boundary=on_boundary)
     for obs in observables:
         if obs == "thetaT":
             defined = regular & ((coeffs.c_z != 0.0) | (coeffs.c_y != 0.0))
@@ -318,21 +332,21 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
         elif obs in ("CtZ", "CtY"):
             column = np.where(regular, coeffs.c_z if obs == "CtZ" else coeffs.c_y, math.nan)
         else:  # integer windings on the checked points, nan elsewhere
-            column = np.full(size, math.nan, dtype=object)
-            column[checked] = signed[obs].tolist()
-        values.append(column.tolist())
-    return values, (degenerate.tolist(), exceptional.tolist(), on_boundary.tolist()), checked
+            column = np.full(size, math.nan)
+            column[checked] = signed[obs]
+        values[obs] = column
+    return values, checked
 
 
-def _spot_check(spec: SweepSpec, grid: ParamGrid, coords, columns, rows, winding_rows) -> None:
+def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, table, winding_rows: np.ndarray) -> None:
     """Re-derive a deterministic 1% subsample of windings via the integral,
     a level at a time over blocks of the picked rows; winding_rows are the
     indices of the rows with node-sum windings. An error names its point."""
-    if not winding_rows or spec.spot_check_fraction <= 0.0:
+    if not winding_rows.size or spec.spot_check_fraction <= 0.0:
         return
     count = max(1, round(spec.spot_check_fraction * len(winding_rows)))
     picks = random.Random(_SPOT_CHECK_SEED).sample(range(len(winding_rows)), min(count, len(winding_rows)))
-    picked = np.array(winding_rows)[sorted(picks)]
+    picked = winding_rows[sorted(picks)]
     planes = [obs for obs in spec.observables if obs in WINDINGS]
     levels = len(spec.levels)
     for start in range(0, len(picked), _GRID_BLOCK):
@@ -346,17 +360,14 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, coords, columns, rows, winding
                 found = Windings(points, level, block_quantities(points, level.n)).integrals(
                     [obs[2:] for obs in planes])
             except NhjcError as exc:
-                raise _named(exc, spec, coords, at // levels, level) from exc
-            for i, row_index in enumerate(at.tolist()):
-                row = rows[row_index]
-                for obs, (signed, _) in zip(planes, found.values()):
-                    fast, slow = row[columns.index(obs)], int(signed[i])
-                    if int(fast) != slow:
-                        raise SweepConsistencyError(
-                            f"winding methods disagree at row {row_index} "
-                            f"({', '.join(f'{c}={v}' for c, v in zip(columns, row))}): "
-                            f"node-sum {fast} vs integral {slow} in {obs}"
-                        )
+                raise _named(exc, spec, grid, at // levels, level) from exc
+            fast = np.stack([table[obs][at] for obs in planes], axis=-1)
+            slow = np.stack([signed for signed, _ in found.values()], axis=-1)
+            for i, j in np.argwhere(fast != slow)[:1].tolist():  # the first by row, then by plane
+                row = SweepResult(spec, columns, table).rows[at[i]]
+                cells = ", ".join(f"{c}={v}" for c, v in zip(columns, row))
+                raise SweepConsistencyError(f"winding methods disagree at row {at[i]} ({cells}): "
+                                            f"node-sum {int(fast[i, j])} vs integral {slow[i, j]} in {planes[j]}")
 
 
 def _overlay(spec: SweepSpec, family: str):

@@ -28,13 +28,15 @@ Nodes: <sigma_z> and <sigma_y> vanish exactly at the union of the roots of
 H_{n-1} and H_n (2n-1 points, independent of all model parameters), while
 <sigma_x> has 2n parameter-dependent zeros, located where the stable ratio
 phi_n/phi_{n-1} equals +-|C_up|/|C_down|; oscillator.ratio_roots solves both
-level sets at once as eigenvalues of one stacked pair of Jacobi matrices.
-Both node families are computed for a batch of points at once (one row per
-point, one ratio_roots call for the batch); a single point is a batch of one.
+level sets at once as eigenvalues of one stacked pair of Jacobi matrices,
+for a batch of points (one row per point). The order of all 4n-1 nodes is
+the same at every point (node_order): only the winding integral, nodes and
+verify's node check solve the positions, and check them against that order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -241,28 +243,42 @@ def zy_node_arrays(n: int, amp) -> tuple[np.ndarray, np.ndarray]:
     return positions, _alternating(-np.sign(amp).astype(int), len(positions) + 1)
 
 
-def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2n sigma_x nodes of level n for a 1-D batch of coefficient ratios
-    rho = |C_up|/|C_down|: positions of shape (batch, 2n) and the section
-    signs shared by all.
+@functools.lru_cache(maxsize=None)
+def node_order(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(positions, signs) of the sigma_z / sigma_y and the sigma_x nodes of
+    level n at every point with 0 < rho < inf: their ranks in the order the
+    interlacing theorem fixes (topology), the sigma_x nodes at the even ones,
+    and one row of sigma_z / sigma_y signs per amplitude sign -1, 0, +1."""
+    ranks, amp_signs = np.arange(4 * n - 1), np.array([-1, 0, 1])
+    return (ranks[1::2], _alternating(-amp_signs, 2 * n)), (ranks[0::2], _alternating(-1, 2 * n + 1))
 
-    They solve phi_n/phi_{n-1} = +-rho, one pair per branch of the ratio
-    between consecutive poles (roots of H_{n-1}). A failed check raises
-    NodeCountError with the index of the first failing element.
-    """
+
+def check_ratios(rho: np.ndarray) -> None:
+    """NodeCountError, with the index of the first offender, unless each
+    ratio of the 1-D batch lies in (0, inf), where sigma_x has 2n nodes."""
     usable = (rho > 0.0) & (rho < math.inf)
     if not usable.all():
         i = int(np.argmin(usable))
         raise NodeCountError(f"coefficient ratio {float(rho[i])!r} admits no sigma_x nodes", index=i)
+
+
+def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n sigma_x nodes of level n for a 1-D batch of coefficient ratios
+    rho = |C_up|/|C_down|: positions of shape (batch, 2n), solving phi_n /
+    phi_{n-1} = +-rho, and the section signs shared by all. Their order
+    (node_order) and the texture's sign between them are checked; a failure
+    raises NodeCountError with the index of the first failing element."""
+    check_ratios(rho)
     # the ratio rises from -inf to +inf on every branch, passing -rho before
-    # +rho, so the k-th solutions of the two interleave
+    # +rho: the k-th solutions of the two interleave
     positions = ratio_roots(n, np.stack((-rho, rho), axis=-1)).swapaxes(-1, -2).reshape(len(rho), 2 * n)
-    ordered = (np.diff(positions) > 0.0).all(axis=-1)
-    if positions.shape[-1] != 2 * n or not ordered.all():
-        raise NodeCountError(
-            f"sigma_x node refinement for n={n} produced {positions.shape[-1]} "
-            "nodes or a non-monotone ordering", index=int(np.argmin(ordered)),
-        )
+    # node k lies strictly inside gap k of the sorted roots of H_{n-1} and H_n
+    roots, gap = zy_node_arrays(n, 1.0)[0], np.arange(2 * n)
+    interlaced = ((np.searchsorted(roots, positions, side="left") == gap)
+                  & (np.searchsorted(roots, positions, side="right") == gap)).all(axis=-1)
+    if not interlaced.all():
+        raise NodeCountError(f"sigma_x node refinement for n={n} left a node outside its interval between "
+                             "the roots of H_n and H_(n-1)", index=int(np.argmin(interlaced)))
     # sections alternate, starting and ending at the asymptotic sign -1;
     # verify against the sampled sign of the texture at the midpoints
     signs = _alternating(-1, 2 * n + 1)

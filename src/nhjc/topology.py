@@ -2,21 +2,28 @@
 
 The winding number of the planar vector (<sigma_a(x)>, <sigma_b(x)>) over the
 real line is computed two independent ways by Windings, for a batch of points
-of one level from one sigma_x node solve (the sweep, its spot check, verify
-and winding_report all go through it):
+of one level (the sweep, its spot check, verify and winding_report all go
+through it):
 
  * integrals: accumulated angle by phase unwrapping over the texture sampled
-   on each point's winding grid (each step folded into (-pi, pi)); equivalent
-   to the defining integral because the eigenstate windings have no returning
-   knots. The raw total/2pi is rounded to an integer and the distance is
-   reported as the residual.
+   on each point's winding grid, refined around the solved sigma_x nodes
+   (each step folded into (-pi, pi)); equivalent to the defining integral
+   because the eigenstate windings have no returning knots. The raw
+   total/2pi is rounded to an integer, its distance reported as residual.
 
  * node_sums: the algebraic sign-sum over the nodes of either component;
-   exact integer arithmetic, no sampling. Both sign-sum forms (summing over
-   the nodes of a with signs of b, and vice versa) are evaluated and must
-   agree. End signs at infinity are analytic limits: sgn<sigma_{z,y}> -> 0
-   while |sgn<sigma_x>| -> 1 with sign -1 (the -H_n^2 term dominates in both
-   tails).
+   exact integer arithmetic, no sampling, both forms (over the nodes of a
+   with signs of b, and vice versa) evaluated and required to agree. End
+   signs at infinity are analytic limits: sgn<sigma_{z,y}> -> 0 while
+   sgn<sigma_x> -> -1 (the -H_n^2 term dominates in both tails). The sum
+   reads only the order of the nodes: sigma_z,y vanish at the roots of
+   H_{n-1} and H_n, sigma_x where phi_n/phi_{n-1} = +-rho, and that ratio
+   rises from -inf to +inf between consecutive roots of H_{n-1} (Christoffel-
+   Darboux and the interlacing of the zeros of consecutive orthogonal
+   polynomials: Szego, Orthogonal Polynomials, 3.3), meeting -rho, a root of
+   H_n, then +rho. For every 0 < rho < inf the order is thus fixed by n
+   (texture.node_order), with no solve. Positions are solved only for
+   integrals, texture.nodes and verify's node check, checked against it.
 
 Directions: the winding is counter-clockwise iff the plane's coefficient
 (Cz for zx, Cy for yx) is negative, so the signed winding is
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,18 +64,18 @@ from .errors import (
 )
 from .oscillator import hermite_roots
 from .params import LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, raise_where, where
-from .spectrum import BlockQuantities, block_quantities, eigen_solution
+from .spectrum import BOUNDARY_RTOL, BlockQuantities, block_quantities
 from .texture import (
     STANDARD_POINTS,
     SpinTexture,
     TextureCoefficients,
-    branch_coefficients,
+    check_ratios,
     coefficient_ratio,
+    node_order,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     x_node_arrays,
-    zy_node_arrays,
 )
 
 __all__ = [
@@ -196,26 +204,17 @@ def _sign_sum(outer: str, outer_signs: np.ndarray, other_at_nodes: np.ndarray,
 
 def node_sum_windings(plane: str, alpha, beta) -> np.ndarray:
     """Signed node-sum windings of a batch of points in the plane. alpha and
-    beta are the (positions, signs) of the two components' nodes: alpha's
-    positions are shared by the batch, the others are shared (1-D) or one row
-    per point (2-D). A failed check raises AntiWindingError with the index of
-    the first failing point."""
+    beta are the (positions, signs) of the two components' nodes: positions
+    shared by the batch, signs one row per point (2-D) or shared (1-D). A
+    failed check raises AntiWindingError with the index of the first failing
+    point."""
     a, b = plane[0], plane[1]
     ends_alpha, ends_beta = _END_SIGNS
-    a_pos = np.asarray(alpha[0])
-    b_pos, a_signs, b_signs = (np.atleast_2d(v) for v in (beta[0], alpha[1], beta[1]))
-    batch = np.broadcast_shapes((len(b_pos),), (len(a_signs),), (len(b_signs),))[0]
-    rows = np.arange(batch)[:, None]
+    (a_pos, a_signs), (b_pos, b_signs) = ((pos, np.atleast_2d(signs)) for pos, signs in (alpha, beta))
     # a component's sign at a node of the other is that of its section
-    # number bisect_left(positions, node); a single row of signs serves all
-    a_at_b = a_signs[rows if len(a_signs) != 1 else 0, np.searchsorted(a_pos, b_pos)]
-    # beta node j lies below alpha node k iff at most k alpha nodes lie at or
-    # below it; offset by row, these counts form one sorted array
-    m, k = len(a_pos) + 1, b_pos.shape[-1]
-    b_rows = rows[:len(b_pos)]
-    at_or_below = (np.searchsorted(a_pos, b_pos, side="right") + m * b_rows).ravel()
-    b_below_a = np.searchsorted(at_or_below, m * b_rows + np.arange(m - 1), side="right") - k * b_rows
-    b_at_a = b_signs[rows if len(b_signs) != 1 else 0, b_below_a]
+    # number bisect_left(positions, node)
+    a_at_b = a_signs[:, np.searchsorted(a_pos, b_pos)]
+    b_at_a = b_signs[:, np.searchsorted(b_pos, a_pos)]
     quarters_a = -_sign_sum(b, b_signs, a_at_b, ends_alpha)
     quarters_b = _sign_sum(a, a_signs, b_at_a, ends_beta)
     bad = np.flatnonzero((quarters_a % 4 != 0) | (quarters_a != quarters_b))
@@ -293,23 +292,31 @@ _CHUNK_POINTS = 2 ** 14
 
 class Windings:
     """The windings of one level (n >= 1, eta) at a batch of points by both
-    routes, from one sigma_x node solve: grid holds one row per point (shape
-    (points, 1), as texture_closed_form takes it) and block is its block n.
+    routes: grid holds one row per point (shape (points, 1), as
+    texture_closed_form takes it) and block is its block n.
 
-    Construction checks the states and solves the nodes; node_sums and
-    integrals share them. An error carries the index of its point.
-    """
+    Construction checks the states (texture_coefficients, unless the caller
+    passes checked coefficients) and that each rho = |C_up|/|C_down| admits
+    sigma_x nodes; x_nodes is solved on first read. An error carries the
+    index of its point."""
 
-    def __init__(self, grid: ParamGrid, level: LevelIndex, block: BlockQuantities):
-        sol = eigen_solution(grid, level, block)
+    def __init__(self, grid: ParamGrid, level: LevelIndex, block: BlockQuantities,
+                 coeffs: TextureCoefficients | None = None):
         self.grid, self.level, self.block = grid, level, block
-        self.coeffs = branch_coefficients(grid, level.eta, block)
-        self.x_nodes = x_node_arrays(level.n, coefficient_ratio(sol.c_up, sol.c_down).ravel())
+        self.coeffs = texture_coefficients(grid, level, block) if coeffs is None else coeffs
+        self.rho = coefficient_ratio(block.e_minus + level.eta * block.root, block.off).ravel()
+        check_ratios(self.rho)
+
+    @cached_property
+    def x_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The solved sigma_x nodes of each point (x_node_arrays)."""
+        return x_node_arrays(self.level.n, self.rho)
 
     def node_sums(self, plane: str) -> np.ndarray:
-        """The signed node-sum windings in the plane, one per point."""
-        amp = _coefficient(self.coeffs, plane).ravel()
-        return node_sum_windings(plane, zy_node_arrays(self.level.n, amp), self.x_nodes)
+        """The signed node-sum windings in the plane, one per point: with one
+        node order for all, once per sign -1, 0, +1 of the coefficient."""
+        sign = np.sign(_coefficient(self.coeffs, plane).ravel())
+        return node_sum_windings(plane, *node_order(self.level.n))[sign.astype(int) + 1]
 
     def integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """The signed integral windings and residuals in each plane, one per
@@ -336,9 +343,10 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
     """Both winding routes plus the coefficient-sign prediction in each of the
     planes, {plane: report}, from one Windings over a grid of the one point.
 
-    A plane whose coefficient (Cz for zx, Cy for yx) is exactly 0 has no
-    winding direction, and its transverse component vanishes identically:
-    its routes, rule and agreement are null, and no integral is run for it.
+    A plane whose coefficient (Cz for zx, Cy for yx) is within BOUNDARY_RTOL
+    of 0 relative to its scale (BlockQuantities.distances, as the sweep's
+    on_boundary) sits on a GR or SI boundary, where the direction is
+    undefined: its routes, rule and agreement are null, and no integral runs.
     """
     for plane in planes:
         _plane_components(plane)
@@ -347,7 +355,8 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
                         "integral_residual": 0.0, "agreement": True} for plane in planes}
     grid = ParamGrid.rows([params])
     windings = Windings(grid, level, block_quantities(grid, level.n))
-    live = [plane for plane in planes if _coefficient(windings.coeffs, plane).item() != 0.0]
+    distance = dict(zip(PLANES, windings.block.distances(windings.coeffs.c_z, windings.coeffs.c_y)[1:]))
+    live = [plane for plane in planes if distance[plane].item() >= BOUNDARY_RTOL]
     integrals = windings.integrals(live) if live else {}
     reports = {}
     for plane in planes:

@@ -135,6 +135,19 @@ def test_winding_on_a_zero_coefficient_prints_a_null_plane(capsys):
             assert _winding_payload([*argv, "--plane", "yx"], capsys)["planes"] == {"yx": nulls}
 
 
+@pytest.mark.parametrize("Gamma, n", [(1.0, 1), (1e152, 200)])
+def test_winding_within_float_reach_of_an_si_point_prints_a_null_plane(tmp_path, capsys, Gamma, n):
+    # Cy is a few ulps off 0 here (|Cy|/scale_Cy ~ 1e-16, inside the sweep's
+    # on_boundary band): the yx loop collapses onto the x axis, and its
+    # integral ended the call in a misleading "angle step >= pi/2" error
+    path = tmp_path / "si.json"
+    path.write_text(json.dumps({"omega": 0.3, "Omega": 0.3, "g": 1.0, "kappa": 0.3, "gamma": 0.3, "Gamma": Gamma}))
+    planes = _winding_payload(["--params", str(path), "--n", str(n), "--plane", "both"], capsys)["planes"]
+    assert planes["yx"] == {"plane": "yx", "degenerate": False, "node_sum": None, "integral": None,
+                            "integral_residual": None, "direction_rule": None, "agreement": None}
+    assert planes["zx"]["agreement"] and planes["zx"]["node_sum"] == n
+
+
 def test_winding_solves_the_sigma_x_nodes_once_for_both_planes(monkeypatch, capsys):
     import nhjc.texture
     import nhjc.topology
@@ -409,6 +422,8 @@ def test_sweep_error_names_the_grid_point(tmp_path, capsys, monkeypatch):
                  {"name": "g", "min": 0.01, "max": 0.03, "count": 4}],
         "levels": [{"n": 2, "eta": -1}],
         "observables": ["thetaT", "nWzx"],
+        # the main pass solves no sigma_x node: the spot check of every point does
+        "spot_check_fraction": 1.0,
     }
     # break the sigma_x nodes of one point, found by its coefficient ratio
     gamma, g = float(np.linspace(0.01, 0.05, 3)[1]), float(np.linspace(0.01, 0.03, 4)[2])

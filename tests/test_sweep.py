@@ -27,6 +27,7 @@ from nhjc import (
     boundary_SI,
     eigen_solution,
     gaps,
+    hermite_roots,
     nodes,
     run_sweep,
     texture_coefficients,
@@ -300,6 +301,47 @@ def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
         assert len(result.rows) == 7 * 5 * 3
         assert calls
         assert len(calls) <= 3 * len(result.rows)
+
+
+def test_a_delta_minus_level_evaluates_block_n_alone(monkeypatch):
+    # deltaMinus reads block n only; deltaPlus adds blocks n-1 and n+1
+    original = nhjc.spectrum.block_quantities
+    calls = []
+
+    def counted(params, n):
+        calls.append(n)
+        return original(params, n)
+
+    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.sweep):
+        if getattr(module, "block_quantities", None) is original:
+            monkeypatch.setattr(module, "block_quantities", counted)
+    axes = (Axis("Gamma", 0.0, 0.12, 40), Axis("g", 0.001, 0.1, 30))  # 1 200 points: two grid blocks
+    for observables, per_block in ((("deltaMinus",), [2]), (("deltaPlus",), [2, 1, 3]),
+                                   (("thetaT", "deltaMinus", "deltaPlus"), [2, 1, 3])):
+        calls.clear()
+        run_sweep(small_spec(axes=axes, observables=observables, overlays=(), spot_check_fraction=0.0))
+        assert calls == 2 * per_block, observables
+
+
+def test_only_the_spot_check_solves_sigma_x_nodes(monkeypatch):
+    # the node sums read the order of the nodes, which n alone fixes: on the
+    # shipped plane the sigma_x node solve runs for the spot-check points
+    # only, one -rho and one +rho matrix for each
+    spec = SweepSpec.load(Path(__file__).resolve().parent.parent / "configs" / "sweep_gamma_g_plane.json")
+    for n in (1, 2):
+        hermite_roots(n)  # cached from here on: its own solve is not the sweep's
+    solved, matrices = [], []
+    ratio_roots, eigvalsh = nhjc.texture.ratio_roots, np.linalg.eigvalsh
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", lambda n, c: solved.append(len(c)) or ratio_roots(n, c))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: matrices.append(len(a)) or eigvalsh(a))
+    result = run_sweep(spec)
+    checked = sum(not math.isnan(row[result.columns.index("nWzx")]) for row in result.rows)
+    spots = max(1, round(spec.spot_check_fraction * checked))
+    assert checked > 12000 and sum(solved) == spots and sum(matrices) == 2 * spots
+    solved.clear()
+    matrices.clear()
+    run_sweep(dataclasses.replace(spec, spot_check_fraction=0.0))
+    assert solved == matrices == []
 
 
 def test_cy_margin_is_normalised_by_cy_terms():
@@ -648,6 +690,43 @@ def test_csv_writer_matches_the_column_formatter(tmp_path):
         assert path.read_text(encoding="utf-8") == _reference_csv(columns, rows)
 
 
+WRITER_CASES = {  # 1-, 2- and 3-axis tables past the 1 024-row block, n = 0 among the levels
+    "1 axis": ((Axis("Gamma", -0.0, 0.1, 700),), (LevelIndex(0), LevelIndex(2, -1))),
+    "2 axes": ((Axis("Gamma", 0.0, 0.12, 41), Axis("g", 0.001, 0.1, 13)),
+               (LevelIndex(1, 1), LevelIndex(0), LevelIndex(5, -1))),
+    "3 axes": ((Axis("gamma", 0.1, 1.0, 11), Axis("Gamma", 0.0, 0.1, 10), Axis("g", 0.0, 0.06, 5)),
+               (LevelIndex(0), LevelIndex(3, -1), LevelIndex(1, -1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
+    """The grid table's CSV, written a block of rows at a time from its
+    columns, is byte for byte what the per-row formatter writes for the rows
+    an independent loop builds: for a seeded table of every cell kind (floats
+    with nan, +-0, +-inf and subnormals, int/nan windings, bool flags), and
+    for the sweep itself."""
+    from nhjc.sweep import FLAG_COLUMNS, SweepResult
+
+    axes, levels = WRITER_CASES[case]
+    observables = ("thetaT", "nWzx", "imE", "nWyx", "deltaMinus")
+    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=levels, observables=observables,
+                     spot_check_fraction=0.0, volumetric=True)
+    columns = tuple(a.name for a in axes) + ("n", "eta") + observables + FLAG_COLUMNS
+    size = math.prod(a.count for a in axes) * len(levels)
+    rng = random.Random(20240901)
+    kinds = {"nWzx": "int/nan", "nWyx": "int/nan", **dict.fromkeys(FLAG_COLUMNS, "bool")}
+    drawn = zip(*(_random_column(rng, kinds.get(name, "float"), size) for name in observables + FLAG_COLUMNS))
+    points = itertools.product(*(a.values().tolist() for a in axes))
+    rows = [(*point, level.n, level.eta, *next(drawn)) for point in points for level in levels]
+    table = {name: np.array(column) for name, column in zip(columns, zip(*rows))}
+    result = SweepResult(spec=spec, columns=columns, table=table)
+    assert size > 1024 and [list(map(_bits, row)) for row in result.rows] == [list(map(_bits, row)) for row in rows]
+    for result in (result, run_sweep(spec)):
+        result.to_csv(tmp_path / "table.csv")
+        assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _reference_csv(columns, result.rows)
+
+
 def test_an_overlay_without_a_closed_form_axis_writes_its_note(tmp_path):
     """An omega-only sweep has no axis to solve a boundary for: each overlay
     file holds the note, in CSV and in JSON."""
@@ -697,7 +776,8 @@ def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
         return {name for name, callers, _ in maps if caller in callers}
 
     assert mapped("_level_columns") == {"math.atan2", "math.hypot", "math.atan"}
-    assert sum(size for _, callers, size in maps if "_level_columns" in callers) == 7 * len(result.rows)
+    # atan2 and hypot of block n and atan of the tilt: deltaMinus reads no neighbour block
+    assert sum(size for _, callers, size in maps if "_level_columns" in callers) == 3 * len(result.rows)
     assert mapped("_spot_check") == {"math.atan2", "math.hypot", "nhjc.spectrum.<lambda>"}
     assert mapped("_overlay") == {"math.atan2", "math.hypot", "nhjc.boundaries._squared"}
     assert not mapped("branch_solution")

@@ -260,3 +260,28 @@ def test_sigma_x_node_count_is_2n(params, n, eta):
         pytest.fail("node refinement must either succeed or signal structurally")
     assert len(nx.positions) == 2 * n
     assert tuple(nx.signs[i] for i in (0, -1)) == (-1, -1)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("across", ["root", "pole"])
+def test_nodes_moved_across_a_root_or_a_pole_fail_the_interlacing_check(monkeypatch, n, across):
+    # at rho = 1 either move keeps the nodes increasing and the texture's sign
+    # at every midpoint: only their interlacing with the roots of H_n (roots)
+    # and H_(n-1) (poles) places them wrong
+    import nhjc.texture
+
+    rho = np.array([1.0])
+    nhjc.texture.x_node_arrays(n, rho)
+    roots, poles = hermite_roots(n), hermite_roots(n - 1)
+
+    def moved(n, c):
+        x = ratio_roots(n, c)  # shape (1, 2, n): the n solutions for -rho, then those for +rho
+        if across == "root":  # the -rho node of branch 1 just past its root of H_n
+            x[:, 0, 1] = roots[1] + 0.25 * (x[:, 1, 1] - roots[1])
+        else:  # the +rho node of branch 0 just past its pole
+            x[:, 1, 0] = poles[0] + 0.25 * (x[:, 0, 1] - poles[0])
+        return x
+
+    monkeypatch.setattr(nhjc.texture, "ratio_roots", moved)
+    with pytest.raises(NodeCountError, match=f"n={n} left a node outside its interval"):
+        nhjc.texture.x_node_arrays(n, rho)

@@ -160,8 +160,7 @@ def texture_closed_form(params: ModelParams | ParamGrid, level: LevelIndex, grid
     (evaluated here unless the caller passes it).
 
     Over a ParamGrid of shape (points, 1), the profiles have one row per
-    point: on the one grid, or on each row of a 2-D grid (nan where a row's
-    grid has ended).
+    point: on the one grid, or on each row of a 2-D grid.
     """
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
@@ -284,7 +283,7 @@ def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = _alternating(-1, 2 * n + 1)
     mids = 0.5 * (positions[:, 1:] + positions[:, :-1])
     r = phi_ratio(n, mids)
-    observed = np.sign(rho[:, None] * rho[:, None] - r * r)  # sign of sigma_x up to a positive prefactor
+    observed = np.sign(rho[:, None] - np.abs(r))  # sign of sigma_x up to a positive prefactor
     wrong = observed != signs[1:-1]
     if wrong.any():
         i = int(np.argmax(wrong.any(axis=-1)))

@@ -145,10 +145,9 @@ def _alive(x_comp: np.ndarray, y_comp: np.ndarray) -> np.ndarray:
     return alive
 
 
-def integral_windings(texture: SpinTexture, plane: str, counts) -> tuple[np.ndarray, np.ndarray]:
+def integral_windings(texture: SpinTexture, plane: str) -> tuple[np.ndarray, np.ndarray]:
     """Signed windings by phase unwrapping of the rows of a texture (a 1-D
-    texture is one row), row i sampled on the first counts[i] points of its
-    grid row (nan past them counts as a vanished vector), and their
+    texture is one row), each sampled on its own grid row, and their
     residuals |raw - round(raw)|. An interior angle step of magnitude >= pi/2
     marks a grid too coarse: GridTooCoarseError with the index of its row.
 
@@ -172,7 +171,7 @@ def integral_windings(texture: SpinTexture, plane: str, counts) -> tuple[np.ndar
     if coarse.any():
         i = int(np.argmax(coarse))
         raise GridTooCoarseError(
-            f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({counts[i]} grid points)",
+            f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({x_comp.shape[-1]} grid points)",
             index=i,
         )
     # each row's own slice, so the pairwise sum adds what a 1-D call adds
@@ -245,44 +244,37 @@ def winding_direction(coeffs: TextureCoefficients, plane: str) -> int:
     return where(value > 0.0, 1, -1)
 
 
-# far enough out that exp(-x^2) factors underflow below the amplitude floor
-_CLUSTER_REACH = 27.0
-_SHELLS = 1e-13 * 2.0 ** np.arange(0, 45)
+# geometric offsets w0 q^k around each node (w0 = 1e-13, q = 4), out to about 1.76
+_SHELLS = 1e-13 * 4.0 ** np.arange(0, 23)
+# |x| bound of the validity domain: phi_0 underflows to 0 past |x| ~ 38.6
+_DOMAIN = 40.0
 
 
-def winding_grids(n: int, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def winding_grids(n: int, x_nodes: np.ndarray) -> np.ndarray:
     """The integration grid for phase unwrapping of each row of sigma_x nodes
-    (shape (cases, 2n)) at level n: one grid per row, left-aligned and padded
-    with nan, and the number of points in each. A grid is the standard one
-    plus geometric shells around every node of both families.
+    (shape (cases, 2n)) at level n: one increasing row per row of nodes, all
+    of one width. A grid is the standard one plus geometric shells around
+    every node of both families, clipped to |x| <= 40.
 
     The winding loop passes close to the origin wherever a sigma_x node sits
     near a Hermite root (which happens whenever |C_up|/|C_down| is far from
     1); near such a passage the angle varies like arctan((x-x*)/w) with an
-    arbitrarily small w. Points at geometric offsets x* +- w0 2^k bound the
-    ladder steps by arctan(sqrt(2)) - arctan(1/sqrt(2)) ~ 0.34 rad and the
-    center crossing by 2 arctan(w0/w), comfortably under pi/2 for any squeeze
-    the boundary margins admit (w0 = 1e-13).
+    arbitrarily small w. Points at geometric offsets x* +- w0 q^k bound the
+    ladder steps by arctan(sqrt(q)) - arctan(1/sqrt(q)) ~ 0.64 rad at q = 4
+    and the center crossing by 2 arctan(w0/w), under pi/2 for any squeeze
+    the boundary margins admit (w0 = 1e-13). The clip is exact: phi_0, and
+    with it every phi_k of the recurrence, is exactly 0 past |x| ~ 38.6, so
+    the clipped points are dead vectors the unwrapping skips, and the
+    analytic end closure covers the tail beyond the last live point.
     """
     roots = np.concatenate((hermite_roots(n), hermite_roots(n - 1) if n > 1 else np.empty(0)))
     centers = np.concatenate((np.broadcast_to(roots, (len(x_nodes), roots.size)), x_nodes), axis=-1)
     local = _SHELLS * np.maximum(1.0, np.abs(centers))[..., None]
     shells = np.concatenate((centers[..., None] + local, centers[..., None] - local), axis=-1)
-    # an underflowed tail needs none: the analytic end closure covers it
-    shells[np.abs(centers) > _CLUSTER_REACH] = np.nan
     standard = np.broadcast_to(standard_grid(n), (len(x_nodes), STANDARD_POINTS))
-    return _distinct_rows(np.concatenate((standard, shells.reshape(len(x_nodes), -1)), axis=-1))
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of each row in increasing order (nan dropped),
-    left-aligned and padded with nan, and their counts: np.unique row by row,
-    without the numpy.ma import that np.unique costs."""
-    rows = np.sort(rows, axis=-1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.nan  # repeats; the sort moves them last
-    rows.sort(axis=-1)
-    counts = np.count_nonzero(~np.isnan(rows), axis=-1)
-    return rows[:, :counts.max()], counts
+    grids = np.concatenate((standard, np.clip(shells, -_DOMAIN, _DOMAIN).reshape(len(x_nodes), -1)), axis=-1)
+    grids.sort(axis=-1)
+    return grids
 
 
 # profile samples (cases x grid points) evaluated at once: Windings.integrals
@@ -322,16 +314,16 @@ class Windings:
         """The signed integral windings and residuals in each plane, one per
         point, from the texture on each point's grid of winding_grids."""
         n, positions = self.level.n, self.x_nodes[0]
-        # a winding grid is the standard one plus 90 shell points around each of the 4n - 1 nodes
-        step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 90 * (4 * n - 1)))
+        # a winding grid is the standard one plus 2 * 23 shell points around each of the 4n - 1 nodes
+        step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 2 * _SHELLS.size * (4 * n - 1)))
         parts = {plane: [] for plane in planes}
         for start in range(0, len(positions), step):
             rows = slice(start, start + step)
-            grids, counts = winding_grids(n, positions[rows])
+            grids = winding_grids(n, positions[rows])
             tex = texture_closed_form(self.grid.take(rows), self.level, grids, self.block.take(rows))
             try:
                 for plane, part in parts.items():
-                    part.append(integral_windings(tex, plane, counts))
+                    part.append(integral_windings(tex, plane))
             except NhjcError as exc:
                 exc.index = None if exc.index is None else start + exc.index
                 raise

@@ -216,12 +216,11 @@ def check_winding(draws, n_max):
                 level = LevelIndex(n, eta)
                 bq = block_quantities(params, n)
                 node_sets = {c: nodes(params, level, c, bq) for c in ("z", "y", "x")}
-                grids, counts = winding_grids(n, node_sets["x"].positions[None])
-                tex = texture_closed_form(params, level, grids[0, :counts[0]], bq)
+                tex = texture_closed_form(params, level, winding_grids(n, node_sets["x"].positions[None])[0], bq)
                 coeffs = tex.coeffs
                 for plane in ("zx", "yx"):
                     ns = node_sum(node_sets[plane[0]], node_sets["x"])
-                    (integral,), (residual,) = integral_windings(tex, plane, counts)
+                    (integral,), (residual,) = integral_windings(tex, plane)
                     cases += 1
                     mismatches += ns != int(integral)
                     worst_residual = max(worst_residual, float(residual))

@@ -148,6 +148,29 @@ def test_winding_within_float_reach_of_an_si_point_prints_a_null_plane(tmp_path,
     assert planes["zx"]["agreement"] and planes["zx"]["node_sum"] == n
 
 
+# at n = 100 the outer sigma_x nodes of this point sit at +-27.646, where
+# phi_99 and phi_100 are still ~1e-88: the integral needs their shells
+FAR_NODES = {"omega": 1.1939340744983995, "Omega": 1.0, "g": 0.011220669585706756,
+             "kappa": 0.29512441550134244, "gamma": 0.7349112807908708, "Gamma": 0.005}
+
+
+def test_winding_samples_the_shells_of_nodes_far_out_in_the_tail(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_NODES))
+    zx = _winding_payload(["--params", str(path), "--n", "100", "--plane", "zx"], capsys)["planes"]["zx"]
+    assert zx["node_sum"] == zx["integral"] == -100 and zx["agreement"]
+
+
+def test_sweep_spot_check_passes_where_sigma_x_nodes_sit_far_out(tmp_path):
+    spec = {"params": FAR_NODES, "axes": [{"name": "Gamma", "min": 0.004, "max": 0.006, "count": 5}],
+            "levels": [{"n": 100, "eta": -1}], "observables": ["nWzx"], "spot_check_fraction": 1.0}
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+    rows = {float(row.split(",")[0]): row.split(",")[3] for row in out.read_text().splitlines()[1:]}
+    assert rows[0.005] == "-100"
+
+
 def test_winding_solves_the_sigma_x_nodes_once_for_both_planes(monkeypatch, capsys):
     import nhjc.texture
     import nhjc.topology

@@ -23,6 +23,7 @@ from nhjc import (
 )
 from conftest import make_reference
 from nhjc.oscillator import ratio_roots
+from nhjc.texture import x_node_arrays
 from reference_solvers import bisect_x_nodes
 
 rates = st.floats(0.0, 1.2)
@@ -285,3 +286,13 @@ def test_nodes_moved_across_a_root_or_a_pole_fail_the_interlacing_check(monkeypa
     monkeypatch.setattr(nhjc.texture, "ratio_roots", moved)
     with pytest.raises(NodeCountError, match=f"n={n} left a node outside its interval"):
         nhjc.texture.x_node_arrays(n, rho)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_x_section_signs_hold_for_ratios_whose_square_overflows():
+    # rho^2 overflows past ~1.3e154; the sign check compares |phi_n/phi_(n-1)|
+    # with rho itself. The outer nodes sit where the ratio ~ x sqrt(2/n) = x
+    positions, signs = x_node_arrays(2, np.array([1e159, 1e200]))
+    assert signs.tolist() == [-1, 1, -1, 1, -1]
+    assert np.all(np.diff(positions, axis=-1) > 0)
+    assert np.allclose(positions[:, [0, -1]], [[-1e159, 1e159], [-1e200, 1e200]], rtol=1e-12, atol=0)

@@ -25,7 +25,7 @@ from nhjc import (
     winding_direction,
     winding_report,
 )
-from nhjc.topology import _AMPLITUDE_FLOOR, _END_SIGNS, PLANES, _alive, node_sum_windings
+from nhjc.topology import _AMPLITUDE_FLOOR, _END_SIGNS, PLANES, _alive, node_sum_windings, winding_grids
 from conftest import make_reference
 from reference_verify import node_sum
 
@@ -63,7 +63,7 @@ def test_reference_state_magnitudes(reference_params):
 
 def test_alive_mask_is_the_hypot_test_bit_for_bit():
     # the band where max(|x|, |y|) does not settle hypot > floor, its ends and
-    # their neighbouring floats, underflowing squares, nan padding and inf
+    # their neighbouring floats, underflowing squares, nan and inf
     floor = _AMPLITUDE_FLOOR
     special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1.0, 1e300,
                         floor, floor / math.sqrt(2), 0.7 * floor, 0.75 * floor])
@@ -241,3 +241,14 @@ def test_integral_winding_reports_residual(reference_params):
     report = winding_report(reference_params, LevelIndex(2, -1), ("zx",))["zx"]
     assert report["integral_residual"] < 1e-10
     assert abs(report["integral"]) == 2
+
+
+def test_winding_grids_are_sorted_rows_of_one_width_inside_the_domain():
+    # nodes far past |x| = 40 keep their shells, clipped onto the domain edge
+    n = 2
+    x_nodes = np.array([[-1e159, -5e-160, 5e-160, 1e159], [-27.6, -0.1, 0.1, 27.6]])
+    grids = winding_grids(n, x_nodes)
+    assert grids.shape == (2, 801 + 2 * 23 * (4 * n - 1))
+    assert np.all(np.diff(grids, axis=-1) >= 0) and np.all(np.abs(grids) <= 40.0)
+    assert np.count_nonzero(grids[0] == 40.0) == np.count_nonzero(grids[0] == -40.0) == 2 * 23
+    assert np.min(np.abs(grids[1] - 27.6)) < 1e-11  # the innermost shell of the outer node

@@ -41,14 +41,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NoBoundaryError, ValidationError
-from .params import ModelParams, ParamGrid, _replaced, elementwise, quiet_overflow, raise_where, where
+from .params import ModelParams, ParamGrid, _replaced, quiet_overflow, raise_where, where
 from .spectrum import BlockQuantities, block_quantities
 
 __all__ = ["BoundaryPoint", "boundary_R", "boundary_GR", "boundary_SI", "all_boundaries", "SOLVABLE"]
 
 SOLVABLE = ("kappa", "Gamma", "gamma", "g")
-
-FAMILIES = ("R", "GR", "SI")
 
 # (family, solved-for) -> (the denominator whose zero leaves no closed form,
 # the value given the parameters p, the level n, d_Ww, d_kg and the nonzero
@@ -67,18 +65,6 @@ _FORMS = {
     ("SI", "Gamma"): ("Omega - omega", lambda p, n, d_Ww, d_kg, q: -p.g * d_kg / q),
     ("SI", "g"): ("kappa - gamma", lambda p, n, d_Ww, d_kg, q: -p.Gamma * d_Ww / q),
 }
-
-
-def _squared(x: float) -> float:
-    """x**2 as Python rounds it (numpy's x**2 is x*x, which differs in the
-    last bit on some inputs), inf where it leaves float range."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
-_square = elementwise(_squared)
 
 
 @dataclass(frozen=True)
@@ -133,8 +119,8 @@ def _solve(params: ModelParams | ParamGrid, family: str, solved_for: str, n: int
         return _Solution(value, where(zero, False, block.A < 0.0), block, None)
     d_kg_at, g_at = at.kappa - at.gamma, at.g
     uncoupled = g_at == 0.0
-    n_max = where(uncoupled, where(d_kg_at != 0.0, math.inf, 0.0),
-                  _square(d_kg_at / (2.0 * where(uncoupled, 1.0, g_at))))
+    t = d_kg_at / (2.0 * where(uncoupled, 1.0, g_at))
+    n_max = where(uncoupled, where(d_kg_at != 0.0, math.inf, 0.0), t * t)
     keeps = n_max > 1.0 if n is None else n < n_max  # n = None: the first excited level
     return _Solution(value, where(zero, False, keeps), None, n_max)
 
@@ -202,17 +188,20 @@ def boundary_SI(params: ModelParams, solved_for: str) -> BoundaryPoint:
                          validity_detail="no tilting for every level at this point", level_dependent=False)
 
 
+# family -> its point for (params, n, solved_for), R first
+FAMILIES = {
+    "R": boundary_R,
+    "GR": lambda params, n, solved_for: boundary_GR(params, solved_for, n=n),
+    "SI": lambda params, n, solved_for: boundary_SI(params, solved_for),
+}
+
+
 def all_boundaries(params: ModelParams, n: int, solved_for: str) -> list[BoundaryPoint]:
     """The three family points in the same variable (R first)."""
     out = []
-    for family in FAMILIES:
+    for family, solve in FAMILIES.items():
         try:
-            if family == "R":
-                out.append(boundary_R(params, n, solved_for))
-            elif family == "GR":
-                out.append(boundary_GR(params, solved_for, n=n))
-            else:
-                out.append(boundary_SI(params, solved_for))
+            out.append(solve(params, n, solved_for))
         except NoBoundaryError as exc:
             out.append(BoundaryPoint(family=family, solved_for=solved_for, value=math.nan, valid=False,
                                      validity_detail=str(exc), level_dependent=family == "R"))

@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .boundaries import SOLVABLE, all_boundaries, boundary_GR, boundary_R, boundary_SI
+from .boundaries import FAMILIES, SOLVABLE, all_boundaries
 from .errors import NhjcError, SweepSpecError, ValidationError
 from .params import N_MAX, LevelIndex, load_params
 from .spectrum import block_quantities, eigen_solution, gaps
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     boundaries.add_argument("--params", required=True)
     boundaries.add_argument("--n", type=int, required=True)
     boundaries.add_argument("--solve-for", required=True, choices=SOLVABLE)
-    boundaries.add_argument("--family", choices=("R", "GR", "SI", "all"), default="all")
+    boundaries.add_argument("--family", choices=(*FAMILIES, "all"), default="all")
     boundaries.add_argument("--out")
 
     sweep = sub.add_parser("sweep", help="grid sweep with boundary overlays")
@@ -180,12 +180,8 @@ def _cmd_boundaries(args) -> int:
     n = _closed_form_n(args)
     if args.family == "all":
         points = all_boundaries(params, n, args.solve_for)
-    elif args.family == "R":
-        points = [boundary_R(params, n, args.solve_for)]
-    elif args.family == "GR":
-        points = [boundary_GR(params, args.solve_for, n=n)]
-    else:
-        points = [boundary_SI(params, args.solve_for)]
+    else:  # a NoBoundaryError of the one family is a computation error
+        points = [FAMILIES[args.family](params, n, args.solve_for)]
     _emit(json.dumps([asdict(p) for p in points], indent=2) + "\n", args.out)
     return 0
 

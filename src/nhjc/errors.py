@@ -28,7 +28,8 @@ class DegenerateStateError(NhjcError):
 
 
 class GridTooCoarseError(NhjcError):
-    """Phase unwrapping saw an angle step >= pi/2 on its grid."""
+    """Phase unwrapping saw an angle step >= pi/2 on its grid, or its grid
+    cannot resolve a sigma_x node that close to a Hermite root."""
 
 
 class NodeCountError(NhjcError):

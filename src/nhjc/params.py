@@ -20,13 +20,18 @@ ufunc where the ufunc gives math's bits, else a map of the math function:
     ufunc:   np.sqrt, np.cos, np.sin, np.isfinite; np.hypot(z.real, z.imag)
              for abs(z), since CPython's abs(complex) is libm hypot
     mapped:  math.atan2 (np.arctan2 differs in 2 358 of 400 000 outputs),
-             math.hypot (CPython's own; np.hypot differs in 205),
-             math.atan (np.arctan: 210) and x ** 2 (libm pow; x * x: 294)
+             math.hypot (CPython's own; np.hypot differs in 205) and
+             math.atan (np.arctan: 210)
 
 The counts are for x, y = N(0, 1) * exp(U(-30, 30)), numpy seed 1, numpy 2.4
 on x86-64 with AVX-512. tests/test_params.py holds each ufunc to its math
 function bit for bit, so a platform or numpy build where one differs fails
-there.
+there. A square is one multiply, x * x, correctly rounded on floats and
+arrays alike (x ** 2 is libm pow on a float, which is not).
+
+A record keeps what is computed from it on first use (kept): its composites,
+and block n of the spectrum. ParamGrid.take carries the kept blocks to the
+rows it selects.
 
 This module and the closed-form layer on it (spectrum, boundaries) import no
 numpy, so a caller with ModelParams alone never loads it: the helpers below
@@ -69,8 +74,8 @@ N_MAX = 200
 # (so |Omega - omega| <= P and |kappa - gamma| <= 2P), block n has
 # |A| <= (n + 5/4) P^2, |B| <= (2n + 1) P^2 and R^2 = hypot(A, B) <= |A| + |B|;
 # the largest product its formulas form is Dx <= (5 + 4 R^2/P^2 + 12 R/P) P^2,
-# about 2 710 P^2 at n = N_MAX, and |C_up|^2 (a ** that raises OverflowError
-# past float range) is below 660 P^2. P = 1e152 keeps both under 2.8e307.
+# about 2 710 P^2 at n = N_MAX, and |C_up|^2 (the largest square of the norm,
+# inf past float range) is below 660 P^2. P = 1e152 keeps both under 2.8e307.
 PARAM_MAX = 1e152
 
 
@@ -105,6 +110,15 @@ def where(cond, a, b):
     if (np := sys.modules.get("numpy")) and isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
     return a if cond else b
+
+
+def quotient(a, b):
+    """a / b, and +-inf with the sign of a where b = 0 (elementwise on arrays)."""
+    if (np := sys.modules.get("numpy")) and isinstance(b, np.ndarray):
+        nonzero = b != 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(nonzero, a / np.where(nonzero, b, 1.0), np.copysign(math.inf, a))
+    return a / b if b != 0.0 else math.copysign(math.inf, a)
 
 
 def maximum(*values):
@@ -177,19 +191,24 @@ class ComplexComposites:
     d_kappa_gamma: float  # kappa - gamma
 
 
+def kept(p, name: str, make):
+    """make(), computed on first use and kept on the record p under name."""
+    value = p.__dict__.get(name)
+    if value is None:
+        value = make()
+        object.__setattr__(p, name, value)  # ModelParams is frozen: bypass the guard
+    return value
+
+
 def _composites(p, make_complex) -> ComplexComposites:
-    """The composites of p, computed on first use and kept on the instance."""
-    cached = p.__dict__.get("_composites")
-    if cached is None:
-        cached = ComplexComposites(
-            omega_t=make_complex(p.omega, -p.kappa),
-            Omega_t=make_complex(p.Omega, -p.gamma),
-            g_t=make_complex(p.g, -p.Gamma),
-            d_Omega_omega=p.Omega - p.omega,
-            d_kappa_gamma=p.kappa - p.gamma,
-        )
-        object.__setattr__(p, "_composites", cached)  # ModelParams is frozen: bypass the guard
-    return cached
+    """The composites of p, kept on it."""
+    return kept(p, "_composites", lambda: ComplexComposites(
+        omega_t=make_complex(p.omega, -p.kappa),
+        Omega_t=make_complex(p.Omega, -p.gamma),
+        g_t=make_complex(p.g, -p.Gamma),
+        d_Omega_omega=p.Omega - p.omega,
+        d_kappa_gamma=p.kappa - p.gamma,
+    ))
 
 
 @dataclass(frozen=True)
@@ -280,8 +299,12 @@ class ParamGrid:
         return _composites(self, _complex_array)
 
     def take(self, index) -> "ParamGrid":
-        """The grid of the selected elements."""
-        return ParamGrid(**{name: getattr(self, name)[index] for name in PARAM_NAMES})
+        """The grid of the selected elements, with the blocks kept on this
+        grid (spectrum.block_quantities) taken to them."""
+        taken = ParamGrid(**{name: getattr(self, name)[index] for name in PARAM_NAMES})
+        if blocks := self.__dict__.get("_blocks"):
+            taken._blocks = {n: block.take(index) for n, block in blocks.items()}
+        return taken
 
     def point(self, index: int) -> ModelParams:
         """The ModelParams of one element (index into the flattened arrays)."""

@@ -25,7 +25,9 @@ plus the isolated n = 0 state with E0 = -W~/2 and no coefficients.
 
 block_quantities, gaps and the branch formulas are written in operator form:
 given a ParamGrid instead of ModelParams they evaluate every point at once and
-return arrays, bit for bit what a call per point returns (see params).
+return arrays, bit for bit what a call per point returns (see params). Block n
+is evaluated once per record and kept on it (params.kept), so every function
+here and downstream reads it from (params, n).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from .errors import DegenerateStateError, ExceptionalPointError, ValidationError
-from .params import (LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise, maximum, minimum,
+from .params import (LevelIndex, ModelParams, ParamGrid, _complex_array, elementwise, kept, maximum, minimum,
                      modulus, quiet_overflow, raise_where, where)
 
 __all__ = [
@@ -62,22 +64,14 @@ _DEGENERATE_RTOL = 1e-24
 # distance (BlockQuantities.distances) within float reach of an R/GR/SI boundary
 BOUNDARY_RTOL = 1e-9
 
-# a point whose |off|^2 (a lower bound of the norm) clears the degeneracy
-# floor by this factor is not degenerate
-_CLEAR_MARGIN = 100.0
-
-# magnitudes within which the degeneracy prefilter's squares neither
-# underflow nor overflow
-_TINY, _HUGE = 1e-140, 1e140
-
 _atan2, _hypot = elementwise(math.atan2), elementwise(math.hypot)
 _sqrt, _cos, _sin = (elementwise(fn, ufunc=fn.__name__) for fn in (math.sqrt, math.cos, math.sin))
-_square = elementwise(lambda x: x ** 2)  # as Python rounds it: libm pow
 
 
 def _abs2(z):
-    """|z|^2 as Python rounds abs(z) ** 2."""
-    return _square(modulus(z))
+    """|z|^2, one correctly rounded multiply of the modulus."""
+    m = modulus(z)
+    return m * m
 
 
 @dataclass(frozen=True)
@@ -167,9 +161,9 @@ class GapPair:
     delta_plus: float | None
 
 
-@quiet_overflow
 def block_quantities(params: ModelParams | ParamGrid, n: int) -> BlockQuantities:
-    """Branch invariants and scales of block n >= 1 (see BlockQuantities).
+    """Branch invariants and scales of block n >= 1 (see BlockQuantities),
+    evaluated on first use and kept on params.
 
     vartheta is the principal argument of A - iB; when both A and B vanish to
     float resolution the block is flagged exceptional (branch split singular,
@@ -177,9 +171,17 @@ def block_quantities(params: ModelParams | ParamGrid, n: int) -> BlockQuantities
     """
     if n < 1:
         raise ValidationError(f"block index n must be >= 1, got {n}")
+    blocks = kept(params, "_blocks", dict)
+    if n not in blocks:
+        blocks[n] = _evaluate_block(params, n)
+    return blocks[n]
+
+
+@quiet_overflow
+def _evaluate_block(params: ModelParams | ParamGrid, n: int) -> BlockQuantities:
+    """Block n of params, evaluated."""
     c = params.composites()
-    d_Ww = c.d_Omega_omega
-    d_kg = c.d_kappa_gamma
+    d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
     g, Gamma = params.g, params.Gamma
     A = n * (g * g - Gamma * Gamma) + 0.25 * d_Ww * d_Ww - 0.25 * d_kg * d_kg
     B = 2.0 * n * g * Gamma - 0.5 * d_kg * d_Ww
@@ -207,10 +209,8 @@ def block_quantities(params: ModelParams | ParamGrid, n: int) -> BlockQuantities
     )
 
 
-def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
-                   block: BlockQuantities | None = None) -> EigenSolution:
-    """Exact eigenstate of the given level, read off its block (evaluated
-    here unless the caller passes block n already).
+def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex) -> EigenSolution:
+    """Exact eigenstate of the given level, read off its block.
 
     Raises ExceptionalPointError when the block's branch split is singular and
     DegenerateStateError when both coefficients collapse to zero (only
@@ -219,64 +219,32 @@ def eigen_solution(params: ModelParams | ParamGrid, level: LevelIndex,
     """
     if level.n == 0:
         energy = -0.5 * params.composites().Omega_t
-        return EigenSolution(
-            level=level,
-            c_up=None,
-            c_down=None,
-            energy=energy,
-            re_energy=energy.real,
-            im_energy=energy.imag,
-        )
-    bq = block_quantities(params, level.n) if block is None else block
+        return EigenSolution(level=level, c_up=None, c_down=None, energy=energy,
+                             re_energy=energy.real, im_energy=energy.imag)
+    bq = block_quantities(params, level.n)
     raise_where(bq.exceptional, ExceptionalPointError,
                 f"block n={level.n} is at an exceptional point", A=bq.A, B=bq.B)
-    sol, degenerate = branch_solution(params, level, bq)
+    sol, degenerate = branch_solution(params, level)
     raise_where(degenerate, DegenerateStateError,
                 f"state (n={level.n}, eta={level.eta:+d}) has vanishing coefficients")
     return sol
 
 
-def branch_solution(params: ModelParams | ParamGrid, level: LevelIndex,
-                    bq: BlockQuantities) -> tuple[EigenSolution, bool]:
-    """The state (n >= 1, eta) of block bq with no checks, and whether its
-    coefficients collapse (degenerate). Over a grid both are arrays, and
-    exceptional or degenerate points hold meaningless values."""
+def branch_solution(params: ModelParams | ParamGrid, level: LevelIndex) -> tuple[EigenSolution, bool]:
+    """The state (n >= 1, eta) with no checks, and whether its coefficients
+    collapse (degenerate: the norm N is below the floor of its scale). Over a
+    grid both are arrays, and exceptional or degenerate points hold
+    meaningless values."""
+    bq = block_quantities(params, level.n)
     root = level.eta * bq.root
-    sol = EigenSolution(
-        level=level,
-        c_up=bq.e_minus + root,
-        c_down=bq.off,
-        energy=bq.e_plus + root,
-        re_energy=bq.re_energy(level.eta),
-        im_energy=-(level.n - 0.5) * params.kappa + level.eta * bq.r_sin,
-    )
-    g_t = params.composites().g_t
-    if isinstance(params, ModelParams):
-        return sol, _collapsed(sol.norm, bq.e_minus, level.n, g_t)
-    import numpy as np
-    # |off|^2 <= N: where it clears the floor by _CLEAR_MARGIN, with every
-    # square in float range, the point is not degenerate; the rest take the
-    # exact test, so every flag is the one a scalar call gives
-    off, e_minus = modulus(bq.off), modulus(bq.e_minus)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        clear = ((off > _TINY) & (off < _HUGE) & (e_minus < _HUGE)
-                 & (off * off > _CLEAR_MARGIN * _DEGENERATE_RTOL * (off * off + e_minus * e_minus)))
-    degenerate = np.zeros(clear.shape, bool)
-    if not clear.all():
-        rest = ~clear
-        norm = _abs2(sol.c_up[rest]) + _abs2(bq.off[rest])
-        degenerate[rest] = _collapsed(norm, bq.e_minus[rest], level.n, g_t[rest])
-    return sol, degenerate
+    sol = EigenSolution(level=level, c_up=bq.e_minus + root, c_down=bq.off, energy=bq.e_plus + root,
+                        re_energy=bq.re_energy(level.eta),
+                        im_energy=-(level.n - 0.5) * params.kappa + level.eta * bq.r_sin)
+    scale = _abs2(bq.e_minus) + level.n * _abs2(params.composites().g_t)
+    return sol, sol.norm <= _DEGENERATE_RTOL * maximum(scale, _SUBNORMAL_GUARD)
 
 
-def _collapsed(norm, e_minus, n: int, g_t):
-    """Whether the norm N is below the degeneracy floor of its state."""
-    scale = _abs2(e_minus) + n * _abs2(g_t)
-    return norm <= _DEGENERATE_RTOL * maximum(scale, _SUBNORMAL_GUARD)
-
-
-def _re_energies(params: ModelParams | ParamGrid, n: int,
-                 block: BlockQuantities | None = None) -> tuple[float, ...]:
+def _re_energies(params: ModelParams | ParamGrid, n: int) -> tuple[float, ...]:
     """Real parts of both branches of block n (single value for n = 0).
 
     Exceptional blocks are fine here: R = 0 makes both branches collapse onto
@@ -284,19 +252,17 @@ def _re_energies(params: ModelParams | ParamGrid, n: int,
     """
     if n == 0:
         return (eigen_solution(params, LevelIndex(0)).re_energy,)
-    bq = block_quantities(params, n) if block is None else block
+    bq = block_quantities(params, n)
     return (bq.re_energy(1), bq.re_energy(-1))
 
 
-def gaps(params: ModelParams | ParamGrid, n: int, block: BlockQuantities | None = None,
-         neighbours: bool = True) -> GapPair:
+def gaps(params: ModelParams | ParamGrid, n: int, neighbours: bool = True) -> GapPair:
     """Intra-block gap delta_minus = |Re E(n,+) - Re E(n,-)| and the smallest
     real-part distance delta_plus to the blocks n-1 and n+1 (both branches).
-    Block n is evaluated here unless the caller passes it; neighbours=False
-    skips blocks n-1 and n+1 and leaves delta_plus None."""
+    neighbours=False skips blocks n-1 and n+1 and leaves delta_plus None."""
     if n < 1:
         raise ValidationError(f"block index n must be >= 1, got {n}")
-    own = _re_energies(params, n, block)
+    own = _re_energies(params, n)
     others = _re_energies(params, n - 1) + _re_energies(params, n + 1) if neighbours else ()
     delta_plus = minimum(*(abs(a - b) for a in own for b in others)) if neighbours else None
     return GapPair(delta_minus=abs(own[0] - own[1]), delta_plus=delta_plus)

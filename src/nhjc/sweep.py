@@ -12,7 +12,8 @@ subset of the observables
     CtZ, CtY    closed-form texture coefficients
 
 Each level is evaluated over the whole grid at once, in blocks of 1024
-points: one kernel call for block n, plus blocks n-1 and n+1 for deltaPlus.
+points: block n is evaluated once, plus blocks n-1 and n+1 for deltaPlus,
+each kept on its block of points for every level that reads it again.
 Exceptional, degenerate, n = 0 and on_boundary points (within BOUNDARY_RTOL
 of an R, GR or SI boundary, where the direction-dependent columns are nan)
 are masks within the same arrays. The rows are bit for bit what
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import SOLVABLE, _solve
+from .boundaries import FAMILIES, SOLVABLE, _solve
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
@@ -54,7 +55,7 @@ __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
 OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
 WINDINGS = ("nWzx", "nWyx")
-OVERLAY_FAMILIES = ("R", "GR", "SI")
+OVERLAY_FAMILIES = tuple(FAMILIES)
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
@@ -298,11 +299,11 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
         return dict(values, degenerate=True, exceptional=False, on_boundary=False), np.empty(0, int)
 
     bq = block_quantities(grid, n)
-    sol, degenerate = branch_solution(grid, level, bq)
+    sol, degenerate = branch_solution(grid, level)
     exceptional = bq.exceptional
     degenerate &= ~exceptional
     regular = ~(exceptional | degenerate)
-    coeffs = branch_coefficients(grid, level.eta, bq)
+    coeffs = branch_coefficients(grid, level)
     # within float reach of an R (branch cut), GR (Cz = 0) or SI (Cy = 0) point
     on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < BOUNDARY_RTOL)
     # the winding direction is undefined on a boundary
@@ -310,13 +311,13 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     if windings:  # a failed check names its point by its index into the grid
         try:
             held = TextureCoefficients(coeffs.c_z[checked], coeffs.c_y[checked], coeffs.d_x[checked])
-            found = Windings(grid.take(checked[:, None]), level, bq.take(checked[:, None]), held)
+            found = Windings(grid.take(checked[:, None]), level, held)
             signed = {obs: found.node_sums(obs[2:]) for obs in windings}
         except NhjcError as exc:
             exc.index = None if exc.index is None else int(checked[exc.index])
             raise
     if {"deltaMinus", "deltaPlus"} & set(observables):
-        gp = gaps(grid, n, bq, neighbours="deltaPlus" in observables)
+        gp = gaps(grid, n, neighbours="deltaPlus" in observables)
     values = dict(degenerate=degenerate, exceptional=exceptional, on_boundary=on_boundary)
     for obs in observables:
         if obs == "thetaT":
@@ -357,8 +358,7 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, table, winding_rows: 
                 continue
             points = grid.take(at[:, None] // levels)
             try:
-                found = Windings(points, level, block_quantities(points, level.n)).integrals(
-                    [obs[2:] for obs in planes])
+                found = Windings(points, level).integrals([obs[2:] for obs in planes])
             except NhjcError as exc:
                 raise _named(exc, spec, grid, at // levels, level) from exc
             fast = np.stack([table[obs][at] for obs in planes], axis=-1)

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
-from .params import LevelIndex, ModelParams, ParamGrid, modulus
-from .spectrum import BlockQuantities, block_quantities, eigen_solution
+from .params import LevelIndex, ModelParams, ParamGrid, modulus, quotient
+from .spectrum import block_quantities, eigen_solution
 
 __all__ = [
     "TextureCoefficients",
@@ -61,15 +61,6 @@ __all__ = [
 ]
 
 STANDARD_POINTS = 801
-
-
-def coefficient_ratio(c_up, c_down):
-    """rho = |C_up|/|C_down|, inf where C_down = 0 (arrays give arrays)."""
-    if not isinstance(c_down, np.ndarray):
-        return abs(c_up) / abs(c_down) if c_down else math.inf
-    nonzero = c_down != 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(nonzero, modulus(c_up) / np.where(nonzero, modulus(c_down), 1.0), math.inf)
 
 
 @dataclass(frozen=True)
@@ -121,26 +112,23 @@ def standard_grid(n: int, points: int = STANDARD_POINTS) -> np.ndarray:
     return np.linspace(-L, L, points)
 
 
-def texture_coefficients(params: ModelParams | ParamGrid, level: LevelIndex,
-                         block: BlockQuantities | None = None) -> TextureCoefficients:
+def texture_coefficients(params: ModelParams | ParamGrid, level: LevelIndex) -> TextureCoefficients:
     """Closed-form coefficients Cz, Cy, Dx of state (n >= 1, eta), read off
-    block n (evaluated here unless the caller passes it); arrays over a
-    ParamGrid."""
+    block n; arrays over a ParamGrid."""
     if level.n < 1:
         raise ValidationError("texture coefficients are defined for n >= 1")
-    bq = block_quantities(params, level.n) if block is None else block
-    eigen_solution(params, level, bq)  # propagates exceptional/degenerate
-    return branch_coefficients(params, level.eta, bq)
+    eigen_solution(params, level)  # propagates exceptional/degenerate
+    return branch_coefficients(params, level)
 
 
-def branch_coefficients(params: ModelParams | ParamGrid, eta: int,
-                        bq: BlockQuantities) -> TextureCoefficients:
-    """Cz, Cy, Dx of branch eta of block bq with no checks (arrays over a grid)."""
+def branch_coefficients(params: ModelParams | ParamGrid, level: LevelIndex) -> TextureCoefficients:
+    """Cz, Cy, Dx of state (n >= 1, eta) with no checks (arrays over a grid)."""
     c = params.composites()
     g, Gamma = params.g, params.Gamma
     d_Ww, d_kg = c.d_Omega_omega, c.d_kappa_gamma
-    rc = eta * bq.r_cos
-    rs = eta * bq.r_sin
+    bq = block_quantities(params, level.n)
+    rc = level.eta * bq.r_cos
+    rs = level.eta * bq.r_sin
     return TextureCoefficients(
         c_z=g * d_Ww - Gamma * d_kg + 2.0 * (g * rc - Gamma * rs),
         c_y=Gamma * d_Ww + g * d_kg + 2.0 * (Gamma * rc + g * rs),
@@ -154,10 +142,8 @@ def _vacuum_texture(grid: np.ndarray) -> SpinTexture:
     return SpinTexture(grid=grid, sx=sx, sy=zeros.copy(), sz=zeros, coeffs=None)
 
 
-def texture_closed_form(params: ModelParams | ParamGrid, level: LevelIndex, grid=None,
-                        block: BlockQuantities | None = None) -> SpinTexture:
-    """Spin texture from the analytic coefficient forms, read off block n
-    (evaluated here unless the caller passes it).
+def texture_closed_form(params: ModelParams | ParamGrid, level: LevelIndex, grid=None) -> SpinTexture:
+    """Spin texture from the analytic coefficient forms, read off block n.
 
     Over a ParamGrid of shape (points, 1), the profiles have one row per
     point: on the one grid, or on each row of a 2-D grid.
@@ -165,28 +151,19 @@ def texture_closed_form(params: ModelParams | ParamGrid, level: LevelIndex, grid
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
-    bq = block_quantities(params, level.n) if block is None else block
-    sol = eigen_solution(params, level, bq)
-    coeffs = branch_coefficients(params, level.eta, bq)
+    sol = eigen_solution(params, level)
+    coeffs = branch_coefficients(params, level)
     p_lo, p_hi = phi_pair(level.n, grid)
     cross = math.sqrt(level.n) * p_lo * p_hi / sol.norm
     g, Gamma = params.g, params.Gamma
     sx = (0.25 * coeffs.d_x * p_lo * p_lo
           - level.n * (g * g + Gamma * Gamma) * p_hi * p_hi) / sol.norm
-    return SpinTexture(
-        grid=grid,
-        sx=sx,
-        sy=coeffs.c_y * cross,
-        sz=coeffs.c_z * cross,
-        coeffs=coeffs,
-    )
+    return SpinTexture(grid=grid, sx=sx, sy=coeffs.c_y * cross, sz=coeffs.c_z * cross, coeffs=coeffs)
 
 
-def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, grid,
-                            block: BlockQuantities | None = None):
+def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, grid):
     """Position wave functions (psi+^x, psi-^x, psi+^z, psi-^z) on the grid,
-    read off block n (evaluated here unless the caller passes it; rows as in
-    texture_closed_form).
+    read off block n (rows as in texture_closed_form).
 
     sigma_x basis:  psi+-^x = C_{up,down} phi_{n-1,n}(x) / sqrt(N_n)
     sigma_z basis:  psi+-^z = (C_up phi_{n-1} +- C_down phi_n) / sqrt(2 N_n)
@@ -194,7 +171,7 @@ def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, 
     if level.n < 1:
         raise ValidationError("wavefunction components are defined for n >= 1")
     grid = np.asarray(grid, dtype=float)
-    sol = eigen_solution(params, level, block)
+    sol = eigen_solution(params, level)
     p_lo, p_hi = phi_pair(level.n, grid)
     rn = np.sqrt(sol.norm)
     up_x = sol.c_up * p_lo / rn
@@ -204,25 +181,19 @@ def wavefunction_components(params: ModelParams | ParamGrid, level: LevelIndex, 
     return up_x, down_x, up_z, down_z
 
 
-def texture_from_wavefunctions(params: ModelParams | ParamGrid, level: LevelIndex, grid=None,
-                               block: BlockQuantities | None = None) -> SpinTexture:
+def texture_from_wavefunctions(params: ModelParams | ParamGrid, level: LevelIndex, grid=None) -> SpinTexture:
     """Spin texture contracted from the position wave functions (oracle route
     for the closed forms; also carries the coefficients for convenience),
-    read off block n (evaluated here unless the caller passes it)."""
+    read off block n."""
     grid = standard_grid(level.n) if grid is None else np.asarray(grid, dtype=float)
     if level.n == 0:
         return _vacuum_texture(grid)
-    up_x, down_x, up_z, down_z = wavefunction_components(params, level, grid, block)
-    sx = np.abs(up_x) ** 2 - np.abs(down_x) ** 2
-    sz = np.abs(up_z) ** 2 - np.abs(down_z) ** 2
+    up_x, down_x, up_z, down_z = wavefunction_components(params, level, grid)
+    ux, dx, uz, dz = map(np.abs, (up_x, down_x, up_z, down_z))
+    sx = ux * ux - dx * dx
+    sz = uz * uz - dz * dz
     sy = (1j * (np.conj(down_z) * up_z - np.conj(up_z) * down_z)).real
-    return SpinTexture(
-        grid=grid,
-        sx=sx,
-        sy=sy,
-        sz=sz,
-        coeffs=texture_coefficients(params, level, block),
-    )
+    return SpinTexture(grid=grid, sx=sx, sy=sy, sz=sz, coeffs=texture_coefficients(params, level))
 
 
 def _alternating(first, count: int) -> np.ndarray:
@@ -293,10 +264,9 @@ def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return positions, signs
 
 
-def nodes(params: ModelParams, level: LevelIndex, component: str,
-          block: BlockQuantities | None = None) -> NodeSet:
+def nodes(params: ModelParams, level: LevelIndex, component: str) -> NodeSet:
     """Finite nodes of one spin component with section signs attached, read
-    off block n (evaluated here unless the caller passes it).
+    off block n.
 
     sigma_z and sigma_y share the 2n-1 parameter-independent Hermite-root
     nodes; sigma_x has 2n parameter-dependent nodes. A count or sign-pattern
@@ -305,11 +275,11 @@ def nodes(params: ModelParams, level: LevelIndex, component: str,
     if level.n < 1:
         raise ValidationError("nodes are defined for n >= 1")
     if component in ("z", "y"):
-        coeffs = texture_coefficients(params, level, block)
+        coeffs = texture_coefficients(params, level)
         positions, signs = zy_node_arrays(level.n, coeffs.c_z if component == "z" else coeffs.c_y)
     elif component == "x":
-        sol = eigen_solution(params, level, block)
-        positions, signs = x_node_arrays(level.n, np.array([coefficient_ratio(sol.c_up, sol.c_down)]))
+        sol = eigen_solution(params, level)
+        positions, signs = x_node_arrays(level.n, np.array([quotient(modulus(sol.c_up), modulus(sol.c_down))]))
         positions = positions[0]
     else:
         raise ValidationError(f"unknown spin component {component!r}")

@@ -58,24 +58,26 @@ from .errors import (
     AntiWindingError,
     GridTooCoarseError,
     NhjcError,
+    NodeCountError,
     OnBoundaryError,
     UndefinedTiltError,
     ValidationError,
 )
-from .oscillator import hermite_roots
-from .params import LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, raise_where, where
-from .spectrum import BOUNDARY_RTOL, BlockQuantities, block_quantities
+from .oscillator import hermite_roots, ratio_roots
+from .params import (LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, modulus, quotient,
+                     raise_where, where)
+from .spectrum import BOUNDARY_RTOL, block_quantities
 from .texture import (
     STANDARD_POINTS,
     SpinTexture,
     TextureCoefficients,
     check_ratios,
-    coefficient_ratio,
     node_order,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     x_node_arrays,
+    zy_node_arrays,
 )
 
 __all__ = [
@@ -285,18 +287,17 @@ _CHUNK_POINTS = 2 ** 14
 class Windings:
     """The windings of one level (n >= 1, eta) at a batch of points by both
     routes: grid holds one row per point (shape (points, 1), as
-    texture_closed_form takes it) and block is its block n.
+    texture_closed_form takes it).
 
     Construction checks the states (texture_coefficients, unless the caller
     passes checked coefficients) and that each rho = |C_up|/|C_down| admits
     sigma_x nodes; x_nodes is solved on first read. An error carries the
     index of its point."""
 
-    def __init__(self, grid: ParamGrid, level: LevelIndex, block: BlockQuantities,
-                 coeffs: TextureCoefficients | None = None):
-        self.grid, self.level, self.block = grid, level, block
-        self.coeffs = texture_coefficients(grid, level, block) if coeffs is None else coeffs
-        self.rho = coefficient_ratio(block.e_minus + level.eta * block.root, block.off).ravel()
+    def __init__(self, grid: ParamGrid, level: LevelIndex, coeffs: TextureCoefficients | None = None):
+        self.grid, self.level, block = grid, level, block_quantities(grid, level.n)
+        self.coeffs = texture_coefficients(grid, level) if coeffs is None else coeffs
+        self.rho = quotient(modulus(block.e_minus + level.eta * block.root), modulus(block.off)).ravel()
         check_ratios(self.rho)
 
     @cached_property
@@ -312,7 +313,36 @@ class Windings:
 
     def integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """The signed integral windings and residuals in each plane, one per
-        point, from the texture on each point's grid of winding_grids."""
+        point, from the texture on each point's grid of winding_grids. Where
+        the node solve or the unwrapping fails, or an integral disagrees with
+        its node sum, a point whose loop is not resolved raises (_resolved)."""
+        try:
+            found = self._integrals(planes)
+        except (NodeCountError, GridTooCoarseError) as exc:
+            self._resolved([] if exc.index is None else [exc.index])
+            raise
+        for plane, (signed, _) in found.items():
+            self._resolved(np.flatnonzero(signed != self.node_sums(plane)).tolist())
+        return found
+
+    def _resolved(self, points) -> None:
+        """GridTooCoarseError for the first of the points with a sigma_x node
+        closer to its nearest root of H_(n-1) or H_n than the innermost shell
+        about that root (_SHELLS[0] max(1, |root|)): the loop the node makes
+        through the origin falls between the grid points, or on the root's float."""
+        n, roots = self.level.n, zy_node_arrays(self.level.n, 1.0)[0]
+        for i in points:
+            nodes = ratio_roots(n, np.array([-self.rho[i], self.rho[i]])).ravel()
+            near = roots[np.abs(nodes[:, None] - roots).argmin(axis=-1)]
+            distance, shell = np.abs(nodes - near), _SHELLS[0] * np.maximum(1.0, np.abs(near))
+            if (distance < shell).any():
+                k = int(np.argmin(distance / shell))
+                raise GridTooCoarseError(
+                    f"sigma_x node {distance[k]:.3g} from the Hermite root {float(near[k])!r}, inside the innermost "
+                    f"winding shell {shell[k]:.3g}: its loop is not resolved (rho={float(self.rho[i])!r}, n={n})",
+                    index=i)
+
+    def _integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         n, positions = self.level.n, self.x_nodes[0]
         # a winding grid is the standard one plus 2 * 23 shell points around each of the 4n - 1 nodes
         step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 2 * _SHELLS.size * (4 * n - 1)))
@@ -320,7 +350,7 @@ class Windings:
         for start in range(0, len(positions), step):
             rows = slice(start, start + step)
             grids = winding_grids(n, positions[rows])
-            tex = texture_closed_form(self.grid.take(rows), self.level, grids, self.block.take(rows))
+            tex = texture_closed_form(self.grid.take(rows), self.level, grids)
             try:
                 for plane, part in parts.items():
                     part.append(integral_windings(tex, plane))
@@ -346,8 +376,9 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
         return {plane: {"plane": plane, "degenerate": True, "node_sum": 0, "integral": 0,
                         "integral_residual": 0.0, "agreement": True} for plane in planes}
     grid = ParamGrid.rows([params])
-    windings = Windings(grid, level, block_quantities(grid, level.n))
-    distance = dict(zip(PLANES, windings.block.distances(windings.coeffs.c_z, windings.coeffs.c_y)[1:]))
+    windings = Windings(grid, level)
+    distance = dict(zip(PLANES, block_quantities(grid, level.n).distances(windings.coeffs.c_z,
+                                                                          windings.coeffs.c_y)[1:]))
     live = [plane for plane in planes if distance[plane].item() >= BOUNDARY_RTOL]
     integrals = windings.integrals(live) if live else {}
     reports = {}
@@ -366,15 +397,6 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
 _atan = elementwise(math.atan)
 
 
-def _tilt_ratio(c_y, c_z):
-    """Cy/Cz, +-inf (the sign of Cy) where Cz = 0 (arrays give arrays)."""
-    if not isinstance(c_z, np.ndarray):
-        return c_y / c_z if c_z != 0.0 else math.copysign(math.inf, c_y)
-    nonzero = c_z != 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(nonzero, c_y / np.where(nonzero, c_z, 1.0), np.copysign(math.inf, c_y))
-
-
 def tilting_angle(coeffs: TextureCoefficients) -> TiltingAngle:
     """Tilt of the winding plane: theta_t = arctan(Cy/Cz), +-pi/2 at Cz = 0
     (arrays of coefficients give arrays)."""
@@ -386,7 +408,7 @@ def tilting_angle(coeffs: TextureCoefficients) -> TiltingAngle:
 def tilt_of(c_y, c_z) -> TiltingAngle:
     """theta_t and Cy/Cz with no check (arrays over a grid; Cy = Cz = 0 gives
     pi/2 there). arctan(+-inf) is exactly +-pi/2 in floats."""
-    ratio = _tilt_ratio(c_y, c_z)
+    ratio = quotient(c_y, c_z)
     return TiltingAngle(theta_t=_atan(ratio), ratio=ratio)
 
 

@@ -106,8 +106,8 @@ def boundary_margin(grid: ParamGrid, n_values, etas=(-1, 1)) -> np.ndarray:
         margin = np.fmin(margin, bq.R * bq.R / bq.scale_A)
         events = [(bq.exceptional, 0.0)]
         for eta in etas:
-            events.append((branch_solution(grid, LevelIndex(n, eta), bq)[1], math.nan))
-            coeffs = branch_coefficients(grid, eta, bq)
+            events.append((branch_solution(grid, LevelIndex(n, eta))[1], math.nan))
+            coeffs = branch_coefficients(grid, LevelIndex(n, eta))
             margin = functools.reduce(np.fmin, bq.distances(coeffs.c_z, coeffs.c_y), margin)
         for flags, value in events:
             fixed[flags & ~settled] = value
@@ -139,20 +139,20 @@ def draw_sets(
 
 
 def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: STANDARD_POINTS) -> list[np.ndarray]:
-    """evaluate(chunk, bq, level) for each level n in ns and eta = -1, +1,
-    over chunks of the draws in grid of about _CHUNK_POINTS points (points(n)
-    per draw), block n evaluated once per chunk. Returns each per-draw array
-    evaluate returns, joined over all chunks and levels. A NhjcError names
-    its draw (index in the seeded sequence and parameters) and level."""
+    """evaluate(chunk, level) for each level n in ns and eta = -1, +1, over
+    chunks of the draws in grid of about _CHUNK_POINTS points (points(n) per
+    draw); block n is evaluated once per chunk and kept on it. Returns each
+    per-draw array evaluate returns, joined over all chunks and levels. A
+    NhjcError names its draw (index in the seeded sequence and parameters)
+    and level."""
     parts = []
     for n in dict.fromkeys(ns):
         step = max(1, _CHUNK_POINTS // points(n))
         for start in range(0, len(grid.g), step):
             chunk = grid.take(slice(start, start + step))
-            bq = block_quantities(chunk, n)
             for eta in (-1, 1):
                 try:
-                    parts.append(evaluate(chunk, bq, LevelIndex(n, eta)))
+                    parts.append(evaluate(chunk, LevelIndex(n, eta)))
                 except NhjcError as exc:
                     if exc.index is None:
                         raise type(exc)(f"{exc} (n={n}, eta={eta})") from exc
@@ -179,11 +179,11 @@ def _bound_text(bound: float) -> str:
     return min(repr(bound), f"{bound:.0e}".replace("e-0", "e-"), key=len)
 
 
-def _eigen_residuals(chunk, bq, level):
+def _eigen_residuals(chunk, level):
     n = level.n
-    sol = eigen_solution(chunk, level, bq)
-    other = eigen_solution(chunk, LevelIndex(n, -level.eta), bq)
-    c = chunk.composites()
+    sol = eigen_solution(chunk, level)
+    other = eigen_solution(chunk, LevelIndex(n, -level.eta))
+    bq, c = block_quantities(chunk, n), chunk.composites()
     direct = _square(bq.e_minus) + n * _square(c.g_t)
     matrix = np.stack(((n - 1) * c.omega_t + 0.5 * c.Omega_t, bq.off,
                        bq.off, n * c.omega_t - 0.5 * c.Omega_t), axis=-1).reshape(-1, 2, 2)
@@ -200,10 +200,10 @@ def _eigen(draws, levels, residual):
     return worst < residual, f"worst relative residual {worst:.2e} (< {_bound_text(residual)})"
 
 
-def _dual_route_difference(chunk, bq, level):
+def _dual_route_difference(chunk, level):
     grid = standard_grid(level.n)
-    a = texture_closed_form(chunk, level, grid, bq)
-    b = texture_from_wavefunctions(chunk, level, grid, bq)
+    a = texture_closed_form(chunk, level, grid)
+    b = texture_from_wavefunctions(chunk, level, grid)
     return _rows_max(a.sx - b.sx), _rows_max(a.sy - b.sy), _rows_max(a.sz - b.sz)
 
 
@@ -213,10 +213,10 @@ def _dual_route(draws, levels, difference):
     return worst < difference, f"worst pointwise difference {worst:.2e} (< {_bound_text(difference)})"
 
 
-def _parity_residuals(chunk, bq, level):
+def _parity_residuals(chunk, level):
     grid = standard_grid(level.n)
-    t = texture_closed_form(chunk, level, grid, bq)
-    _, _, up_z, down_z = wavefunction_components(chunk, level, grid, bq)
+    t = texture_closed_form(chunk, level, grid)
+    _, _, up_z, down_z = wavefunction_components(chunk, level, grid)
     return (_rows_max(t.sx - t.sx[:, ::-1]), _rows_max(t.sy + t.sy[:, ::-1]),
             _rows_max(t.sz + t.sz[:, ::-1]), _rows_max(up_z - (-1) ** (level.n - 1) * down_z[:, ::-1]))
 
@@ -229,9 +229,9 @@ def _parity(draws, levels, texture, wavefunction):
             f"wavefunction residual {wv:.2e} (< {_bound_text(wavefunction)})")
 
 
-def _hermitian_residuals(chunk, bq, level):
-    t = texture_closed_form(chunk, level, standard_grid(level.n), bq)
-    sol = eigen_solution(chunk, level, bq)
+def _hermitian_residuals(chunk, level):
+    t = texture_closed_form(chunk, level, standard_grid(level.n))
+    sol = eigen_solution(chunk, level)
     return (_rows_max(t.sy), tilting_angle(t.coeffs).theta_t == 0.0,
             np.abs(sol.im_energy) / (level.n + 1))
 
@@ -259,7 +259,7 @@ def _nodes(draws, levels, position):
     worst_pos = 0.0
     counts_ok = True
     for n in levels:
-        windings = Windings(grid, LevelIndex(n, -1), block_quantities(grid, n))
+        windings = Windings(grid, LevelIndex(n, -1))
         nz, _ = zy_node_arrays(n, windings.coeffs.c_z)
         counts_ok &= len(nz) == 2 * n - 1 and windings.x_nodes[0].shape == (2, 2 * n)
         for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
@@ -270,11 +270,11 @@ def _nodes(draws, levels, position):
             f"counts 2n-1/2n: {counts_ok}, max position deviation {worst_pos:.2e} (< {_bound_text(position)})")
 
 
-def _winding_laws(chunk, bq, level):
+def _winding_laws(chunk, level):
     """Per draw: method mismatches, worst integral residual, and whether
     |n_w| = n, the direction rule and the plane coupling hold."""
     n = level.n
-    windings = Windings(chunk, level, bq)
+    windings = Windings(chunk, level)
     coeffs = windings.coeffs
     node_sums = {plane: windings.node_sums(plane) for plane in PLANES}
     mismatches = residual = 0
@@ -302,12 +302,12 @@ def _winding(draws, levels, residual):
             f"worst integral residual {worst:.2e} (< {_bound_text(residual)})")
 
 
-def _tilting_residuals(chunk, bq, level):
-    coeffs = texture_coefficients(chunk, level, bq)
+def _tilting_residuals(chunk, level):
+    coeffs = texture_coefficients(chunk, level)
     theta = tilting_angle(coeffs).theta_t
     ratio = np.where(np.abs(theta) < 0.5 * math.pi - 1e-9,
                      np.abs(_tan(theta) * coeffs.c_z - coeffs.c_y), 0.0)
-    t = texture_closed_form(chunk, level, standard_grid(level.n), bq)
+    t = texture_closed_form(chunk, level, standard_grid(level.n))
     amp = _rows_max(t.sy) + _rows_max(t.sz) + 1e-300
     return ratio, _rows_max(t.sy * coeffs.c_z - t.sz * coeffs.c_y) / amp
 
@@ -330,15 +330,14 @@ def _boundary_scalars(draws, levels, scalar):
         scalars.append(np.abs(r.block.B[r.valid]) / r.block.scale_B[r.valid])
         gr = _solve(grid, "GR", "Gamma", n)
         at = _replaced(grid.take(gr.valid), "Gamma", gr.value[gr.valid])
-        bq = block_quantities(at, n)
-        scalars.append(np.abs(texture_coefficients(at, level, bq).c_z) / bq.scale_Cz)
+        scalars.append(np.abs(texture_coefficients(at, level).c_z) / block_quantities(at, n).scale_Cz)
         # an SI point no record holds, or where the state is undefined, is skipped
         si = _solve(grid, "SI", "gamma", n)
         held = si.valid & np.isfinite(si.value)
         at = _replaced(grid.take(held), "gamma", si.value[held])
         bq = block_quantities(at, n)
-        defined = ~(bq.exceptional | branch_solution(at, level, bq)[1])
-        scalars.append((np.abs(branch_coefficients(at, level.eta, bq).c_y) / bq.scale_Cy)[defined])
+        defined = ~(bq.exceptional | branch_solution(at, level)[1])
+        scalars.append((np.abs(branch_coefficients(at, level).c_y) / bq.scale_Cy)[defined])
     checked = sum(map(len, scalars))
     worst = max([0.0, *np.concatenate(scalars).tolist()])
     return (checked > 0 and worst < scalar,

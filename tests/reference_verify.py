@@ -48,7 +48,7 @@ def reference_margin(params, n_values, etas=(-1, 1)):
         if bq.exceptional:
             return 0.0
         for eta in etas:
-            coeffs = texture_coefficients(params, LevelIndex(n, eta), bq)
+            coeffs = texture_coefficients(params, LevelIndex(n, eta))
             margin = min(margin, *bq.distances(coeffs.c_z, coeffs.c_y))
     return margin
 
@@ -87,7 +87,7 @@ def check_eigen(draws, n_max):
             worst = max(worst, abs(direct - complex(bq.A, -bq.B)) / max(1.0, abs(direct)))
             matrix = _block_matrix(params, n)
             norm = np.linalg.norm(matrix)
-            pair = [eigen_solution(params, LevelIndex(n, eta), bq) for eta in (-1, 1)]
+            pair = [eigen_solution(params, LevelIndex(n, eta)) for eta in (-1, 1)]
             for sol in pair:
                 vec = np.array([sol.c_up, sol.c_down])
                 worst = max(worst, float(np.max(np.abs(matrix @ vec - sol.energy * vec))) / norm)
@@ -214,9 +214,8 @@ def check_winding(draws, n_max):
         for n in range(1, n_max + 1):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
-                bq = block_quantities(params, n)
-                node_sets = {c: nodes(params, level, c, bq) for c in ("z", "y", "x")}
-                tex = texture_closed_form(params, level, winding_grids(n, node_sets["x"].positions[None])[0], bq)
+                node_sets = {c: nodes(params, level, c) for c in ("z", "y", "x")}
+                tex = texture_closed_form(params, level, winding_grids(n, node_sets["x"].positions[None])[0])
                 coeffs = tex.coeffs
                 for plane in ("zx", "yx"):
                     ns = node_sum(node_sets[plane[0]], node_sets["x"])
@@ -275,7 +274,7 @@ def check_boundaries(draws, n_max):
             if gr_point.valid:
                 at = params.with_value("Gamma", gr_point.value)
                 bq = block_quantities(at, n)
-                coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+                coeffs = texture_coefficients(at, LevelIndex(n, -1))
                 worst = max(worst, abs(coeffs.c_z) / bq.scale_Cz)
                 checked += 1
         except NoBoundaryError:
@@ -283,7 +282,7 @@ def check_boundaries(draws, n_max):
         try:
             at = params.with_value("gamma", boundary_SI(params, "gamma").value)
             bq = block_quantities(at, n)
-            coeffs = texture_coefficients(at, LevelIndex(n, -1), bq)
+            coeffs = texture_coefficients(at, LevelIndex(n, -1))
             worst = max(worst, abs(coeffs.c_y) / bq.scale_Cy)
             checked += 1
         except (NoBoundaryError, NhjcError):

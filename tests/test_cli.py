@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -626,3 +627,67 @@ def test_gapped_reversal_of_a_weak_coupling_keeps_every_level(tmp_path, capsys):
     rc, captured = _boundaries(tmp_path, capsys, params, "GR", "Gamma")
     assert rc == 0
     assert json.loads(captured.out)[0]["validity_detail"].startswith("transition exists for levels n < inf")
+
+
+@pytest.mark.parametrize("family", ["R", "GR", "SI"])
+def test_a_single_family_without_a_boundary_is_a_computation_error(tmp_path, capsys, family):
+    # Omega = omega and g = Gamma = 0 zero the denominator of every family in kappa
+    params = {"omega": 1.0, "Omega": 1.0, "g": 0.0, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.0}
+    rc, captured = _boundaries(tmp_path, capsys, params, family)
+    assert rc == 1 and captured.err.startswith(f"error: family {family} has no boundary in kappa: ")
+    rc, captured = _boundaries(tmp_path, capsys, params, "all")
+    assert rc == 0 and [p["valid"] for p in json.loads(captured.out)] == [False, False, False]
+
+
+# At eta = +1 with g~ -> 0 (rho >~ 1e11) a sigma_x node sits closer to its
+# root of H_(n-1) than the innermost winding shell resolves, or on its float.
+# These exited 0 with node sum -5 against integral -1 (the first), 1 with an
+# angle step >= pi/2 (the second and the last) and 1 with a false "left a node
+# outside its interval" (the third).
+@pytest.mark.parametrize("g, n, distance, root, rho", [
+    (1e-14, 5, "2.22e-14", "-1.6506801238857844", "14142135623730.95"),
+    (1e-14, 2, "2.24e-14", "0.0", "22360679774997.895"),
+    (1e-16, 5, "0", "0.5246476232752904", "1414213562373095.2"),
+    (1e-160, 2, "2.24e-160", "0.0", "2.2360679774997896e+159"),
+])
+def test_winding_names_a_sigma_x_loop_finer_than_the_innermost_shell(tmp_path, capsys, g, n, distance, root, rho):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"omega": 0.9, "Omega": 1.0, "g": g, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.0}))
+    rc = main(["winding", "--params", str(path), "--n", str(n), "--eta", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: sigma_x node {distance} from the Hermite root {root}, inside the innermost "
+                          "winding shell ")
+    assert err.endswith(f": its loop is not resolved (rho={rho}, n={n})\n")
+
+
+def test_eigen_evaluates_each_block_once(evaluations, capsys):
+    # block n was evaluated for the state, for the printed invariants and for
+    # the gaps: [3, 3, 3, 2, 4]
+    assert main(["eigen", "--params", str(CONFIGS / "reference.json"), "--n", "3"]) == 0
+    assert [n for n, _ in evaluations] == [3, 2, 4]
+
+
+# sha256 of the outputs of each command on each shipped parameter file at
+# n = 0, 1, 5, 100, 200 and eta = -1, +1 (in that order), joined
+CLI_OUTPUTS = {
+    ("eigen", "dissipative_base"): "fa593bbd1a171a0cde8ed3871ead6c3bf25d7a225d867fa7e1b81f611c7a4e66",
+    ("eigen", "hermitian"): "4d8e2069c18d0e0e2bea39b12fa831649959bf7736da343d3d7bd2e4ad9567ad",
+    ("eigen", "reference"): "7f486cd1fa4d871fc6230f9dfa8e3ad581c8e653404fb840148f169f060897a3",
+    ("texture", "dissipative_base"): "154847cd2d3644db85825470c66529ae89fd1fb1b3fb82858cddd689cc4cf043",
+    ("texture", "hermitian"): "3ead266cc91763c6d6ea98c9e94256b4a6bc7439c6fe43908c8696d909890ec1",
+    ("texture", "reference"): "7551be0eab07ba52d32a7ff1a3115e9be091218fbd4900ffb3568ac732b9d94c",
+    ("winding", "dissipative_base"): "2d23d7c086405011feac787ea092f76cc2f2593ec39bbb28d323b84f11636d9b",
+    ("winding", "hermitian"): "15c7408d2c230af4d13f04e7d0a1ce3caeef6bc915ebec36ae39055e737b47f9",
+    ("winding", "reference"): "6153730133ccff85762c134e149c086224ed64bfa78b1fda026565ea182f66bf",
+}
+
+
+@pytest.mark.parametrize("command, config", sorted(CLI_OUTPUTS))
+def test_the_outputs_on_the_shipped_parameter_files_are_pinned(command, config, capsys):
+    outputs = []
+    for n in (0, 1, 5, 100, 200):
+        for eta in ("-1", "1"):
+            assert main([command, "--params", str(CONFIGS / f"{config}.json"), "--n", str(n), "--eta", eta]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == CLI_OUTPUTS[command, config]

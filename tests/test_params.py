@@ -170,10 +170,13 @@ def test_grid_ufuncs_give_the_bits_of_math():
 
 def test_grid_root_and_ratios_give_the_bits_of_a_scalar_call():
     """BlockQuantities.root equals R * cmath.exp(0.5j * vartheta), and the
-    tilt and coefficient ratios equal their scalar division, bit for bit."""
+    tilt and coefficient ratios (params.quotient) equal their scalar
+    division, bit for bit."""
+    from nhjc.params import modulus, quotient
     from nhjc.spectrum import block_quantities
-    from nhjc.texture import coefficient_ratio
-    from nhjc.topology import _tilt_ratio
+
+    def coefficient_ratio(c_up, c_down):
+        return quotient(modulus(c_up), modulus(c_down))
 
     rng = np.random.default_rng(7)
     count = 100_000
@@ -199,8 +202,34 @@ def test_grid_root_and_ratios_give_the_bits_of_a_scalar_call():
     x, y = (np.where(np.abs(v) == _MAX, 1e300, v) for v in (_random_floats(rng, count), _random_floats(rng, count)))
     y[::7] = 0.0  # a zero denominator in every seventh
     y[1::7] = -0.0
-    for fn, args in ((_tilt_ratio, (x, y)),
+    for fn, args in ((quotient, (x, y)),
                      (coefficient_ratio, (_complex(x, y), _complex(y, -x))),
                      (coefficient_ratio, (_complex(x, x), _complex(y, np.zeros_like(y))))):
         got = fn(*args)
         assert _same_bits(got, _mapped(fn, *args)).all(), fn.__name__
+
+
+def test_taken_rows_carry_the_kept_blocks_bit_for_bit(evaluations):
+    """ParamGrid.take carries the blocks kept on the grid to the rows it
+    selects, bit for bit the blocks a fresh evaluation of those rows gives."""
+    from nhjc.params import PARAM_NAMES, ParamGrid
+    from nhjc.spectrum import block_quantities
+
+    rng = np.random.default_rng(5)
+    grid = ParamGrid(*rng.uniform(0.001, 1.2, (6, 400)))
+    kept = {n: block_quantities(grid, n) for n in (1, 4, 9)}
+    for index in (slice(7, 300), rng.random(400) < 0.3, np.arange(399, 0, -3)[:, None]):
+        taken = grid.take(index)
+        evaluations.clear()
+        carried = {n: block_quantities(taken, n) for n in kept}
+        assert evaluations == []
+        fresh = ParamGrid(*(getattr(taken, name) for name in PARAM_NAMES))
+        for n, block in carried.items():
+            again = block_quantities(fresh, n)
+            assert block.n == again.n == n
+            for field in dataclasses.fields(block)[1:]:
+                got, want = (np.asarray(getattr(b, field.name)) for b in (block, again))
+                assert got.shape == want.shape == taken.g.shape, field.name
+                if got.dtype == complex:
+                    got, want = np.stack((got.real, got.imag)), np.stack((want.real, want.imag))
+                assert _same_bits(got, want).all(), (n, field.name)

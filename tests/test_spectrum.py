@@ -194,8 +194,8 @@ def test_grid_degeneracy_flags_and_norms_match_the_scalar_route(n):
     flags = []
     for eta in (-1, 1):
         level = LevelIndex(n, eta)
-        sol, degenerate = branch_solution(grid, level, block_quantities(grid, n))
-        scalar = [branch_solution(p, level, block_quantities(p, n)) for p in draws]
+        sol, degenerate = branch_solution(grid, level)
+        scalar = [branch_solution(p, level) for p in draws]
         assert degenerate.tolist() == [bool(d) for _, d in scalar]
         want = np.array([s.norm for s, _ in scalar])
         assert ((sol.norm.view(np.int64) == want.view(np.int64)) | (np.isnan(sol.norm) & np.isnan(want))).all()
@@ -243,3 +243,17 @@ def test_delta_minus_equals_branch_splitting(params, n):
     gp = gaps(params, n)
     split = 2.0 * bq.R * abs(math.cos(0.5 * bq.vartheta))
     assert abs(gp.delta_minus - split) < 1e-12 * max(1.0, split)
+
+
+def test_the_norm_sums_correctly_rounded_squares():
+    # libm pow (abs(z) ** 2) rounded |C_up|^2 the wrong way here, and the
+    # norm read 124.37579843711555
+    from fractions import Fraction
+
+    params = ModelParams(omega=0.3417627928071108, Omega=1.1442695343090976, g=0.13148602018644193,
+                         kappa=1.0831638954845344, gamma=0.09400169052597764, Gamma=0.5962633168634052)
+    level = LevelIndex(175, 1)
+    sol = eigen_solution(params, level)
+    squares = [float(Fraction(abs(c)) ** 2) for c in (sol.c_up, sol.c_down)]
+    assert sol.norm == squares[0] + squares[1] == 124.37579843711558
+    assert eigen_solution(ParamGrid.rows([params]), level).norm.item() == sol.norm

@@ -276,20 +276,10 @@ def test_3d_sweep_emits_surfaces_only_by_default():
     assert len(full.rows) == 3 * 3 * 2
 
 
-def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
-    # a row needs blocks n-1, n and n+1 at most; count every call of the kernel
-    # whichever module makes it
-    original = nhjc.spectrum.block_quantities
-    calls = []
-
-    def counted(params, n):
-        calls.append(n)
-        return original(params, n)
-
-    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.sweep,
-                   nhjc.boundaries, nhjc.verify):
-        if getattr(module, "block_quantities", None) is original:
-            monkeypatch.setattr(module, "block_quantities", counted)
+def test_block_kernel_runs_at_most_three_times_per_row(evaluations):
+    # a row needs blocks n-1, n and n+1 at most; count every evaluation of
+    # the kernel whichever module asks for it
+    calls = evaluations
     columns = ("thetaT", "deltaMinus", "deltaPlus", "imE", "CtZ", "CtY")
     # the node sets of a winding column read the row's block too
     for observables in (columns, columns + ("nWzx",)):
@@ -303,24 +293,14 @@ def test_block_kernel_runs_at_most_three_times_per_row(monkeypatch):
         assert len(calls) <= 3 * len(result.rows)
 
 
-def test_a_delta_minus_level_evaluates_block_n_alone(monkeypatch):
+def test_a_delta_minus_level_evaluates_block_n_alone(evaluations):
     # deltaMinus reads block n only; deltaPlus adds blocks n-1 and n+1
-    original = nhjc.spectrum.block_quantities
-    calls = []
-
-    def counted(params, n):
-        calls.append(n)
-        return original(params, n)
-
-    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.sweep):
-        if getattr(module, "block_quantities", None) is original:
-            monkeypatch.setattr(module, "block_quantities", counted)
     axes = (Axis("Gamma", 0.0, 0.12, 40), Axis("g", 0.001, 0.1, 30))  # 1 200 points: two grid blocks
     for observables, per_block in ((("deltaMinus",), [2]), (("deltaPlus",), [2, 1, 3]),
                                    (("thetaT", "deltaMinus", "deltaPlus"), [2, 1, 3])):
-        calls.clear()
+        evaluations.clear()
         run_sweep(small_spec(axes=axes, observables=observables, overlays=(), spot_check_fraction=0.0))
-        assert calls == 2 * per_block, observables
+        assert [n for n, _ in evaluations] == 2 * per_block, observables
 
 
 def test_only_the_spot_check_solves_sigma_x_nodes(monkeypatch):
@@ -387,14 +367,14 @@ def _scalar_row(params, level, observables):
     bq = block_quantities(params, level.n)
     if bq.exceptional:
         known = {"imE": -(level.n - 0.5) * params.kappa, "deltaMinus": 0.0,
-                 "deltaPlus": gaps(params, level.n, bq).delta_plus}
+                 "deltaPlus": gaps(params, level.n).delta_plus}
         return [known.get(o, nan) for o in observables] + [False, True, False]
     try:
-        coeffs = texture_coefficients(params, level, bq)
+        coeffs = texture_coefficients(params, level)
     except DegenerateStateError:
         return [nan] * len(observables) + [True, False, False]
     on_boundary = min(bq.distances(coeffs.c_z, coeffs.c_y)) < 1e-9
-    gp = gaps(params, level.n, bq)
+    gp = gaps(params, level.n)
     row = []
     for o in observables:
         if o == "thetaT":
@@ -573,18 +553,9 @@ def test_overlays_match_the_scalar_reference(case, levels):
         assert [list(map(_bits, row)) for row in rows] == [list(map(_bits, row)) for row in expected]
 
 
-def test_overlay_kernel_calls_do_not_grow_with_the_samples(monkeypatch):
+def test_overlay_kernel_calls_do_not_grow_with_the_samples(evaluations):
     # one block per level for R (its validity), none for GR and SI
-    original = nhjc.spectrum.block_quantities
-    calls = []
-
-    def counted(params, n):
-        calls.append(n)
-        return original(params, n)
-
-    for module in (nhjc, nhjc.spectrum, nhjc.boundaries, nhjc.sweep):
-        if getattr(module, "block_quantities", None) is original:
-            monkeypatch.setattr(module, "block_quantities", counted)
+    calls = evaluations
     counts = []
     for samples in (3, 41):
         calls.clear()
@@ -746,9 +717,8 @@ def test_an_overlay_without_a_closed_form_axis_writes_its_note(tmp_path):
 def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
     """The math functions the shipped (Gamma, g) plane maps over its grids,
     by caller: the main pass maps only atan2, hypot and atan (no ufunc gives
-    their bits); x ** 2 (libm pow) is mapped only for the norm the spot
-    check's textures read and for the GR overlay's level bound; and the
-    degeneracy test maps nothing."""
+    their bits); the spot check and the overlays only atan2 and hypot, since
+    every square is one multiply; and the degeneracy test maps nothing."""
     maps = []
 
     def counted(apply):
@@ -778,9 +748,8 @@ def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
     assert mapped("_level_columns") == {"math.atan2", "math.hypot", "math.atan"}
     # atan2 and hypot of block n and atan of the tilt: deltaMinus reads no neighbour block
     assert sum(size for _, callers, size in maps if "_level_columns" in callers) == 3 * len(result.rows)
-    assert mapped("_spot_check") == {"math.atan2", "math.hypot", "nhjc.spectrum.<lambda>"}
-    assert mapped("_overlay") == {"math.atan2", "math.hypot", "nhjc.boundaries._squared"}
+    assert mapped("_spot_check") == {"math.atan2", "math.hypot"}
+    assert mapped("_overlay") == {"math.atan2", "math.hypot"}
     assert not mapped("branch_solution")
-    # the spectrum's x ** 2 runs only for a norm read, and only in the spot check
-    squares = [callers for name, callers, _ in maps if name == "nhjc.spectrum.<lambda>"]
-    assert squares and all("norm" in callers and "_spot_check" in callers for callers in squares)
+    # nothing else is mapped anywhere in the run: no square at all
+    assert {name for name, _, _ in maps} == {"math.atan2", "math.hypot", "math.atan"}

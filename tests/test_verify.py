@@ -1,6 +1,5 @@
 import math
 import struct
-import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -108,8 +107,8 @@ def test_a_broken_wavefunction_route_fails_the_dual_route_check(monkeypatch):
     # cannot single out one draw: it goes into one route's wave function
     original = nhjc.texture.wavefunction_components
 
-    def broken(params, level, grid, block=None):
-        up_x, down_x, up_z, down_z = original(params, level, grid, block)
+    def broken(params, level, grid):
+        up_x, down_x, up_z, down_z = original(params, level, grid)
         if level.n == 1 and len(up_x) > 3:  # draw 3 sits in the first chunk
             up_x = up_x.copy()
             up_x[3] *= 1.0 + 1e-6
@@ -181,19 +180,11 @@ def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):
     assert f"(draw 12: {values}, n=2, eta=-1)" in err
 
 
-def test_batched_checks_evaluate_the_kernel_at_most_200_times(monkeypatch):
+def test_batched_checks_evaluate_the_kernel_at_most_200_times(evaluations):
     # a scalar loop evaluates it 3 892 times for the same draws
     draws = seeded_draws(50, 8)
-    original = nhjc.spectrum.block_quantities
-    calls = []
-
-    def counted(params, n):
-        calls.append(n)
-        return original(params, n)
-
-    for module in (nhjc, nhjc.spectrum, nhjc.texture, nhjc.topology, nhjc.verify):
-        if getattr(module, "block_quantities", None) is original:
-            monkeypatch.setattr(module, "block_quantities", counted)
+    calls = evaluations
+    calls.clear()  # those of the draws
     for key in BATCHED:
         assert run_check(key, draws[:12] if key == "winding" else draws, 8).passed
     assert 0 < len(calls) <= 200
@@ -217,38 +208,22 @@ def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
     assert peaks[1] - peaks[0] < 2 ** 18
 
 
-def _count_kernel_calls(monkeypatch):
-    """Count block_quantities calls through every nhjc binding of it; each
-    call records whether it was passed a ModelParams."""
-    original = nhjc.spectrum.block_quantities
-    calls = []
-
-    def counted(params, n):
-        calls.append(isinstance(params, ModelParams))
-        return original(params, n)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "nhjc" and vars(module).get("block_quantities") is original:
-            monkeypatch.setattr(module, "block_quantities", counted)
-    return calls
-
-
-def test_suite_and_plane_sweep_pass_the_kernel_only_grids(monkeypatch):
+def test_suite_and_plane_sweep_pass_the_kernel_only_grids(evaluations):
     # the node check and the reversal check's reference configuration took
     # 26 records in this run_suite call, one draw or one level at a time
-    calls = _count_kernel_calls(monkeypatch)
+    calls = evaluations
     assert all(result.passed for result in run_suite(50, 8, seed=7))
     suite_calls = len(calls)
     run_sweep(SweepSpec.load(CONFIGS / "sweep_gamma_g_plane.json"))
     assert suite_calls > 0 and len(calls) > suite_calls
-    assert not any(calls)
+    assert not any(record for _, record in calls)
 
 
 @pytest.mark.parametrize("key", ["boundaries", "reversal-identity"],
                          ids=["_check_boundaries", "_check_reversal_identity"])
-def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(monkeypatch, key):
+def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(evaluations, key):
     # the scalar loops took 110 and 435 evaluations for 50 draws
-    calls = _count_kernel_calls(monkeypatch)
+    calls = evaluations
     counts = []
     for count in (12, 50):
         draws = seeded_draws(count, 8)

@@ -18,6 +18,7 @@ from nhjc import (
     texture_closed_form,
     winding_report,
 )
+from nhjc.csvtext import csv_lines, float_cells
 
 POINTS = ((0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9))
 
@@ -37,10 +38,8 @@ def main() -> int:
                              gamma=gamma, Gamma=Gamma)
         tex = texture_closed_form(params, level)
         path = out_dir / f"winding_loop_{index}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,sx,sy,sz\n")
-            for row in zip(tex.grid, tex.sx, tex.sy, tex.sz):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(b"x,sx,sy,sz\n" + csv_lines([float_cells(v) for v in (tex.grid, tex.sx, tex.sy, tex.sz)]))
         reports = winding_report(params, level, ("zx", "yx"))
         turning = ", ".join(f"n_w^{plane} = {report['node_sum']:+d} "
                             f"({'counter-clockwise' if report['direction_rule'] > 0 else 'clockwise'})"

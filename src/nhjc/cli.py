@@ -133,6 +133,7 @@ def _oscillator_level(args) -> LevelIndex:
 
 
 def _cmd_texture(args) -> int:
+    from .csvtext import csv_lines, float_cells
     from .texture import standard_grid, texture_closed_form
 
     params = load_params(args.params)
@@ -150,10 +151,8 @@ def _cmd_texture(args) -> int:
         }
         _emit(json.dumps(payload) + "\n", args.out)
     else:
-        lines = ["x,sx,sy,sz"]
-        for x, sx, sy, sz in zip(tex.grid, tex.sx, tex.sy, tex.sz):
-            lines.append(",".join(format(v, ".17g") for v in (x, sx, sy, sz)))
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = csv_lines([float_cells(v) for v in (tex.grid, tex.sx, tex.sy, tex.sz)])
+        _emit("x,sx,sy,sz\n" + lines.decode(), args.out)
     return 0
 
 

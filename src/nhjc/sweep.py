@@ -26,9 +26,9 @@ its phase-unwrapping integral, and a mismatch aborts the sweep naming the
 row; any other error names the grid point, n and eta.
 
 The table is kept as one array per column (one row per grid point per
-level, levels innermost) and rendered to CSV column by column, with
-17-significant-digit floats and 0/1 flags, so identical specs give
-byte-identical files. Each overlay family is solved over the grid of the
+level, levels innermost) and rendered to CSV a block of rows at a time, each
+float the exact text of '%.17g' (nhjc.csvtext) and each flag 0/1, so
+identical specs give byte-identical files. Each overlay family is solved over the grid of the
 other axes at once, one call per level (boundaries._solve).
 """
 
@@ -39,12 +39,13 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .boundaries import FAMILIES, SOLVABLE, _solve
+from .csvtext import csv_lines, float_cells, text_cells
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
@@ -213,32 +214,34 @@ def _json_cell(value):
 
 
 def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -> None:
-    """The table as CSV, a block of _GRID_BLOCK rows at a time: each axis
-    value, n and eta is formatted once, the flags are one of 8 strings, and
-    only the observable cells go through '%.17g'."""
-    texts = {axis.name: {v: "%.17g," % v for v in axis.values().tolist()} for axis in spec.axes}
-    texts.update({name: {v: f"{v}," for v in (getattr(lv, name) for lv in spec.levels)} for name in ("n", "eta")})
-    flag_text = np.array(["%d,%d,%d\n" % bits for bits in product((0, 1), repeat=3)], dtype=object)
-    row_format = "%s" * len(texts) + "%.17g," * len(spec.observables) + "%s"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    """The table as CSV, a block of _GRID_BLOCK rows at a time: the block's
+    observables go through one float_cells call, and each axis value, n, eta
+    and flag is gathered from its text, rendered once, by grid point and level."""
+    counts = [axis.count for axis in spec.axes]
+    axes = np.split(float_cells(np.concatenate([axis.values() for axis in spec.axes])), np.cumsum(counts)[:-1])
+    levels = [text_cells([str(getattr(level, name)) for level in spec.levels]) for name in ("n", "eta")]
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode() + b"\n")
         for start in range(0, len(table["n"]), _GRID_BLOCK):
             rows = slice(start, start + _GRID_BLOCK)
-            cells = [list(map(text.__getitem__, table[name][rows].tolist())) for name, text in texts.items()]
-            cells += [table[name][rows].tolist() for name in spec.observables]
-            flags = sum(table[name][rows] * bit for name, bit in zip(FLAG_COLUMNS, (4, 2, 1)))
-            cells.append(flag_text[flags].tolist())
-            fh.writelines(map(row_format.__mod__, zip(*cells)))
+            point, level = np.divmod(np.arange(start, start + len(table["n"][rows])), len(spec.levels))
+            cells = [text[at] for text, at in zip(axes, np.unravel_index(point, counts))]
+            cells += [text[level] for text in levels] + list(float_cells([table[o][rows] for o in spec.observables]))
+            cells += [text_cells("01")[table[name][rows].astype(int)] for name in FLAG_COLUMNS]
+            fh.write(csv_lines(cells))
 
 
 def _write_csv(path, columns, rows) -> None:
-    """An overlay table, one %-format per row: '%.17g' for a float, bool or
-    int, and a column whose first cell is a str (the note) as it is."""
-    first = rows[0] if rows else ()
-    row_format = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(row_format % row for row in rows)
+    """An overlay table: a column of str (the note) as it is, the other
+    columns through one float_cells call."""
+    cells = list(zip(*rows))
+    numbers = [i for i, column in enumerate(cells) if not isinstance(column[0], str)]
+    for i, column in zip(numbers, float_cells([cells[i] for i in numbers])):
+        cells[i] = column
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode() + b"\n")
+        if rows:
+            fh.write(csv_lines([text_cells(c) if isinstance(c, tuple) else c for c in cells]))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -328,8 +328,9 @@ class Windings:
     def _resolved(self, points) -> None:
         """GridTooCoarseError for the first of the points with a sigma_x node
         closer to its nearest root of H_(n-1) or H_n than the innermost shell
-        about that root (_SHELLS[0] max(1, |root|)): the loop the node makes
-        through the origin falls between the grid points, or on the root's float."""
+        about that root (_SHELLS[0] max(1, |root|)), or else past the
+        |x| <= _DOMAIN end of the grids: the loop the node makes through the
+        origin falls between the grid points, on the root's float or off the grid."""
         n, roots = self.level.n, zy_node_arrays(self.level.n, 1.0)[0]
         for i in points:
             nodes = ratio_roots(n, np.array([-self.rho[i], self.rho[i]])).ravel()
@@ -341,6 +342,10 @@ class Windings:
                     f"sigma_x node {distance[k]:.3g} from the Hermite root {float(near[k])!r}, inside the innermost "
                     f"winding shell {shell[k]:.3g}: its loop is not resolved (rho={float(self.rho[i])!r}, n={n})",
                     index=i)
+            outer = float(nodes[np.argmax(np.abs(nodes))])
+            if abs(outer) > _DOMAIN:
+                raise GridTooCoarseError(f"sigma_x node {outer!r} lies past the |x| <= {_DOMAIN:g} winding grid: "
+                                         f"its loop is not resolved (rho={float(self.rho[i])!r}, n={n})", index=i)
 
     def _integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         n, positions = self.level.n, self.x_nodes[0]

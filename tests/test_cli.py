@@ -661,6 +661,46 @@ def test_winding_names_a_sigma_x_loop_finer_than_the_innermost_shell(tmp_path, c
     assert err.endswith(f": its loop is not resolved (rho={rho}, n={n})\n")
 
 
+# At n = 1 and eta = +1 the two sigma_x nodes are +-rho/sqrt(2): with g~ ->
+# 0 they lie far past the |x| <= 40 winding grid. These exited 0 with node
+# sum -1 against integral 0 and "agreement": false in both planes.
+@pytest.mark.parametrize("g, node, rho", [
+    (1e-20, "-2.2360679774997897e+19", "3.1622776601683796e+19"),
+    (1e-100, "-2.2360679774997896e+99", "3.1622776601683795e+99"),
+    (1e-160, "-2.2360679774997896e+159", "3.1622776601683796e+159"),
+])
+def test_winding_names_a_sigma_x_node_past_the_grid(tmp_path, capsys, g, node, rho):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"omega": 0.9, "Omega": 1.0, "g": g, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.0}))
+    rc = main(["winding", "--params", str(path), "--n", "1", "--eta", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err == (f"error: sigma_x node {node} lies past the |x| <= 40 winding grid: its loop is not resolved "
+                   f"(rho={rho}, n=1)\n")
+
+
+def test_winding_at_n_1_still_agrees_where_the_nodes_are_on_the_grid(tmp_path, capsys):
+    # g = 1e-16: rho ~ 3e15, and both routes give -1 in both planes, as before
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"omega": 0.9, "Omega": 1.0, "g": 1e-16, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.0}))
+    assert main(["winding", "--params", str(path), "--n", "1", "--eta", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "b0cfd384fc9fc4bd24104d327b1c888c472d2b07e657d7402228d8c6cf4e9c68"
+    assert {plane: (r["node_sum"], r["integral"], r["agreement"]) for plane, r in json.loads(out)["planes"].items()} \
+        == {"zx": (-1, -1, True), "yx": (-1, -1, True)}
+
+
+def test_texture_csv_matches_the_cell_formatter(capsys):
+    from nhjc import LevelIndex, load_params, standard_grid, texture_closed_form
+
+    path = CONFIGS / "reference.json"
+    assert main(["texture", "--params", str(path), "--n", "5", "--eta", "1", "--grid-points", "5000"]) == 0
+    tex = texture_closed_form(load_params(path), LevelIndex(5, 1), standard_grid(5, 5000))
+    rows = zip(*(column.tolist() for column in (tex.grid, tex.sx, tex.sy, tex.sz)))
+    assert capsys.readouterr().out == "x,sx,sy,sz\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                                               for row in rows)
+
+
 def test_eigen_evaluates_each_block_once(evaluations, capsys):
     # block n was evaluated for the state, for the printed invariants and for
     # the gaps: [3, 3, 3, 2, 4]

@@ -698,6 +698,28 @@ def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
         assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _reference_csv(columns, result.rows)
 
 
+@pytest.mark.parametrize("axes", [
+    (Axis("Gamma", 0.0, 0.12, 45), Axis("g", 0.001, 0.1, 29)),  # R, GR and SI overlays
+    (Axis("omega", 0.8, 1.0, 1100),),  # no closed-form axis: each overlay holds the note
+])
+def test_a_table_past_two_blocks_and_its_overlays_match_the_cell_formatter(tmp_path, axes):
+    """A sweep of more than two _GRID_BLOCK blocks of rows with every
+    observable and overlay: the table and each overlay file are what the
+    column-at-a-time formatter writes for its rows."""
+    from nhjc.sweep import _GRID_BLOCK, OBSERVABLES
+
+    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=(LevelIndex(2, -1), LevelIndex(0)),
+                     observables=OBSERVABLES, overlays=("R", "GR", "SI"), spot_check_fraction=0.0)
+    result = run_sweep(spec)
+    assert len(result.rows) > 2 * _GRID_BLOCK
+    result.to_csv(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _reference_csv(result.columns, result.rows)
+    for family, (columns, rows) in result.overlays.items():
+        assert len(rows) == (1 if columns == ("note",) else 29)  # R: one curve, for n = 2
+        text = (tmp_path / f"table.csv.overlay.{family}.csv").read_text(encoding="utf-8")
+        assert text == _reference_csv(columns, rows)
+
+
 def test_an_overlay_without_a_closed_form_axis_writes_its_note(tmp_path):
     """An omega-only sweep has no axis to solve a boundary for: each overlay
     file holds the note, in CSV and in JSON."""

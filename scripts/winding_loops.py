@@ -18,15 +18,24 @@ from nhjc import (
     texture_closed_form,
     winding_report,
 )
-from nhjc.csvtext import csv_lines, float_cells
+from nhjc.csvtext import csv_table
+from nhjc.params import N_MAX
 
 POINTS = ((0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9))
+
+
+def level_n(text: str) -> int:
+    """--n: a level of the validity domain, 1 <= n <= N_MAX."""
+    n = int(text)
+    if not 1 <= n <= N_MAX:
+        raise argparse.ArgumentTypeError(f"must be in [1, {N_MAX}], got {n}")
+    return n
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="data", help="output directory")
-    parser.add_argument("--n", type=int, default=4)
+    parser.add_argument("--n", type=level_n, default=4)
     args = parser.parse_args()
 
     g_scale = coupling_scale(0.9, 1.0)
@@ -38,8 +47,7 @@ def main() -> int:
                              gamma=gamma, Gamma=Gamma)
         tex = texture_closed_form(params, level)
         path = out_dir / f"winding_loop_{index}.csv"
-        with open(path, "wb") as fh:
-            fh.write(b"x,sx,sy,sz\n" + csv_lines([float_cells(v) for v in (tex.grid, tex.sx, tex.sy, tex.sz)]))
+        path.write_bytes(csv_table({"x": tex.grid, "sx": tex.sx, "sy": tex.sy, "sz": tex.sz}))
         reports = winding_report(params, level, ("zx", "yx"))
         turning = ", ".join(f"n_w^{plane} = {report['node_sum']:+d} "
                             f"({'counter-clockwise' if report['direction_rule'] > 0 else 'clockwise'})"

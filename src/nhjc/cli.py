@@ -133,7 +133,7 @@ def _oscillator_level(args) -> LevelIndex:
 
 
 def _cmd_texture(args) -> int:
-    from .csvtext import csv_lines, float_cells
+    from .csvtext import csv_table
     from .texture import standard_grid, texture_closed_form
 
     params = load_params(args.params)
@@ -142,17 +142,11 @@ def _cmd_texture(args) -> int:
         raise ValidationError(f"--grid-points must be in [2, {sys.maxsize}], got {args.grid_points}")
     grid = standard_grid(level.n, args.grid_points)
     tex = texture_closed_form(params, level, grid)
+    columns = {"x": tex.grid, "sx": tex.sx, "sy": tex.sy, "sz": tex.sz}
     if args.format == "json":
-        payload = {
-            "x": tex.grid.tolist(),
-            "sx": tex.sx.tolist(),
-            "sy": tex.sy.tolist(),
-            "sz": tex.sz.tolist(),
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
+        _emit(json.dumps({name: column.tolist() for name, column in columns.items()}) + "\n", args.out)
     else:
-        lines = csv_lines([float_cells(v) for v in (tex.grid, tex.sx, tex.sy, tex.sz)])
-        _emit("x,sx,sy,sz\n" + lines.decode(), args.out)
+        _emit(csv_table(columns).decode(), args.out)
     return 0
 
 
@@ -188,8 +182,7 @@ def _cmd_boundaries(args) -> int:
 def _cmd_sweep(args) -> int:
     from .sweep import SweepSpec, run_sweep
 
-    spec = SweepSpec.load(args.spec)
-    result = run_sweep(spec)
+    result = run_sweep(SweepSpec.load(args.spec))
     if args.format == "csv":
         result.to_csv(args.out)
     else:

@@ -1,16 +1,17 @@
 """CSV text in bulk: float_cells gives the exact bytes of '%.17g' for float64
-values, 7 words per value padded with 0 bytes, and csv_lines joins cells into
-CSV lines without the 0 bytes. A finite |x| in [1e-280, 1e280] is written
-from N = round(|x| 10^(16-e)), e = floor(log10 |x|) taken one lower where |x|
-is below the least double >= 10^e (log10 rounds up there): with 10^(16-e) a
-double-double hi + lo, a Dekker two-product (Numer. Math. 18, 1971) gives
-the scaled value as p + t within 2^-100 relative, about 1e-14 at 1e17, and
-N = p + rint(t) is certified in [1e16, 1e17] with t more than 1e-6 from a
-half-integer. Other finite values, exact ties among them, go through '%.17g';
-0, -0, nan and +-inf are words of a table. The words hold, as %g lays them out,
-the sign and the '0.000' of a small fixed value; 17 digits from a table of
-4-digit groups (d0 alone in the first), each followed by a slot for the
-point; the exponent, for e outside [-4, 17); trailing zeros are masked out.
+values, 7 words per value padded with 0 bytes, csv_lines joins cells into CSV
+lines without the 0 bytes, and csv_table writes a table of columns. A finite
+|x| in [1e-280, 1e280] is written from N = round(|x| 10^(16-e)), e =
+floor(log10 |x|) taken one lower where |x| is below the least double >= 10^e
+(log10 rounds up there): with 10^(16-e) a double-double hi + lo, a Dekker
+two-product (Numer. Math. 18, 1971) gives the scaled value as p + t within
+2^-100 relative, about 1e-14 at 1e17, and N = p + rint(t) is certified in
+[1e16, 1e17] with t more than 1e-6 from a half-integer. Other finite values,
+exact ties among them, go through '%.17g'; 0, -0, nan and +-inf are words of a
+table. The words hold, as %g lays them out, the sign and the '0.000' of a
+small fixed value; 17 digits from a table of 4-digit groups (d0 alone in the
+first), each followed by a slot for the point; the exponent, for e outside
+[-4, 17); trailing zeros are masked out.
 """
 
 from __future__ import annotations
@@ -117,3 +118,12 @@ def csv_lines(cells) -> bytes:
         lines[:, end - 1 - c.shape[1]:end - 1] = c
     lines[:, -1] = ord("\n")
     return lines.tobytes().translate(None, b"\0")
+
+
+def csv_table(columns: dict) -> bytes:
+    """The CSV of a table {name: column}: the header, then a line per row, a
+    column of str as it is and the others as floats in one float_cells call."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    numbers = iter(float_cells([a for a in arrays if a.dtype.kind != "U"]))
+    cells = [text_cells(a) if a.dtype.kind == "U" else next(numbers) for a in arrays]
+    return ",".join(columns).encode() + b"\n" + csv_lines(cells)

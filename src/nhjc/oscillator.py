@@ -31,7 +31,6 @@ hermite_roots(n) is the c = 0 case, symmetrized and memoized.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -126,22 +125,19 @@ def _jacobi(n: int, c: np.ndarray) -> np.ndarray:
 
 
 _roots_cache: dict[int, np.ndarray] = {}
-_roots_lock = threading.Lock()
 
 
 def hermite_roots(n: int) -> np.ndarray:
     """All n roots of H_n, strictly increasing, symmetric about 0.
 
     Valid for 1 <= n <= N_MAX; absolute accuracy ~1e-13. The returned array is
-    read-only and cached (population is idempotent, safe under concurrency).
+    read-only and cached.
     """
     if not 1 <= n <= N_MAX:
         raise ValueError(f"n must be in [1, {N_MAX}], got {n}")
-    cached = _roots_cache.get(n)
-    if cached is not None:
+    if (cached := _roots_cache.get(n)) is not None:
         return cached
     roots = ratio_roots(n, 0.0)
     roots = 0.5 * (roots - roots[::-1])  # exact symmetrization, middle root 0.0
     roots.setflags(write=False)
-    with _roots_lock:
-        return _roots_cache.setdefault(n, roots)
+    return _roots_cache.setdefault(n, roots)

@@ -25,11 +25,11 @@ solve no sigma_x node. A deterministic 1% subsample of rows is re-derived by
 its phase-unwrapping integral, and a mismatch aborts the sweep naming the
 row; any other error names the grid point, n and eta.
 
-The table is kept as one array per column (one row per grid point per
-level, levels innermost) and rendered to CSV a block of rows at a time, each
-float the exact text of '%.17g' (nhjc.csvtext) and each flag 0/1, so
-identical specs give byte-identical files. Each overlay family is solved over the grid of the
-other axes at once, one call per level (boundaries._solve).
+The table and each overlay are one array per column in row order (levels
+innermost), the table rendered to CSV a block of rows at a time and an
+overlay by csvtext.csv_table, each float the exact text of '%.17g' and each
+flag 0/1, so identical specs give byte-identical files. Each overlay family
+is solved over the grid of the other axes at once, one call per level.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .boundaries import FAMILIES, SOLVABLE, _solve
-from .csvtext import csv_lines, float_cells, text_cells
+from .csvtext import csv_lines, csv_table, float_cells, text_cells
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
 from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
@@ -173,44 +172,40 @@ def _spec_number(data: dict, key: str, kind=float, default=None):
 
 @dataclass
 class SweepResult:
-    """A sweep's table, one array per column (windings as floats, nan off
-    the checked points), and its overlays. rows builds the rows, as Python
-    values with int windings, on each read."""
+    """A sweep's table and overlays, each {column: array} in row order (windings as floats, nan off
+    the checked points). rows builds the table's rows, as Python values with int windings, on each read."""
 
     spec: SweepSpec
     columns: tuple[str, ...]
     table: dict[str, np.ndarray]
-    overlays: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
+    overlays: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
     @property
     def rows(self) -> list[tuple]:
-        cells = ((name, self.table[name].tolist()) for name in self.columns)
-        return list(zip(*([v if math.isnan(v) else int(v) for v in c] if name in WINDINGS else c
-                          for name, c in cells)))
+        return _rows(self.table)
 
     def to_csv(self, path: str | Path) -> None:
         _write_table(path, self.spec, self.columns, self.table)
-        for family, (cols, rows) in self.overlays.items():
-            _write_csv(f"{path}.overlay.{family}.csv", cols, rows)
+        for family, overlay in self.overlays.items():
+            Path(f"{path}.overlay.{family}.csv").write_bytes(csv_table(overlay))
 
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "columns": list(self.columns),
-            "rows": [[_json_cell(v) for v in row] for row in self.rows],
-            "overlays": {
-                fam: {"columns": list(cols), "rows": [[_json_cell(v) for v in r] for r in rows]}
-                for fam, (cols, rows) in self.overlays.items()
-            },
-        }
+        payload = dict(_json_table(self.table), overlays={f: _json_table(t) for f, t in self.overlays.items()})
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
 
-def _json_cell(value):
-    if isinstance(value, float):
-        return None if math.isnan(value) else value
-    return int(value) if isinstance(value, bool) else value
+def _rows(table: dict) -> list[tuple]:
+    """The rows of a table of columns as Python values, windings as ints (nan off the checked points)."""
+    return list(zip(*([v if math.isnan(v) else int(v) for v in c.tolist()] if name in WINDINGS else c.tolist()
+                      for name, c in table.items())))
+
+
+def _json_table(table: dict) -> dict:
+    """A table of columns as JSON: its column names and rows, nan as null and flags as 0/1."""
+    return {"columns": list(table),
+            "rows": [[None if v != v else int(v) if isinstance(v, bool) else v for v in row] for row in _rows(table)]}
 
 
 def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -> None:
@@ -229,19 +224,6 @@ def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -
             cells += [text[level] for text in levels] + list(float_cells([table[o][rows] for o in spec.observables]))
             cells += [text_cells("01")[table[name][rows].astype(int)] for name in FLAG_COLUMNS]
             fh.write(csv_lines(cells))
-
-
-def _write_csv(path, columns, rows) -> None:
-    """An overlay table: a column of str (the note) as it is, the other
-    columns through one float_cells call."""
-    cells = list(zip(*rows))
-    numbers = [i for i, column in enumerate(cells) if not isinstance(column[0], str)]
-    for i, column in zip(numbers, float_cells([cells[i] for i in numbers])):
-        cells[i] = column
-    with open(path, "wb") as fh:
-        fh.write(",".join(columns).encode() + b"\n")
-        if rows:
-            fh.write(csv_lines([text_cells(c) if isinstance(c, tuple) else c for c in cells]))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -276,7 +258,7 @@ def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
             for name, column in values.items():
                 table[name][rows] = column
             winding_rows.append((start + checked) * levels + k)
-    _spot_check(spec, grid, columns, table, np.sort(np.concatenate(winding_rows)))
+    _spot_check(spec, grid, table, np.sort(np.concatenate(winding_rows)))
     return table
 
 
@@ -342,7 +324,7 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     return values, checked
 
 
-def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, table, winding_rows: np.ndarray) -> None:
+def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarray) -> None:
     """Re-derive a deterministic 1% subsample of windings via the integral,
     a level at a time over blocks of the picked rows; winding_rows are the
     indices of the rows with node-sum windings. An error names its point."""
@@ -367,32 +349,32 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, columns, table, winding_rows: 
             fast = np.stack([table[obs][at] for obs in planes], axis=-1)
             slow = np.stack([signed for signed, _ in found.values()], axis=-1)
             for i, j in np.argwhere(fast != slow)[:1].tolist():  # the first by row, then by plane
-                row = SweepResult(spec, columns, table).rows[at[i]]
-                cells = ", ".join(f"{c}={v}" for c, v in zip(columns, row))
+                row = _rows({name: column[at[i]:at[i] + 1] for name, column in table.items()})[0]
+                cells = ", ".join(f"{c}={v}" for c, v in zip(table, row))
                 raise SweepConsistencyError(f"winding methods disagree at row {at[i]} ({cells}): "
                                             f"node-sum {int(fast[i, j])} vs integral {slow[i, j]} in {planes[j]}")
 
 
-def _overlay(spec: SweepSpec, family: str):
-    """Boundary curve/surface of one family sampled on the sweep axes.
+def _overlay(spec: SweepSpec, family: str) -> dict[str, np.ndarray]:
+    """Boundary curve/surface of one family sampled on the sweep axes: the
+    columns of the other axes, n (family R), the solved axis and valid.
 
     The boundary is solved for the first axis with a closed form, over the
     grid of the other axes at once; family R adds one curve per level.
     """
     solve_axis = next((a for a in spec.axes if a.name in SOLVABLE), None)
     if solve_axis is None:
-        return (("note",), [("no closed-form axis for overlay",)])
+        return {"note": np.array(["no closed-form axis for overlay"])}
     other_axes = [a for a in spec.axes if a is not solve_axis]
-    level_column = ("n",) if family == "R" else ()
-    columns = tuple(a.name for a in other_axes) + level_column + (solve_axis.name, "valid")
     positive_levels = sorted({lvl.n for lvl in spec.levels if lvl.n >= 1})
     levels = positive_levels if family == "R" else [positive_levels[0] if positive_levels else None]
     grid = ParamGrid.product(spec.base, {a.name: a.values() for a in other_axes})
-    coords = [getattr(grid, a.name).tolist() for a in other_axes]
-    size = grid.g.size
-    tables = []
-    for n in levels:
+    values, valid = np.empty((grid.g.size, len(levels))), np.empty((grid.g.size, len(levels)), bool)
+    for k, n in enumerate(levels):
         point = _solve(grid, family, solve_axis.name, n)
-        level = ([n] * size,) if family == "R" else ()
-        tables.append(zip(*coords, *level, point.value.tolist(), point.valid.tolist()))
-    return (columns, list(chain.from_iterable(zip(*tables))))
+        values[:, k], valid[:, k] = point.value, point.valid
+    table = {a.name: np.repeat(getattr(grid, a.name), len(levels)) for a in other_axes}
+    if family == "R":
+        table["n"] = np.tile(np.array(levels, int), grid.g.size)
+    table[solve_axis.name], table["valid"] = values.ravel(), valid.ravel()
+    return table

@@ -202,15 +202,21 @@ def _alternating(first, count: int) -> np.ndarray:
     return np.multiply.outer(first, (-1) ** np.arange(count))
 
 
+@functools.cache
+def root_union(n: int) -> np.ndarray:
+    """The sorted union of the roots of H_{n-1} and H_n (n >= 1), read-only."""
+    roots = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0), hermite_roots(n))))
+    roots.setflags(write=False)
+    return roots
+
+
 def zy_node_arrays(n: int, amp) -> tuple[np.ndarray, np.ndarray]:
     """sigma_z / sigma_y nodes of level n: the union of the roots of H_{n-1}
-    and H_n (shared by every point) and the section signs for the amplitude
-    Cz or Cy (one row per element when amp is an array)."""
-    positions = np.sort(np.concatenate((hermite_roots(n - 1) if n > 1 else np.empty(0),
-                                        hermite_roots(n))))
-    # phi_{n-1} phi_n < 0 as x -> -inf; each union root is simple, so the
-    # section signs alternate from -sign(amp)
-    return positions, _alternating(-np.sign(amp).astype(int), len(positions) + 1)
+    and H_n (root_union, shared by every point) and the section signs for the
+    amplitude Cz or Cy (one row per element when amp is an array)."""
+    # phi_{n-1} phi_n < 0 as x -> -inf; each of the 2n - 1 union roots is
+    # simple, so the section signs alternate from -sign(amp)
+    return root_union(n), _alternating(-np.sign(amp).astype(int), 2 * n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +249,7 @@ def x_node_arrays(n: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # +rho: the k-th solutions of the two interleave
     positions = ratio_roots(n, np.stack((-rho, rho), axis=-1)).swapaxes(-1, -2).reshape(len(rho), 2 * n)
     # node k lies strictly inside gap k of the sorted roots of H_{n-1} and H_n
-    roots, gap = zy_node_arrays(n, 1.0)[0], np.arange(2 * n)
+    roots, gap = root_union(n), np.arange(2 * n)
     interlaced = ((np.searchsorted(roots, positions, side="left") == gap)
                   & (np.searchsorted(roots, positions, side="right") == gap)).all(axis=-1)
     if not interlaced.all():

@@ -63,7 +63,7 @@ from .errors import (
     UndefinedTiltError,
     ValidationError,
 )
-from .oscillator import hermite_roots, ratio_roots
+from .oscillator import ratio_roots
 from .params import (LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, modulus, quotient,
                      raise_where, where)
 from .spectrum import BOUNDARY_RTOL, block_quantities
@@ -73,11 +73,11 @@ from .texture import (
     TextureCoefficients,
     check_ratios,
     node_order,
+    root_union,
     standard_grid,
     texture_closed_form,
     texture_coefficients,
     x_node_arrays,
-    zy_node_arrays,
 )
 
 __all__ = [
@@ -147,6 +147,19 @@ def _alive(x_comp: np.ndarray, y_comp: np.ndarray) -> np.ndarray:
     return alive
 
 
+def _live_angles(texture: SpinTexture, plane: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles of the winding vector in the plane along each row of a texture
+    (a 1-D texture is one row) and the first and last live point of each row."""
+    alpha, beta = _plane_components(plane)
+    x_comp, y_comp = (np.atleast_2d(texture.component(c)) for c in (alpha, beta))
+    alive = _alive(x_comp, y_comp)
+    raise_where(np.count_nonzero(alive, axis=-1) < 2, GridTooCoarseError,
+                "winding vector vanishes on the whole grid")
+    first = np.argmax(alive, axis=-1)
+    last = alive.shape[-1] - 1 - np.argmax(alive[:, ::-1], axis=-1)
+    return np.arctan2(y_comp, x_comp), first, last
+
+
 def integral_windings(texture: SpinTexture, plane: str) -> tuple[np.ndarray, np.ndarray]:
     """Signed windings by phase unwrapping of the rows of a texture (a 1-D
     texture is one row), each sampled on its own grid row, and their
@@ -158,14 +171,7 @@ def integral_windings(texture: SpinTexture, plane: str) -> tuple[np.ndarray, np.
     the cutoff and infinity is below pi, so folding the closing increments is
     safe: at most the outermost sigma_x node lies beyond the grid).
     """
-    alpha, beta = _plane_components(plane)
-    x_comp, y_comp = (np.atleast_2d(texture.component(c)) for c in (alpha, beta))
-    alive = _alive(x_comp, y_comp)
-    raise_where(np.count_nonzero(alive, axis=-1) < 2, GridTooCoarseError,
-                "winding vector vanishes on the whole grid")
-    first = np.argmax(alive, axis=-1)
-    last = alive.shape[-1] - 1 - np.argmax(alive[:, ::-1], axis=-1)
-    angles = np.arctan2(y_comp, x_comp)
+    angles, first, last = _live_angles(texture, plane)
     steps = _fold(np.diff(angles))
     inside = (first[:, None] <= np.arange(steps.shape[-1])) & (np.arange(steps.shape[-1]) < last[:, None])
     worst = np.max(np.abs(steps), axis=-1, where=inside, initial=0.0)
@@ -173,7 +179,7 @@ def integral_windings(texture: SpinTexture, plane: str) -> tuple[np.ndarray, np.
     if coarse.any():
         i = int(np.argmax(coarse))
         raise GridTooCoarseError(
-            f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({x_comp.shape[-1]} grid points)",
+            f"angle step {worst[i]:.3f} rad >= pi/2 in plane {plane} ({angles.shape[-1]} grid points)",
             index=i,
         )
     # each row's own slice, so the pairwise sum adds what a 1-D call adds
@@ -269,7 +275,7 @@ def winding_grids(n: int, x_nodes: np.ndarray) -> np.ndarray:
     the clipped points are dead vectors the unwrapping skips, and the
     analytic end closure covers the tail beyond the last live point.
     """
-    roots = np.concatenate((hermite_roots(n), hermite_roots(n - 1) if n > 1 else np.empty(0)))
+    roots = root_union(n)
     centers = np.concatenate((np.broadcast_to(roots, (len(x_nodes), roots.size)), x_nodes), axis=-1)
     local = _SHELLS * np.maximum(1.0, np.abs(centers))[..., None]
     shells = np.concatenate((centers[..., None] + local, centers[..., None] - local), axis=-1)
@@ -319,19 +325,21 @@ class Windings:
         try:
             found = self._integrals(planes)
         except (NodeCountError, GridTooCoarseError) as exc:
-            self._resolved([] if exc.index is None else [exc.index])
+            self._resolved([] if exc.index is None else [exc.index], planes)
             raise
         for plane, (signed, _) in found.items():
-            self._resolved(np.flatnonzero(signed != self.node_sums(plane)).tolist())
+            self._resolved(np.flatnonzero(signed != self.node_sums(plane)).tolist(), planes)
         return found
 
-    def _resolved(self, points) -> None:
+    def _resolved(self, points, planes) -> None:
         """GridTooCoarseError for the first of the points with a sigma_x node
         closer to its nearest root of H_(n-1) or H_n than the innermost shell
         about that root (_SHELLS[0] max(1, |root|)), or else past the
-        |x| <= _DOMAIN end of the grids: the loop the node makes through the
-        origin falls between the grid points, on the root's float or off the grid."""
-        n, roots = self.level.n, zy_node_arrays(self.level.n, 1.0)[0]
+        |x| <= _DOMAIN end of the grids with a live end angle +-pi/2 to the
+        float, where the end closure cannot tell which way the loop turns: the
+        loop the node makes through the origin falls between the grid points,
+        on the root's float or off the grid."""
+        n, roots = self.level.n, root_union(self.level.n)
         for i in points:
             nodes = ratio_roots(n, np.array([-self.rho[i], self.rho[i]])).ravel()
             near = roots[np.abs(nodes[:, None] - roots).argmin(axis=-1)]
@@ -343,7 +351,11 @@ class Windings:
                     f"winding shell {shell[k]:.3g}: its loop is not resolved (rho={float(self.rho[i])!r}, n={n})",
                     index=i)
             outer = float(nodes[np.argmax(np.abs(nodes))])
-            if abs(outer) > _DOMAIN:
+            if abs(outer) <= _DOMAIN:
+                continue
+            tex = texture_closed_form(self.grid.take([i]), self.level, winding_grids(n, nodes[None]))
+            ends = [angles[0, [first[0], last[0]]] for angles, first, last in (_live_angles(tex, p) for p in planes)]
+            if (np.abs(ends) == 0.5 * math.pi).any():
                 raise GridTooCoarseError(f"sigma_x node {outer!r} lies past the |x| <= {_DOMAIN:g} winding grid: "
                                          f"its loop is not resolved (rho={float(self.rho[i])!r}, n={n})", index=i)
 

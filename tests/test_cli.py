@@ -679,6 +679,24 @@ def test_winding_names_a_sigma_x_node_past_the_grid(tmp_path, capsys, g, node, r
                    f"(rho={rho}, n=1)\n")
 
 
+# With eta = +1 and rho ~ 1e11 to 1e12 the outermost sigma_x node lies past
+# |x| = 40 too, but the walk's end angles are not +-pi/2 to the float, so the
+# end closure holds: the error is the narrow crossing's own angle step. These
+# were blamed on the far node.
+@pytest.mark.parametrize("g, n, step, plane, points", [
+    (3e-13, 8, "1.849", "zx", 2227),
+    (3e-13, 20, "1.954", "zx", 4435),
+    (1e-13, 3, "1.630", "yx", 1307),
+    (1e-13, 5, "1.848", "zx", 1675),
+])
+def test_winding_past_the_grid_with_closed_ends_names_its_angle_step(tmp_path, capsys, g, n, step, plane, points):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"omega": 0.9, "Omega": 1.0, "g": g, "kappa": 0.5, "gamma": 0.2, "Gamma": 0.0}))
+    rc = main(["winding", "--params", str(path), "--n", str(n), "--eta", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: angle step {step} rad >= pi/2 in plane {plane} ({points} grid points)\n"
+
+
 def test_winding_at_n_1_still_agrees_where_the_nodes_are_on_the_grid(tmp_path, capsys):
     # g = 1e-16: rho ~ 3e15, and both routes give -1 in both planes, as before
     path = tmp_path / "tiny.json"

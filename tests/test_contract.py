@@ -3,12 +3,17 @@ size, writes the same bytes as before, and so do three `nhjc verify` runs.
 The sha256 values were taken from the outputs of the code the boundary
 overlays and the boundary checks of verify were evaluated with one point at
 a time; the four surfaces_* and two tilt_scan_* specs replace experiment
-scripts that wrote the same files."""
+scripts that wrote the same files. The JSON outputs of the specs and the
+files of scripts/winding_loops.py were pinned when the overlays became
+tables of columns, with the sha256 of what the row-tuple overlays wrote."""
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,8 @@ import pytest
 from nhjc.cli import main
 from nhjc.sweep import SweepSpec, run_sweep
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 # spec -> output suffix (after the --out path) -> sha256
 SWEEP_FILES = {
@@ -67,6 +73,26 @@ SWEEP_FILES = {
     },
 }
 
+# spec -> sha256 of its `nhjc sweep --format json` output
+SWEEP_JSON = {
+    "surfaces_Gamma_g_gamma": "fd4363174143b5293b7150bf73ca9232833c3ada98661dd8ed4760838941a93f",
+    "surfaces_Gamma_g_kappa": "6594cf1acf6e83bf14483945eda5b15ce6fe71496a332a2f3f750281387eea69",
+    "surfaces_gamma_g_kappa": "81d26f4cf3920a9ed964ebe3706c5f3d52e83807c001cd5b5d4eafbb1af28818",
+    "surfaces_kappa_Gamma_gamma": "e745a9f59604d1c53edc9d83aa70d7cf8a064120a379fa4d1f68f20e40504742",
+    "sweep_gamma_g_plane": "a7ee52e441e939f0154830c4ceda049edf2ce6573d2ca6decd7e3d5c8a2a7a42",
+    "sweep_tilt_vs_gamma": "63aeb98f216aa37103a62fa9260d859d31094aa421539cd89278f740727f50d5",
+    "tilt_scan_plane": "a2240c078f3836687d37298b3bca7231f7037a6c42243ea9b3fc0c23ccd0694c",
+    "tilt_scan_vs_gamma": "d644e6c02e229f0eb2a58a1db55ecf3bb994b4afe7b3d89121041f12a6f24d55",
+}
+
+# file -> sha256 of the four loops scripts/winding_loops.py writes by default
+LOOP_FILES = {
+    "winding_loop_1.csv": "63e2284bd56e18c15a9e4957cd48bda60b240beba5b7f1b8c238f15055282b95",
+    "winding_loop_2.csv": "4c91d36a017965d5124e5e805ba707c77614f89c20ea36d7ab75cde2c12db7e1",
+    "winding_loop_3.csv": "66305fa9c4dbe274c93fa98262f1c28664147b2262775b8433704ac3e1a6813a",
+    "winding_loop_4.csv": "d978889ecb55954f26c196094215800ecf2ea67badb6033a7f068c4cc9966ffe",
+}
+
 # the "invariant nodes" line reads the Newton step from each node to its
 # Hermite root (1.14e-16), where it read a deviation of 0 by construction
 VERIFY_QUICK = "8191cb769a3e3fec0dba718c13161f2b499c259a13a2326dff679e399da714b7"
@@ -93,6 +119,21 @@ def test_shipped_sweep_spec_writes_the_pinned_files(tmp_path, name):
     run_sweep(SweepSpec.load(CONFIGS / f"{name}.json")).to_csv(out)
     written = {path.name[len(out.name):]: _sha256(path.read_bytes()) for path in tmp_path.iterdir()}
     assert written == SWEEP_FILES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_JSON))
+def test_shipped_sweep_spec_writes_the_pinned_json(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    assert main(["sweep", "--spec", str(CONFIGS / f"{name}.json"), "--out", str(out), "--format", "json"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]
+    assert _sha256(out.read_bytes()) == SWEEP_JSON[name]
+
+
+def test_winding_loops_script_writes_the_pinned_files(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "winding_loops.py"), "--out-dir", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert {path.name: _sha256(path.read_bytes()) for path in tmp_path.iterdir()} == LOOP_FILES
 
 
 def test_quick_verify_report_is_pinned():

@@ -118,11 +118,10 @@ def test_overlay_files_and_level_dependence(tmp_path):
     spec = small_spec(axes=(Axis("Gamma", 0.001, 0.12, 4), Axis("g", 0.01, 0.06, 3)),
                       levels=(LevelIndex(2, -1),))
     result = run_sweep(spec)
-    cols_r, rows_r = result.overlays["R"]
-    assert cols_r == ("g", "n", "Gamma", "valid")
-    assert len(rows_r) == 3  # one per g sample for the single level
-    cols_si, rows_si = result.overlays["SI"]
-    assert cols_si == ("g", "Gamma", "valid")
+    overlay_r = result.overlays["R"]
+    assert tuple(overlay_r) == ("g", "n", "Gamma", "valid")
+    assert all(len(column) == 3 for column in overlay_r.values())  # one per g sample for the single level
+    assert tuple(result.overlays["SI"]) == ("g", "Gamma", "valid")
     path = tmp_path / "s.csv"
     result.to_csv(path)
     assert (tmp_path / "s.csv.overlay.GR.csv").exists()
@@ -170,13 +169,12 @@ def test_overlay_consistency_with_gap_observable():
         w = (value - gammas[i - 1]) / (gammas[i] - gammas[i - 1])
         return (1 - w) * gap[i - 1] + w * gap[i], abs(gap[i] - gap[i - 1])
 
-    (_, rows_r) = result.overlays["R"]
-    (gamma_r, valid_r) = rows_r[0][-2], rows_r[0][-1]
+    overlay_r = result.overlays["R"]
+    (gamma_r, valid_r) = overlay_r["Gamma"][0], overlay_r["valid"][0]
     assert valid_r
     at_r, local = interpolate(gamma_r)
     assert at_r <= 10.0 * local
-    (_, rows_gr) = result.overlays["GR"]
-    at_gr, _ = interpolate(rows_gr[0][-2])
+    at_gr, _ = interpolate(result.overlays["GR"]["Gamma"][0])
     assert at_gr > 1e-6  # margin in units of the qubit splitting
 
 
@@ -190,8 +188,7 @@ def test_all_levels_cross_zero_tilt_at_super_invariant_point():
         overlays=("SI",),
     )
     result = run_sweep(spec)
-    (_, rows_si) = result.overlays["SI"]
-    gamma_si = rows_si[0][-2]
+    gamma_si = result.overlays["SI"]["gamma"][0]
     for n in (1, 11, 51, 91):
         series = [(row[0], row[result.columns.index("thetaT")])
                   for row in result.rows if row[1] == n]
@@ -269,9 +266,9 @@ def test_3d_sweep_emits_surfaces_only_by_default():
     )
     result = run_sweep(spec)
     assert result.rows == []  # volumetric output off by default in 3D
-    cols, rows = result.overlays["SI"]
-    assert cols == ("Gamma", "g", "gamma", "valid")
-    assert len(rows) == 3 * 2
+    overlay = result.overlays["SI"]
+    assert tuple(overlay) == ("Gamma", "g", "gamma", "valid")
+    assert all(len(column) == 3 * 2 for column in overlay.values())
     full = run_sweep(dataclasses.replace(spec, volumetric=True))
     assert len(full.rows) == 3 * 3 * 2
 
@@ -546,11 +543,15 @@ OVERLAY_CASES = {
 def test_overlays_match_the_scalar_reference(case, levels):
     base, axes = OVERLAY_CASES[case]
     spec = SweepSpec(base=base, axes=axes, levels=levels, observables=("thetaT",))
+    dtypes = {"n": np.dtype(int), "valid": np.dtype(bool)}
     for family in ("R", "GR", "SI"):
-        columns, rows = nhjc.sweep._overlay(spec, family)
+        table = nhjc.sweep._overlay(spec, family)
         expected_columns, expected = reference_overlay(spec, family)
-        assert columns == expected_columns
-        assert [list(map(_bits, row)) for row in rows] == [list(map(_bits, row)) for row in expected]
+        assert tuple(table) == expected_columns
+        cells = list(zip(*expected)) or [()] * len(expected_columns)
+        for name, column, reference in zip(expected_columns, table.values(), cells):
+            assert column.dtype.kind == "U" if name == "note" else column.dtype == dtypes.get(name, np.float64)
+            assert list(map(_bits, column.tolist())) == list(map(_bits, reference)), name
 
 
 def test_overlay_kernel_calls_do_not_grow_with_the_samples(evaluations):
@@ -563,7 +564,7 @@ def test_overlay_kernel_calls_do_not_grow_with_the_samples(evaluations):
                                 Axis("gamma", 0.0, 1.2, samples)),
                           levels=(LevelIndex(1, -1), LevelIndex(2, -1)))
         result = run_sweep(spec)
-        assert len(result.overlays["R"][1]) == 2 * samples ** 2
+        assert all(len(column) == 2 * samples ** 2 for column in result.overlays["R"].values())
         counts.append(len(calls))
     assert counts == [2, 2]
 
@@ -582,7 +583,8 @@ def test_overlay_values_lie_in_the_cells_where_the_direction_flips(n):
     gamma, theta, winding, on_boundary = (
         np.array([row[result.columns.index(c)] for row in result.rows], dtype=float)
         for c in ("Gamma", "thetaT", "nWzx", "on_boundary"))
-    values = [row[-2] for family in ("R", "GR") for row in result.overlays[family][1] if row[-1]]
+    values = [value for family in ("R", "GR")
+              for value in result.overlays[family]["Gamma"][result.overlays[family]["valid"]].tolist()]
     assert len(values) == 2
     defined = np.flatnonzero(~np.isnan(winding))
     cells = list(zip(defined[:-1], defined[1:]))
@@ -621,7 +623,7 @@ def _reference_column(values) -> list[str]:
 
 
 def _reference_csv(columns, rows) -> str:
-    """Oracle for sweep._write_csv: every column formatted on its own, then
+    """Oracle for csvtext.csv_table: every column formatted on its own, then
     joined row by row."""
     cells = [_reference_column(column) for column in zip(*rows)]
     return "".join(",".join(row) + "\n" for row in [columns] + list(zip(*cells)))
@@ -644,21 +646,22 @@ def _random_column(rng: random.Random, kind: str, count: int) -> list:
     return [rng.choice(["no closed-form axis for overlay", "", "a b"]) for _ in range(count)]
 
 
-def test_csv_writer_matches_the_column_formatter(tmp_path):
+def test_csv_writer_matches_the_column_formatter():
     """Seeded tables of every cell kind a sweep writes (floats with nan,
-    +-0, +-inf and subnormals, bools, ints, int/nan columns, str) are
-    written byte for byte as the column-at-a-time formatter writes them."""
-    from nhjc.sweep import _write_csv
+    +-0, +-inf and subnormals, bools, ints, int/nan columns, str), as lists
+    and as the arrays of an overlay, are written by csv_table byte for byte
+    as the column-at-a-time formatter writes them."""
+    from nhjc.csvtext import csv_table
 
     rng = random.Random(20240901)
-    path = tmp_path / "table.csv"
     for _ in range(200):
         kinds = [rng.choice(["float", "bool", "int", "int/nan", "str"]) for _ in range(rng.randint(1, 8))]
         count = rng.choice([0, 1, 2, 5, 130])
         columns = tuple(f"c{i}" for i in range(len(kinds)))
-        rows = list(zip(*(_random_column(rng, kind, count) for kind in kinds)))
-        _write_csv(path, columns, rows)
-        assert path.read_text(encoding="utf-8") == _reference_csv(columns, rows)
+        cells = [_random_column(rng, kind, count) for kind in kinds]
+        rows = list(zip(*cells))
+        for table in (dict(zip(columns, cells)), {c: np.array(cell) for c, cell in zip(columns, cells)}):
+            assert csv_table(table).decode() == _reference_csv(columns, rows)
 
 
 WRITER_CASES = {  # 1-, 2- and 3-axis tables past the 1 024-row block, n = 0 among the levels
@@ -714,7 +717,8 @@ def test_a_table_past_two_blocks_and_its_overlays_match_the_cell_formatter(tmp_p
     assert len(result.rows) > 2 * _GRID_BLOCK
     result.to_csv(tmp_path / "table.csv")
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _reference_csv(result.columns, result.rows)
-    for family, (columns, rows) in result.overlays.items():
+    for family, table in result.overlays.items():
+        columns, rows = tuple(table), list(zip(*(column.tolist() for column in table.values())))
         assert len(rows) == (1 if columns == ("note",) else 29)  # R: one curve, for n = 2
         text = (tmp_path / f"table.csv.overlay.{family}.csv").read_text(encoding="utf-8")
         assert text == _reference_csv(columns, rows)

@@ -142,6 +142,19 @@ def test_winding_loops_script_prints_the_flips_and_writes_the_loops(tmp_path):
     assert zx_flips == [True, True, False] and yx_flips == [False, False, True]
 
 
+@pytest.mark.parametrize("n", ["300", "0", "-1"])
+def test_winding_loops_script_rejects_a_level_outside_the_domain(tmp_path, n):
+    # these ended in a ValueError, a KeyError and a ValidationError traceback
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "winding_loops.py"), "--out-dir", str(tmp_path),
+                           "--n", n], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        f"winding_loops.py: error: argument --n: must be in [1, 200], got {n}"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_plane_coupling_sign(reference_params):
     coeffs = texture_coefficients(reference_params, LevelIndex(3, -1))
     product = winding_direction(coeffs, "zx") * winding_direction(coeffs, "yx")

@@ -126,10 +126,9 @@ def test_shifted_hermite_roots_fail_the_node_check(monkeypatch):
     # wrong root passed with deviation 0
     draws = draw_sets(np.random.default_rng(17), 2, 8)
     assert _CHECKS["nodes"](draws, range(1, 9)).passed
-    original = nhjc.texture.hermite_roots
-    for module in (nhjc.texture, nhjc.verify):
-        if getattr(module, "hermite_roots", None) is original:
-            monkeypatch.setattr(module, "hermite_roots", lambda n: original(n) + 0.01)
+    # the node routines read the roots of H_(n-1) and H_n from root_union
+    original = nhjc.texture.root_union
+    monkeypatch.setattr(nhjc.texture, "root_union", lambda n: original(n) + 0.01)
     result = _CHECKS["nodes"](draws, range(1, 9))
     assert not result.passed and "max position deviation 1.00e-02" in result.detail
 

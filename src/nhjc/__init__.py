@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # module -> the public names the package re-exports from it
 _EXPORTS = {
-    "boundaries": ("BoundaryPoint", "all_boundaries", "boundary_GR", "boundary_R", "boundary_SI"),
+    "boundaries": ("BoundaryPoint", "all_boundaries", "boundary"),
     "errors": ("AntiWindingError", "DegenerateStateError", "ExceptionalPointError", "GridTooCoarseError",
                "NhjcError", "NoBoundaryError", "NodeCountError", "OnBoundaryError",
                "SweepConsistencyError", "SweepSpecError", "UndefinedTiltError", "ValidationError"),

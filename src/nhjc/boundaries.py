@@ -30,8 +30,8 @@ given a ParamGrid instead of ModelParams, _solve evaluates every point at
 once and returns arrays, bit for bit what a call per point returns. A zero
 denominator is a mask there (value nan, not valid); for one ModelParams it
 raises NoBoundaryError. The validity of R and GR is read off the record with
-the solved parameter replaced by its value. boundary_R/GR/SI format one
-point's result; the sweep overlays and verify solve whole grids.
+the solved parameter replaced by its value. boundary formats one point's
+result; the sweep overlays and verify solve whole grids.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .errors import NoBoundaryError, ValidationError
 from .params import ModelParams, ParamGrid, _replaced, quiet_overflow, raise_where, where
 from .spectrum import BlockQuantities, block_quantities
 
-__all__ = ["BoundaryPoint", "boundary_R", "boundary_GR", "boundary_SI", "all_boundaries", "SOLVABLE"]
+__all__ = ["BoundaryPoint", "boundary", "all_boundaries", "FAMILIES", "SOLVABLE"]
 
+FAMILIES = ("R", "GR", "SI")
 SOLVABLE = ("kappa", "Gamma", "gamma", "g")
 
 # (family, solved-for) -> (the denominator whose zero leaves no closed form,
@@ -86,21 +87,14 @@ class _Solution(NamedTuple):
     n_max: float | None  # GR: the levels n < n_max keep the transition
 
 
-def _check_solvable(solved_for: str) -> None:
-    if solved_for not in SOLVABLE:
-        raise ValidationError(
-            f"no closed form for {solved_for!r}; solvable parameters: {SOLVABLE}"
-        )
-
-
 @quiet_overflow
-def _solve(params: ModelParams | ParamGrid, family: str, solved_for: str, n: int | None) -> _Solution:
+def _solve(params: ModelParams | ParamGrid, family: str, solved_for: str, n: int) -> _Solution:
     """The family's point solved for one parameter, the others from params.
 
     A zero denominator raises NoBoundaryError for a ModelParams and gives nan,
     not valid, over a grid. A non-finite R or GR value raises the
     ValidationError of a ModelParams holding it. n is the level of R, the
-    level whose GR transition is asked about (None: level 1) and unused by SI.
+    level whose GR transition is asked about and unused by SI.
     """
     label, form = _FORMS[family, solved_for]
     c = params.composites()
@@ -121,88 +115,53 @@ def _solve(params: ModelParams | ParamGrid, family: str, solved_for: str, n: int
     uncoupled = g_at == 0.0
     t = d_kg_at / (2.0 * where(uncoupled, 1.0, g_at))
     n_max = where(uncoupled, where(d_kg_at != 0.0, math.inf, 0.0), t * t)
-    keeps = n_max > 1.0 if n is None else n < n_max  # n = None: the first excited level
-    return _Solution(value, where(zero, False, keeps), None, n_max)
+    return _Solution(value, where(zero, False, n < n_max), None, n_max)
 
 
-def boundary_R(params: ModelParams, n: int, solved_for: str) -> BoundaryPoint:
-    """Level-n reversal point solved for one parameter (others from params).
-
-    valid requires A < 0 at the point. For solved_for='Gamma' the detail also
-    reports the explicit existence conditions Gamma_R > |Omega-omega|/(2 sqrt(n))
-    and (kappa-gamma)(Omega-omega) > 0 that apply when Gamma_A^2 > 0.
+def boundary(params: ModelParams, family: str, n: int, solved_for: str) -> BoundaryPoint:
+    """The family's point for level n >= 1, solved for one parameter (the
+    others from params). R is valid where A < 0 at the point; solved for
+    Gamma, its detail also reports the existence conditions Gamma_R >
+    |Omega-omega|/(2 sqrt(n)) and (kappa-gamma)(Omega-omega) > 0 that apply
+    when Gamma_A^2 > 0. GR's value never depends on n; it is valid where level
+    n still has the transition (d_kg^2 > 4 n g^2 at the point), not where the
+    level's reversal transition preempted it. SI is the same for every level.
     """
-    _check_solvable(solved_for)
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown boundary family {family!r}; families: {FAMILIES}")
+    if solved_for not in SOLVABLE:
+        raise ValidationError(f"no closed form for {solved_for!r}; solvable parameters: {SOLVABLE}")
     if n < 1:
-        raise ValidationError(f"family R needs a level n >= 1, got {n}")
-    value, valid, block, _ = _solve(params, "R", solved_for, n)
-    A = block.A
-    detail = f"A = {A:.6g} at the point ({'A < 0 holds' if valid else 'requires A < 0'})"
-    if solved_for == "Gamma":
-        c = params.composites()
-        d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, params.g
-        gamma_a_sq = g * g + (d_Ww * d_Ww - d_kg * d_kg) / (4.0 * n)
-        if gamma_a_sq > 0.0:
-            g_min = abs(d_Ww) / (2.0 * math.sqrt(n))
-            detail += (
-                f"; Gamma_A^2 = {gamma_a_sq:.6g} > 0 so existence needs "
-                f"Gamma_R > {g_min:.6g} and (kappa-gamma)(Omega-omega) > 0 "
-                f"[{'met' if valid and value > 0 else 'not met'}]"
-            )
-        else:
-            detail += f"; Gamma_A^2 = {gamma_a_sq:.6g} <= 0 (transition exists for any Gamma_R)"
-    if value < 0.0:
-        detail += "; note: boundary value is a negative rate"
-    return BoundaryPoint(family="R", solved_for=solved_for, value=value, valid=valid,
-                         validity_detail=detail, level_dependent=True)
-
-
-def boundary_GR(params: ModelParams, solved_for: str, n: int | None = None) -> BoundaryPoint:
-    """Gapped-reversal point; the value never depends on n.
-
-    When n is given, validity reports whether level n still has the
-    transition (d_kg^2 > 4 n g^2 at the point) or has been preempted by the
-    level's reversal transition.
-    """
-    _check_solvable(solved_for)
-    value, valid, _, n_max = _solve(params, "GR", solved_for, n)
-    if n is None:
-        detail = f"transition exists for levels n < {n_max:.6g}"
+        raise ValidationError(f"family {family} needs a level n >= 1, got {n}")
+    value, valid, block, n_max = _solve(params, family, solved_for, n)
+    if family == "SI":
+        detail = "no tilting for every level at this point"
+    elif family == "GR":
+        detail = (f"transition exists for levels n < {n_max:.6g}; "
+                  + (f"level n={n} keeps it" if valid else f"level n={n} is preempted (met the reversal transition)"))
     else:
-        if n < 1:
-            raise ValidationError(f"level n must be >= 1, got {n}")
-        detail = (
-            f"transition exists for levels n < {n_max:.6g}; "
-            + (f"level n={n} keeps it" if valid
-               else f"level n={n} is preempted (met the reversal transition)")
-        )
-    return BoundaryPoint(family="GR", solved_for=solved_for, value=value, valid=valid,
-                         validity_detail=detail, level_dependent=False)
-
-
-def boundary_SI(params: ModelParams, solved_for: str) -> BoundaryPoint:
-    """Super-invariant point; identical for every level, no extra conditions."""
-    _check_solvable(solved_for)
-    value, valid, _, _ = _solve(params, "SI", solved_for, None)
-    return BoundaryPoint(family="SI", solved_for=solved_for, value=value, valid=valid,
-                         validity_detail="no tilting for every level at this point", level_dependent=False)
-
-
-# family -> its point for (params, n, solved_for), R first
-FAMILIES = {
-    "R": boundary_R,
-    "GR": lambda params, n, solved_for: boundary_GR(params, solved_for, n=n),
-    "SI": lambda params, n, solved_for: boundary_SI(params, solved_for),
-}
+        detail = f"A = {block.A:.6g} at the point ({'A < 0 holds' if valid else 'requires A < 0'})"
+        if solved_for == "Gamma":
+            c = params.composites()
+            d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, params.g
+            gamma_a_sq = g * g + (d_Ww * d_Ww - d_kg * d_kg) / (4.0 * n)
+            if gamma_a_sq > 0.0:
+                detail += (f"; Gamma_A^2 = {gamma_a_sq:.6g} > 0 so existence needs Gamma_R > "
+                           f"{abs(d_Ww) / (2.0 * math.sqrt(n)):.6g} and (kappa-gamma)(Omega-omega) > 0 "
+                           f"[{'met' if valid and value > 0 else 'not met'}]")
+            else:
+                detail += f"; Gamma_A^2 = {gamma_a_sq:.6g} <= 0 (transition exists for any Gamma_R)"
+        if value < 0.0:
+            detail += "; note: boundary value is a negative rate"
+    return BoundaryPoint(family, solved_for, value, valid, detail, level_dependent=family == "R")
 
 
 def all_boundaries(params: ModelParams, n: int, solved_for: str) -> list[BoundaryPoint]:
-    """The three family points in the same variable (R first)."""
+    """The three family points in the same variable (R first); one with no closed form is nan, not valid."""
     out = []
-    for family, solve in FAMILIES.items():
+    for family in FAMILIES:
         try:
-            out.append(solve(params, n, solved_for))
+            out.append(boundary(params, family, n, solved_for))
         except NoBoundaryError as exc:
-            out.append(BoundaryPoint(family=family, solved_for=solved_for, value=math.nan, valid=False,
-                                     validity_detail=str(exc), level_dependent=family == "R"))
+            out.append(BoundaryPoint(family, solved_for, math.nan, False, str(exc), level_dependent=family == "R"))
     return out

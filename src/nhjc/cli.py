@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .boundaries import FAMILIES, SOLVABLE, all_boundaries
+from .boundaries import FAMILIES, SOLVABLE, all_boundaries, boundary
 from .errors import NhjcError, SweepSpecError, ValidationError
 from .params import N_MAX, LevelIndex, load_params
 from .spectrum import block_quantities, eigen_solution, gaps
@@ -171,10 +171,9 @@ def _cmd_winding(args) -> int:
 def _cmd_boundaries(args) -> int:
     params = load_params(args.params)
     n = _closed_form_n(args)
-    if args.family == "all":
-        points = all_boundaries(params, n, args.solve_for)
-    else:  # a NoBoundaryError of the one family is a computation error
-        points = [FAMILIES[args.family](params, n, args.solve_for)]
+    # a NoBoundaryError of one --family is a computation error; "all" reports it as a point
+    points = (all_boundaries(params, n, args.solve_for) if args.family == "all"
+              else [boundary(params, args.family, n, args.solve_for)])
     _emit(json.dumps([asdict(p) for p in points], indent=2) + "\n", args.out)
     return 0
 

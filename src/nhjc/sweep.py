@@ -55,7 +55,6 @@ __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
 OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
 WINDINGS = ("nWzx", "nWyx")
-OVERLAY_FAMILIES = tuple(FAMILIES)
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
@@ -99,20 +98,20 @@ class SweepSpec:
         if math.prod(a.count for a in self.axes) > sys.maxsize:
             raise SweepSpecError(f"the grid must have at most {sys.maxsize} points, got "
                                  f"{' x '.join(str(a.count) for a in self.axes)}")
-        names = [a.name for a in self.axes]
-        if len(set(names)) != len(names):
-            raise SweepSpecError(f"axis parameters must be distinct, got {names}")
+        names = {"axis parameter": [a.name for a in self.axes], "observable": list(self.observables),
+                 "overlay family": list(self.overlays)}  # Axis checks its own name
+        for what, known in (("observable", OBSERVABLES), ("overlay family", FAMILIES)):
+            for name in names[what]:
+                if name not in known:
+                    raise SweepSpecError(f"unknown {what} {name!r}; known: {known}")
+        for what, listed in names.items():
+            if len(set(listed)) != len(listed):
+                raise SweepSpecError(f"each {what} may be named once, got {listed}")
         if not self.levels:
             raise SweepSpecError("at least one level is required")
         top = max(level.n for level in self.levels)
         if top > N_MAX:
             raise SweepSpecError(f"levels must have n <= {N_MAX} (validity domain), got {top}")
-        for obs in self.observables:
-            if obs not in OBSERVABLES:
-                raise SweepSpecError(f"unknown observable {obs!r}; known: {OBSERVABLES}")
-        for fam in self.overlays:
-            if fam not in OVERLAY_FAMILIES:
-                raise SweepSpecError(f"unknown overlay family {fam!r}")
         fraction = self.spot_check_fraction
         if not (isinstance(fraction, (int, float)) and 0.0 <= fraction <= 1.0):  # nan fails too
             raise SweepSpecError(f"spot_check_fraction must be a number in [0, 1], got {fraction!r}")
@@ -125,25 +124,25 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         """The spec of a JSON object. Numbers must be JSON numbers in float
-        range (no strings or booleans), and counts and levels integers."""
+        range (no strings or booleans), counts and levels integers, and the
+        observables and overlays arrays; an unknown key is an error."""
         try:
+            _known([data], "sweep spec")
             base = params_from_dict(data["params"])
             axes = tuple(Axis(a["name"], _spec_number(a, "min"), _spec_number(a, "max"),
-                              _spec_number(a, "count", int)) for a in data["axes"])
+                              _spec_number(a, "count", int)) for a in _known(data["axes"], "axis"))
             levels = tuple(LevelIndex(_spec_number(l, "n", int), _spec_number(l, "eta", int, -1))
-                           for l in data["levels"])
-            observables = tuple(data.get("observables", ["thetaT"]))
-            overlays = tuple(data.get("overlays", []))
+                           for l in _known(data["levels"], "level"))
+            observables = _spec_array(data, "observables", ["thetaT"])
+            overlays = _spec_array(data, "overlays", [])
             spot_check_fraction = _spec_number(data, "spot_check_fraction", default=0.01)
         except (KeyError, TypeError) as exc:
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
         if not (volumetric is None or isinstance(volumetric, bool)):
             raise SweepSpecError(f"volumetric must be true, false or null, got {volumetric!r}")
-        return cls(base=base, axes=axes, levels=levels,
-                   observables=observables, overlays=overlays,
-                   spot_check_fraction=spot_check_fraction,
-                   volumetric=volumetric)
+        return cls(base=base, axes=axes, levels=levels, observables=observables, overlays=overlays,
+                   spot_check_fraction=spot_check_fraction, volumetric=volumetric)
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
@@ -156,6 +155,26 @@ def _json_int(text: str) -> int | float:
     to (+-inf), which no number or count accepts; int() stops at 4 300 digits."""
     value = float(text)
     return int(text) if math.isfinite(value) else value
+
+
+# the keys a sweep spec, each of its axes and each of its levels may have
+_KEYS = {"sweep spec": {"params", "axes", "levels", "observables", "overlays", "spot_check_fraction", "volumetric"},
+         "axis": {"name", "min", "max", "count"}, "level": {"n", "eta"}}
+
+
+def _known(items, what: str):
+    """items, where a JSON object with a key a `what` may not have is a SweepSpecError."""
+    for item in items:
+        if unknown := sorted(set(item) - _KEYS[what]) if isinstance(item, dict) else []:
+            raise SweepSpecError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    return items
+
+
+def _spec_array(data: dict, key: str, default: list) -> tuple:
+    """data[key] (default when absent), which must be a JSON array, as a tuple."""
+    if not isinstance(value := data.get(key, default), list):
+        raise SweepSpecError(f"{key!r} must be a JSON array, got {value!r}")
+    return tuple(value)
 
 
 def _spec_number(data: dict, key: str, kind=float, default=None):
@@ -176,16 +195,19 @@ class SweepResult:
     the checked points). rows builds the table's rows, as Python values with int windings, on each read."""
 
     spec: SweepSpec
-    columns: tuple[str, ...]
     table: dict[str, np.ndarray]
     overlays: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self.table)
 
     @property
     def rows(self) -> list[tuple]:
         return _rows(self.table)
 
     def to_csv(self, path: str | Path) -> None:
-        _write_table(path, self.spec, self.columns, self.table)
+        _write_table(path, self.spec, self.table)
         for family, overlay in self.overlays.items():
             Path(f"{path}.overlay.{family}.csv").write_bytes(csv_table(overlay))
 
@@ -208,7 +230,7 @@ def _json_table(table: dict) -> dict:
             "rows": [[None if v != v else int(v) if isinstance(v, bool) else v for v in row] for row in _rows(table)]}
 
 
-def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -> None:
+def _write_table(path, spec: SweepSpec, table: dict[str, np.ndarray]) -> None:
     """The table as CSV, a block of _GRID_BLOCK rows at a time: the block's
     observables go through one float_cells call, and each axis value, n, eta
     and flag is gathered from its text, rendered once, by grid point and level."""
@@ -216,7 +238,7 @@ def _write_table(path, spec: SweepSpec, columns, table: dict[str, np.ndarray]) -
     axes = np.split(float_cells(np.concatenate([axis.values() for axis in spec.axes])), np.cumsum(counts)[:-1])
     levels = [text_cells([str(getattr(level, name)) for level in spec.levels]) for name in ("n", "eta")]
     with open(path, "wb") as fh:
-        fh.write(",".join(columns).encode() + b"\n")
+        fh.write(",".join(table).encode() + b"\n")
         for start in range(0, len(table["n"]), _GRID_BLOCK):
             rows = slice(start, start + _GRID_BLOCK)
             point, level = np.divmod(np.arange(start, start + len(table["n"][rows])), len(spec.levels))
@@ -233,7 +255,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     volumetric = spec.volumetric if spec.volumetric is not None else len(spec.axes) < 3
     table = _grid_table(spec, columns) if volumetric else dict.fromkeys(columns, np.empty(0))
     overlays = {family: _overlay(spec, family) for family in spec.overlays}
-    return SweepResult(spec=spec, columns=columns, table=table, overlays=overlays)
+    return SweepResult(spec=spec, table=table, overlays=overlays)
 
 
 def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
@@ -326,8 +348,8 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
 
 def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarray) -> None:
     """Re-derive a deterministic 1% subsample of windings via the integral,
-    a level at a time over blocks of the picked rows; winding_rows are the
-    indices of the rows with node-sum windings. An error names its point."""
+    a level at a time over blocks of _GRID_BLOCK picks, which bounds memory;
+    winding_rows index the rows with node-sum windings. An error names its point."""
     if not winding_rows.size or spec.spot_check_fraction <= 0.0:
         return
     count = max(1, round(spec.spot_check_fraction * len(winding_rows)))
@@ -335,15 +357,13 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarra
     picked = winding_rows[sorted(picks)]
     planes = [obs for obs in spec.observables if obs in WINDINGS]
     levels = len(spec.levels)
-    for start in range(0, len(picked), _GRID_BLOCK):
-        block = picked[start:start + _GRID_BLOCK]
+    for block in np.split(picked, range(_GRID_BLOCK, len(picked), _GRID_BLOCK)):
         for k, level in enumerate(spec.levels):
             at = block[block % levels == k]
             if not at.size:
                 continue
-            points = grid.take(at[:, None] // levels)
             try:
-                found = Windings(points, level).integrals([obs[2:] for obs in planes])
+                found = Windings(grid.take(at[:, None] // levels), level).integrals([obs[2:] for obs in planes])
             except NhjcError as exc:
                 raise _named(exc, spec, grid, at // levels, level) from exc
             fast = np.stack([table[obs][at] for obs in planes], axis=-1)
@@ -367,7 +387,7 @@ def _overlay(spec: SweepSpec, family: str) -> dict[str, np.ndarray]:
         return {"note": np.array(["no closed-form axis for overlay"])}
     other_axes = [a for a in spec.axes if a is not solve_axis]
     positive_levels = sorted({lvl.n for lvl in spec.levels if lvl.n >= 1})
-    levels = positive_levels if family == "R" else [positive_levels[0] if positive_levels else None]
+    levels = positive_levels if family == "R" else positive_levels[:1] or [1]
     grid = ParamGrid.product(spec.base, {a.name: a.values() for a in other_axes})
     values, valid = np.empty((grid.g.size, len(levels))), np.empty((grid.g.size, len(levels)), bool)
     for k, n in enumerate(levels):

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundaries import _solve, boundary_R
+from .boundaries import _solve, boundary
 from .errors import (
     AntiWindingError,
     GridTooCoarseError,
@@ -386,6 +386,8 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
     of 0 relative to its scale (BlockQuantities.distances, as the sweep's
     on_boundary) sits on a GR or SI boundary, where the direction is
     undefined: its routes, rule and agreement are null, and no integral runs.
+    The Windings (and its sigma_x ratio check) is built only if a plane is
+    live: at g = Gamma = 0, eta = +1, Cz = Cy = 0 and both planes are null.
     """
     for plane in planes:
         _plane_components(plane)
@@ -393,10 +395,10 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
         return {plane: {"plane": plane, "degenerate": True, "node_sum": 0, "integral": 0,
                         "integral_residual": 0.0, "agreement": True} for plane in planes}
     grid = ParamGrid.rows([params])
-    windings = Windings(grid, level)
-    distance = dict(zip(PLANES, block_quantities(grid, level.n).distances(windings.coeffs.c_z,
-                                                                          windings.coeffs.c_y)[1:]))
+    coeffs = texture_coefficients(grid, level)
+    distance = dict(zip(PLANES, block_quantities(grid, level.n).distances(coeffs.c_z, coeffs.c_y)[1:]))
     live = [plane for plane in planes if distance[plane].item() >= BOUNDARY_RTOL]
+    windings = Windings(grid, level, coeffs) if live else None
     integrals = windings.integrals(live) if live else {}
     reports = {}
     for plane in planes:
@@ -405,7 +407,7 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
         if plane in integrals:
             (signed,), (residual,) = integrals[plane]
             node_sum, integral = int(windings.node_sums(plane)[0]), int(signed)
-            predicted = -winding_direction(windings.coeffs, plane).item() * level.n
+            predicted = -winding_direction(coeffs, plane).item() * level.n
             report.update(node_sum=node_sum, integral=integral, integral_residual=float(residual),
                           direction_rule=predicted, agreement=node_sum == integral == predicted)
     return reports
@@ -479,7 +481,7 @@ def verify_reversal_identity(
     if params.g == 0.0:
         reason = "no reversal point in Gamma: g = 0"
     elif not fields["applicable"]:
-        reason = f"A >= 0 at the candidate Gamma_R ({boundary_R(params, n, 'Gamma').validity_detail})"
+        reason = f"A >= 0 at the candidate Gamma_R ({boundary(params, 'R', n, 'Gamma').validity_detail})"
     else:
         reason = "reversal point exists (A < 0)"
     return ReversalIdentityReport(reason=reason, n=n, eta=eta, **fields)

@@ -19,9 +19,7 @@ from nhjc import (
     LevelIndex,
     ModelParams,
     SweepSpec,
-    boundary_GR,
-    boundary_R,
-    boundary_SI,
+    boundary,
     gaps,
     run_sweep,
     texture_coefficients,
@@ -51,9 +49,9 @@ def criterion(number, title):
 @criterion(1, "gapped-reversal transition value and runtime")
 def test_c01_gapped_reversal_value():
     base = make_reference(Gamma=0.0)
-    boundary_GR(base, "Gamma")  # warm-up
+    boundary(base, "GR", 1, "Gamma")  # warm-up
     start = time.perf_counter()
-    point = boundary_GR(base, "Gamma")
+    point = boundary(base, "GR", 1, "Gamma")
     elapsed = time.perf_counter() - start
     assert point.value == pytest.approx(0.01581, abs=5e-6)
     assert abs(point.value - 0.016) < 5e-4  # the reported rounding of the transition
@@ -120,12 +118,12 @@ def test_c08_gap_laws():
     base = make_reference(Gamma=0.0)
     closing = 0.0
     for n in range(1, 6):
-        point = boundary_R(base, n, "Gamma")
+        point = boundary(base, "R", n, "Gamma")
         assert point.valid
         value = gaps(make_reference(Gamma=point.value), n).delta_minus
         closing = max(closing, value)
         assert value < 1e-10
-    gr = boundary_GR(base, "Gamma", n=2)
+    gr = boundary(base, "GR", 2, "Gamma")
     open_gap = gaps(make_reference(Gamma=gr.value), 2).delta_minus
     assert open_gap > 1e-3
     return f"max gap at reversal {closing:.1e}, gap at gapped reversal {open_gap:.3f}"
@@ -149,7 +147,7 @@ def test_c09_reversal_identity():
 @criterion(10, "super-invariance: zero tilt for n in {1, 10, 100}, gap open")
 def test_c10_super_invariance():
     base = make_reference(Gamma=0.05)
-    point = boundary_SI(base, "gamma")
+    point = boundary(base, "SI", 1, "gamma")
     at = base.with_value("gamma", point.value)
     worst = 0.0
     for n in (1, 10, 100):

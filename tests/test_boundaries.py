@@ -15,9 +15,7 @@ from nhjc import (
     ValidationError,
     all_boundaries,
     block_quantities,
-    boundary_GR,
-    boundary_R,
-    boundary_SI,
+    boundary,
     gaps,
     texture_coefficients,
     winding_direction,
@@ -31,7 +29,7 @@ BASE = make_reference(Gamma=0.0)  # kappa=0.5, gamma=0.2, omega=0.9, g at 0.1 of
 
 
 def test_reversal_point_value_and_sign_change():
-    point = boundary_R(BASE, 2, "Gamma")
+    point = boundary(BASE, "R", 2, "Gamma")
     assert point.value == pytest.approx(0.3 * 0.1 / (8.0 * G_REF), rel=1e-12)
     assert point.value == pytest.approx(0.0791, abs=5e-5)
     assert point.valid and point.level_dependent
@@ -45,7 +43,7 @@ def test_reversal_point_value_and_sign_change():
 
 def test_reversal_point_solved_for_each_variable():
     for solved_for in ("kappa", "Gamma", "gamma", "g"):
-        point = boundary_R(make_reference(), 2, solved_for)
+        point = boundary(make_reference(), "R", 2, solved_for)
         at = make_reference().with_value(solved_for, point.value)
         assert abs(block_quantities(at, 2).B) < 1e-12
 
@@ -53,26 +51,26 @@ def test_reversal_point_solved_for_each_variable():
 def test_reversal_rejects_degenerate_resonance():
     p = ModelParams(omega=1.0, Omega=1.0, g=0.1, kappa=0.5, gamma=0.2, Gamma=0.05)
     with pytest.raises(NoBoundaryError):
-        boundary_R(p, 1, "kappa")
+        boundary(p, "R", 1, "kappa")
 
 
 def test_reversal_invalid_when_A_positive():
     strong = ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2)
-    point = boundary_R(strong, 1, "Gamma")
+    point = boundary(strong, "R", 1, "Gamma")
     assert not point.valid
     assert "A" in point.validity_detail
 
 
 def test_gapped_reversal_value_and_level_independence():
-    point = boundary_GR(BASE, "Gamma")
+    point = boundary(BASE, "GR", 1, "Gamma")
     assert point.value == pytest.approx(G_REF * 0.1 / 0.3, rel=1e-12)
     assert point.value == pytest.approx(0.01581, abs=5e-6)
     assert not point.level_dependent
-    assert boundary_GR(BASE, "Gamma", n=1).value == boundary_GR(BASE, "Gamma", n=7).value
+    assert boundary(BASE, "GR", 1, "Gamma").value == boundary(BASE, "GR", 7, "Gamma").value
 
 
 def test_gapped_reversal_zeroes_the_z_coefficient():
-    point = boundary_GR(BASE, "Gamma", n=2)
+    point = boundary(BASE, "GR", 2, "Gamma")
     assert point.valid
     at = make_reference(Gamma=point.value)
     for n in (1, 2, 7):
@@ -84,7 +82,7 @@ def test_gapped_reversal_zeroes_the_z_coefficient():
 
 def test_gapped_reversal_preemption():
     # levels at and beyond the meeting line with the reversal transition
-    point = boundary_GR(BASE, "Gamma", n=11)
+    point = boundary(BASE, "GR", 11, "Gamma")
     assert not point.valid
     assert "preempted" in point.validity_detail
     at = make_reference(Gamma=point.value)
@@ -94,7 +92,7 @@ def test_gapped_reversal_preemption():
 
 def test_super_invariant_value_and_coefficient():
     base = make_reference(Gamma=0.05)
-    point = boundary_SI(base, "gamma")
+    point = boundary(base, "SI", 1, "gamma")
     assert point.value == pytest.approx(0.5 + 0.05 * 0.1 / G_REF, rel=1e-12)
     assert point.value == pytest.approx(0.6054, abs=5e-5)
     assert point.valid and not point.level_dependent
@@ -107,31 +105,30 @@ def test_super_invariant_value_and_coefficient():
 def test_super_invariant_meets_reversal_in_hermitian_limit():
     # kappa = gamma, Gamma = 0: the no-tilt condition collapses onto g = 0
     p = ModelParams(omega=0.9, Omega=1.0, g=0.3, kappa=0.4, gamma=0.4, Gamma=0.0)
-    assert boundary_SI(p, "Gamma").value == 0.0
+    assert boundary(p, "SI", 1, "Gamma").value == 0.0
     with pytest.raises(NoBoundaryError):
-        boundary_SI(p, "g")  # 0/0: no closed form left in g
+        boundary(p, "SI", 1, "g")  # 0/0: no closed form left in g
     q = ModelParams(omega=0.9, Omega=1.0, g=0.3, kappa=0.4, gamma=0.5, Gamma=0.0)
-    assert boundary_SI(q, "g").value == 0.0
+    assert boundary(q, "SI", 1, "g").value == 0.0
 
 
 def test_gap_laws_at_the_three_families():
     for n in range(1, 6):
-        r_point = boundary_R(BASE, n, "Gamma")
+        r_point = boundary(BASE, "R", n, "Gamma")
         assert r_point.valid
         assert gaps(make_reference(Gamma=r_point.value), n).delta_minus < 1e-10
-    gr_point = boundary_GR(BASE, "Gamma", n=2)
+    gr_point = boundary(BASE, "GR", 2, "Gamma")
     assert gaps(make_reference(Gamma=gr_point.value), 2).delta_minus > 1e-3
     si_base = make_reference(Gamma=0.05)
-    si_point = boundary_SI(si_base, "gamma")
+    si_point = boundary(si_base, "SI", 1, "gamma")
     at = si_base.with_value("gamma", si_point.value)
     assert gaps(at, 1).delta_minus > 1e-6
 
 
 def test_level_independent_families_never_read_n():
-    a = boundary_GR(BASE, "Gamma", n=1)
-    b = boundary_GR(BASE, "Gamma", n=7)
-    assert a.value == b.value  # bit-identical
-    assert boundary_SI(BASE, "gamma").value == boundary_SI(BASE, "gamma").value
+    for family, solved_for in (("GR", "Gamma"), ("SI", "gamma")):
+        # bit-identical
+        assert boundary(BASE, family, 1, solved_for).value == boundary(BASE, family, 7, solved_for).value
 
 
 def test_direction_flip_certificates():
@@ -142,12 +139,12 @@ def test_direction_flip_certificates():
     def s(params, plane):
         return winding_direction(texture_coefficients(params, level), plane)
 
-    gr = boundary_GR(BASE, "Gamma", n=n).value
+    gr = boundary(BASE, "GR", n, "Gamma").value
     assert s(make_reference(Gamma=gr - 1e-4), "zx") != s(make_reference(Gamma=gr + 1e-4), "zx")
-    r = boundary_R(BASE, n, "Gamma").value
+    r = boundary(BASE, "R", n, "Gamma").value
     assert s(make_reference(Gamma=r - 1e-4), "zx") != s(make_reference(Gamma=r + 1e-4), "zx")
     si_base = make_reference(Gamma=0.05)
-    si = boundary_SI(si_base, "gamma").value
+    si = boundary(si_base, "SI", 1, "gamma").value
     lo = si_base.with_value("gamma", si - 1e-4)
     hi = si_base.with_value("gamma", si + 1e-4)
     assert s(lo, "yx") != s(hi, "yx")
@@ -165,9 +162,22 @@ def test_all_boundaries_bundle():
 
 def test_solve_for_validation():
     with pytest.raises(ValidationError):
-        boundary_R(BASE, 2, "omega")
+        boundary(BASE, "R", 2, "omega")
     with pytest.raises(ValidationError):
-        boundary_R(BASE, 0, "Gamma")
+        boundary(BASE, "R", 0, "Gamma")
+    # the family, then the solved-for parameter, then the level (every
+    # family's), and only then the solve (BASE has Gamma = 0: GR in kappa has
+    # no closed form)
+    with pytest.raises(ValidationError, match=r"^unknown boundary family 'EP'; families: \('R', 'GR', 'SI'\)$"):
+        boundary(BASE, "EP", 0, "omega")
+    with pytest.raises(ValidationError, match="^no closed form for 'omega'"):
+        boundary(BASE, "GR", 0, "omega")
+    for family in FAMILIES:
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^family {family} needs a level n >= 1, got {n}$"):
+                boundary(BASE, family, n, "kappa")
+    with pytest.raises(NoBoundaryError):
+        boundary(BASE, "GR", 1, "kappa")
 
 
 # zero denominators of every family and solve-for: Omega = omega, kappa =
@@ -215,15 +225,19 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_closed_forms_match_the_scalar_reference(n):
+    # at n = 0 R and the bundle raise as the reference does, and GR and SI,
+    # which the reference solves at any level, are rejected like R
     for params in _EDGE_POINTS + _random_points(40, n):
         for solved_for in SOLVABLE:
-            cases = [(boundary_R, reference.boundary_R, (params, n, solved_for), {}),
-                     (boundary_GR, reference.boundary_GR, (params, solved_for), {"n": n}),
-                     (boundary_GR, reference.boundary_GR, (params, solved_for), {}),
-                     (boundary_SI, reference.boundary_SI, (params, solved_for), {}),
-                     (all_boundaries, reference.all_boundaries, (params, n, solved_for), {})]
-            for fn, oracle, args, kwargs in cases:
-                assert _outcome(fn, *args, **kwargs) == _outcome(oracle, *args, **kwargs)
+            oracles = {"R": (reference.boundary_R, (params, n, solved_for), {}),
+                       "GR": (reference.boundary_GR, (params, solved_for), {"n": n}),
+                       "SI": (reference.boundary_SI, (params, solved_for), {})}
+            for family, (oracle, args, kwargs) in oracles.items():
+                expected = (_outcome(oracle, *args, **kwargs) if n >= 1 or family == "R" else
+                            (ValidationError, f"family {family} needs a level n >= 1, got {n}"))
+                assert _outcome(boundary, params, family, n, solved_for) == expected
+            assert (_outcome(all_boundaries, params, n, solved_for)
+                    == _outcome(reference.all_boundaries, params, n, solved_for))
 
 
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")

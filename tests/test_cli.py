@@ -423,15 +423,43 @@ def test_sweep_spot_check_fraction_outside_unit_interval_is_usage_error(tmp_path
     assert "spot_check_fraction" in _sweep_spec_error(tmp_path, capsys, spot_check_fraction=fraction)
 
 
-def test_winding_without_coupling_is_computation_error(tmp_path, capsys):
-    # g~ = 0: the branch with C_up != 0 has C_down = 0, so no finite ratio
-    # |C_up|/|C_down| places sigma_x nodes
+def test_winding_without_coupling_prints_null_planes(tmp_path, capsys):
+    # g~ = 0: at eta = +1 Cz = Cy = 0 exactly, so both planes sit on a
+    # boundary and read null, as in a sweep's on_boundary row; the call ended
+    # in "coefficient ratio inf admits no sigma_x nodes" (the branch has
+    # C_down = 0), checked before the planes were read. At eta = -1 the state
+    # has vanishing coefficients.
     path = tmp_path / "uncoupled.json"
     path.write_text(json.dumps(dict(PARAMS, g_rel=0.0, Gamma=0.0)))
-    rc = main(["winding", "--params", str(path), "--n", "2", "--eta", "1"])
+    nulls = {"degenerate": False, "node_sum": None, "integral": None, "integral_residual": None,
+             "direction_rule": None, "agreement": None}
+    planes = _winding_payload(["--params", str(path), "--n", "2", "--eta", "1"], capsys)["planes"]
+    assert planes == {plane: dict(nulls, plane=plane) for plane in ("zx", "yx")}
+    rc = main(["winding", "--params", str(path), "--n", "2", "--eta", "-1"])
     err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "sigma_x" in err
+    assert rc == 1 and err == "error: state (n=2, eta=-1) has vanishing coefficients\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"overlay": ["R"]}, "unknown sweep spec key(s): 'overlay'"),
+    ({"extra": 1, "Levels": []}, "unknown sweep spec key(s): 'Levels', 'extra'"),
+    ({"axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": 2, "step": 1}]}, "unknown axis key(s): 'step'"),
+    ({"levels": [{"n": 1, "eta": -1, "Eta": 1}]}, "unknown level key(s): 'Eta'"),
+    ({"overlays": "R"}, "'overlays' must be a JSON array, got 'R'"),
+    ({"overlays": "SI"}, "'overlays' must be a JSON array, got 'SI'"),
+    ({"observables": "imE"}, "'observables' must be a JSON array, got 'imE'"),
+    ({"observables": {"nWzx": 1}}, "'observables' must be a JSON array"),
+    ({"observables": ["thetaT", "imE", "thetaT"]}, "each observable may be named once"),
+    ({"overlays": ["GR", "R", "GR"]}, "each overlay family may be named once"),
+    ({"axes": [{"name": "g", "min": 0.0, "max": 0.1, "count": 2}] * 2},
+     "each axis parameter may be named once, got ['g', 'g']"),
+], ids=["top-level typo", "two unknown keys", "axis key", "level key", "overlays R string",
+        "overlays SI string", "observables string", "observables object", "repeated observable",
+        "repeated overlay", "repeated axis"])
+def test_sweep_spec_typos_and_repeats_are_usage_errors(tmp_path, capsys, extra, message):
+    # each of these exited 0 ignoring the key, read a string as its letters,
+    # or wrote a table whose header repeated a column
+    assert message in _sweep_spec_error(tmp_path, capsys, **extra)
 
 
 def test_sweep_error_names_the_grid_point(tmp_path, capsys, monkeypatch):
@@ -627,6 +655,18 @@ def test_gapped_reversal_of_a_weak_coupling_keeps_every_level(tmp_path, capsys):
     rc, captured = _boundaries(tmp_path, capsys, params, "GR", "Gamma")
     assert rc == 0
     assert json.loads(captured.out)[0]["validity_detail"].startswith("transition exists for levels n < inf")
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_every_boundary_family_needs_a_level(tmp_path, capsys, n):
+    # SI solved at any level (exit 0), and GR read the level only after solving
+    # (exit 1 where it had no closed form, else `level n must be >= 1`)
+    for family in ("R", "GR", "SI"):
+        rc = main(["boundaries", "--params", str(CONFIGS / "reference.json"), "--n", n,
+                   "--solve-for", "Gamma", "--family", family])
+        assert _one_line_usage_error(rc, capsys) == f"error: family {family} needs a level n >= 1, got {n}\n"
+    rc = main(["boundaries", "--params", str(CONFIGS / "reference.json"), "--n", n, "--solve-for", "Gamma"])
+    assert _one_line_usage_error(rc, capsys) == f"error: family R needs a level n >= 1, got {n}\n"
 
 
 @pytest.mark.parametrize("family", ["R", "GR", "SI"])

@@ -17,7 +17,7 @@ NAMES = [
     "NodeCountError", "NodeSet", "OnBoundaryError", "ReversalIdentityReport", "SpinTexture",
     "SweepConsistencyError", "SweepResult", "SweepSpec", "SweepSpecError", "TextureCoefficients",
     "TiltingAngle", "UndefinedTiltError", "ValidationError", "all_boundaries",
-    "block_quantities", "boundaries", "boundary_GR", "boundary_R", "boundary_SI", "coupling_scale",
+    "block_quantities", "boundaries", "boundary", "coupling_scale",
     "domain_cutoff", "eigen_solution", "errors", "gaps", "hermite_roots", "load_params", "nodes",
     "oscillator", "params", "params_from_dict", "phi", "phi_pair", "phi_ratio", "run_sweep",
     "spectrum", "standard_grid", "sweep", "texture", "texture_closed_form", "texture_coefficients",
@@ -27,7 +27,7 @@ NAMES = [
 
 
 def test_namespace_is_pinned_and_every_name_resolves():
-    assert nhjc.__all__ == NAMES and len(NAMES) == 61
+    assert nhjc.__all__ == NAMES and len(NAMES) == 59
     for name in NAMES:
         value = getattr(nhjc, name)
         if isinstance(value, types.ModuleType):

@@ -24,7 +24,7 @@ from nhjc import (
     UndefinedTiltError,
     ValidationError,
     block_quantities,
-    boundary_SI,
+    boundary,
     eigen_solution,
     gaps,
     hermite_roots,
@@ -234,6 +234,21 @@ def test_spot_check_error_names_its_grid_point(monkeypatch):
         run_sweep(dataclasses.replace(spec, spot_check_fraction=1.0))
 
 
+def test_the_spot_check_solves_one_block_of_picks_at_a_time(monkeypatch):
+    # its memory is bounded at any fraction: the sigma_x node solve of a
+    # Windings spans its points, so no Windings spans more than a block
+    from nhjc.sweep import _GRID_BLOCK
+
+    sizes, integrals = [], nhjc.topology.Windings.integrals
+    monkeypatch.setattr(nhjc.topology.Windings, "integrals",
+                        lambda self, planes: sizes.append(len(self.rho)) or integrals(self, planes))
+    spec = small_spec(axes=(Axis("Gamma", 0.001, 0.03, 2 * _GRID_BLOCK + 100),), levels=(LevelIndex(1),),
+                      observables=("nWzx",), overlays=(), spot_check_fraction=1.0)
+    result = run_sweep(spec)
+    checked = sum(not math.isnan(row[result.columns.index("nWzx")]) for row in result.rows)
+    assert checked > 2 * _GRID_BLOCK and sizes == [_GRID_BLOCK, _GRID_BLOCK, checked - 2 * _GRID_BLOCK]
+
+
 def test_spec_json_roundtrip(tmp_path):
     payload = {
         "params": {"omega": 0.9, "Omega": 1.0, "g_rel": 0.1, "kappa": 0.5, "gamma": 0.2},
@@ -338,7 +353,7 @@ def test_cy_margin_is_normalised_by_cy_terms():
 def test_on_boundary_and_boundary_margin_share_normalisers():
     # 401 points within 2e-8 of the SI point; some of them are closer than
     # 1e-9 to it in units of Cy's terms but not in units of Cz's terms
-    si = boundary_SI(DRAW_122, "gamma").value
+    si = boundary(DRAW_122, "SI", 1, "gamma").value
     level = LevelIndex(8, -1)
     spec = SweepSpec(base=DRAW_122, axes=(Axis("gamma", si - 2e-8, si + 2e-8, 401),),
                      levels=(level,), observables=("CtY",))
@@ -694,7 +709,8 @@ def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
     points = itertools.product(*(a.values().tolist() for a in axes))
     rows = [(*point, level.n, level.eta, *next(drawn)) for point in points for level in levels]
     table = {name: np.array(column) for name, column in zip(columns, zip(*rows))}
-    result = SweepResult(spec=spec, columns=columns, table=table)
+    result = SweepResult(spec=spec, table=table)
+    assert result.columns == columns
     assert size > 1024 and [list(map(_bits, row)) for row in result.rows] == [list(map(_bits, row)) for row in rows]
     for result in (result, run_sweep(spec)):
         result.to_csv(tmp_path / "table.csv")
@@ -779,3 +795,17 @@ def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
     assert not mapped("branch_solution")
     # nothing else is mapped anywhere in the run: no square at all
     assert {name for name, _, _ in maps} == {"math.atan2", "math.hypot", "math.atan"}
+
+
+def test_a_repeated_observable_or_overlay_is_rejected_and_the_columns_are_the_tables():
+    # ("thetaT", "imE", "thetaT") ran: columns listed 9 names against rows of
+    # 8 values, and the CSV header and rows repeated thetaT
+    spec = dict(base=make_reference(), axes=(Axis("Gamma", 0.0, 0.05, 3),), levels=(LevelIndex(1),))
+    with pytest.raises(SweepSpecError, match=r"^each observable may be named once, got \['thetaT', 'imE', 'thetaT'\]$"):
+        SweepSpec(**spec, observables=("thetaT", "imE", "thetaT"))
+    with pytest.raises(SweepSpecError, match=r"^each overlay family may be named once, got \['R', 'R'\]$"):
+        SweepSpec(**spec, observables=("thetaT",), overlays=("R", "R"))
+    result = run_sweep(SweepSpec(**spec, observables=("imE", "thetaT")))
+    assert result.columns == tuple(result.table) == ("Gamma", "n", "eta", "imE", "thetaT",
+                                                     "degenerate", "exceptional", "on_boundary")
+    assert {len(row) for row in result.rows} == {len(result.columns)}

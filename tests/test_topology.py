@@ -15,8 +15,7 @@ from nhjc import (
     NodeSet,
     OnBoundaryError,
     UndefinedTiltError,
-    boundary_GR,
-    boundary_SI,
+    boundary,
     nodes,
     texture_closed_form,
     texture_coefficients,
@@ -162,7 +161,7 @@ def test_plane_coupling_sign(reference_params):
 
 
 def test_direction_requires_nonzero_coefficient():
-    point = boundary_GR(make_reference(Gamma=0.0), "Gamma")
+    point = boundary(make_reference(Gamma=0.0), "GR", 1, "Gamma")
     coeffs = texture_coefficients(make_reference(Gamma=point.value), LevelIndex(2, -1))
     if coeffs.c_z == 0.0:  # lands exactly on the boundary in floats
         with pytest.raises(OnBoundaryError):
@@ -198,7 +197,7 @@ def test_tilting_angle_reference(reference_params):
 
 
 def test_tilting_angle_jumps_by_pi_at_gapped_reversal():
-    point = boundary_GR(make_reference(Gamma=0.0), "Gamma")
+    point = boundary(make_reference(Gamma=0.0), "GR", 1, "Gamma")
     below = tilting_angle(texture_coefficients(
         make_reference(Gamma=point.value - 1e-6), LevelIndex(2, -1))).theta_t
     above = tilting_angle(texture_coefficients(
@@ -209,7 +208,7 @@ def test_tilting_angle_jumps_by_pi_at_gapped_reversal():
 
 def test_tilting_angle_vanishes_for_all_levels_at_super_invariant_point():
     base = make_reference(Gamma=0.05)
-    point = boundary_SI(base, "gamma")
+    point = boundary(base, "SI", 1, "gamma")
     at = base.with_value("gamma", point.value)
     for n in (1, 10, 100):
         tilt = tilting_angle(texture_coefficients(at, LevelIndex(n, -1)))

@@ -24,8 +24,7 @@ _EXPORTS = {
     "texture": ("NodeSet", "SpinTexture", "TextureCoefficients", "nodes", "standard_grid",
                 "texture_closed_form", "texture_coefficients", "texture_from_wavefunctions",
                 "wavefunction_components"),
-    "topology": ("ReversalIdentityReport", "TiltingAngle", "tilting_angle", "verify_reversal_identity",
-                 "winding_direction", "winding_report"),
+    "topology": ("TiltingAngle", "tilting_angle", "winding_direction", "winding_report"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

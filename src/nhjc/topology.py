@@ -32,17 +32,6 @@ Directions: the winding is counter-clockwise iff the plane's coefficient
 
 The tilting of the winding plane out of zx is theta_t = arctan(Cy/Cz), the
 same at every position x.
-
-verify_reversal_identity numerically checks, at the level's reversal point in
-Gamma, the closure identity
-
-    16 R^2 g^2 n + (4 n g^2 - d_kg^2)(4 n g^2 + d_Ww^2) = 0
-
-and the antisymmetry theta_t(Gamma_R - eps) = -theta_t(Gamma_R + eps) that
-together make the tilting-angle jump an exact reversal. Like the boundary
-closed forms it stands on (boundaries._solve), it takes a ParamGrid in place
-of ModelParams and checks every point at once, bit for bit what a call per
-point gives.
 """
 
 from __future__ import annotations
@@ -53,7 +42,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundaries import _solve, boundary
 from .errors import (
     AntiWindingError,
     GridTooCoarseError,
@@ -64,8 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .oscillator import ratio_roots
-from .params import (LevelIndex, ModelParams, ParamGrid, _replaced, elementwise, maximum, modulus, quotient,
-                     raise_where, where)
+from .params import LevelIndex, ModelParams, ParamGrid, elementwise, modulus, quotient, raise_where, where
 from .spectrum import BOUNDARY_RTOL, block_quantities
 from .texture import (
     STANDARD_POINTS,
@@ -83,12 +70,10 @@ from .texture import (
 __all__ = [
     "PLANES",
     "TiltingAngle",
-    "ReversalIdentityReport",
     "Windings",
     "winding_direction",
     "winding_report",
     "tilting_angle",
-    "verify_reversal_identity",
 ]
 
 # plane -> (alpha, beta) component names; the winding vector is
@@ -105,19 +90,6 @@ _MAX_STEP = 0.5 * math.pi
 class TiltingAngle:
     theta_t: float  # in [-pi/2, pi/2]
     ratio: float    # Cy/Cz, +-inf when Cz = 0
-
-
-@dataclass(frozen=True)
-class ReversalIdentityReport:
-    applicable: bool
-    reason: str
-    n: int
-    eta: int
-    gamma_reversal: float
-    identity_residual: float         # relative to the largest term
-    antisymmetry_residual: float     # |theta_t(G-eps) + theta_t(G+eps)|
-    theta_below: float
-    theta_above: float
 
 
 def _plane_components(plane: str) -> tuple[str, str]:
@@ -429,59 +401,3 @@ def tilt_of(c_y, c_z) -> TiltingAngle:
     pi/2 there). arctan(+-inf) is exactly +-pi/2 in floats."""
     ratio = quotient(c_y, c_z)
     return TiltingAngle(theta_t=_atan(ratio), ratio=ratio)
-
-
-def _theta_at_gamma(params: ParamGrid, n: int, eta: int, Gamma):
-    """theta_t of (n, eta) with Gamma set to the given value(s)."""
-    coeffs = texture_coefficients(_replaced(params, "Gamma", Gamma), LevelIndex(n, eta))
-    return tilting_angle(coeffs).theta_t
-
-
-def _on(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values where mask holds, nan elsewhere."""
-    out = np.full(mask.shape, math.nan)
-    out[mask] = values
-    return out
-
-
-def verify_reversal_identity(
-    params: ModelParams | ParamGrid,
-    n: int,
-    eta: int = -1,
-    eps: float = 1e-6,
-) -> ReversalIdentityReport:
-    """Check the reversal-closure identity and tilt antisymmetry at Gamma_R.
-
-    Not applicable (report only, no error) when the level has no reversal
-    point in Gamma: zero denominator or A >= 0 at the candidate. Over a
-    ParamGrid every field but n, eta and reason (empty) is an array of the
-    grid's shape holding what a call per point gives; the tilts are
-    evaluated at the applicable points only. A ModelParams is checked as a
-    grid of one point, its fields read back as floats, with the reason.
-    """
-    grid = ParamGrid.rows([params]) if isinstance(params, ModelParams) else params
-    gamma_reversal, applicable, _, _ = _solve(grid, "R", "Gamma", n)
-    at, gamma_at = grid.take(applicable), gamma_reversal[applicable]
-    c = at.composites()
-    d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, at.g
-    bq = block_quantities(_replaced(at, "Gamma", gamma_at), n)
-    term_root = 16.0 * bq.R * bq.R * g * g * n
-    term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
-    scale = maximum(abs(term_root), abs(term_poly), 1e-300)
-    theta_below = _theta_at_gamma(at, n, eta, gamma_at - eps)
-    theta_above = _theta_at_gamma(at, n, eta, gamma_at + eps)
-    fields = dict(identity_residual=abs(term_root + term_poly) / scale,
-                  antisymmetry_residual=abs(theta_below + theta_above),
-                  theta_below=theta_below, theta_above=theta_above)
-    fields = {name: _on(applicable, values) for name, values in fields.items()}
-    fields.update(applicable=applicable, gamma_reversal=gamma_reversal)
-    if isinstance(params, ParamGrid):
-        return ReversalIdentityReport(reason="", n=n, eta=eta, **fields)
-    fields = {name: values.item() for name, values in fields.items()}
-    if params.g == 0.0:
-        reason = "no reversal point in Gamma: g = 0"
-    elif not fields["applicable"]:
-        reason = f"A >= 0 at the candidate Gamma_R ({boundary(params, 'R', n, 'Gamma').validity_detail})"
-    else:
-        reason = "reversal point exists (A < 0)"
-    return ReversalIdentityReport(reason=reason, n=n, eta=eta, **fields)

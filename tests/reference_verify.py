@@ -13,14 +13,13 @@ topology.winding_grids and integral_windings, the routine the library uses."""
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from nhjc import (
     LevelIndex,
     ModelParams,
-    ReversalIdentityReport,
     block_quantities,
     eigen_solution,
     nodes,
@@ -100,7 +99,7 @@ def check_eigen(draws, n_max):
 def check_dual_route(draws, n_max):
     worst = 0.0
     for params in draws:
-        for n in (1, max(2, n_max // 2), n_max):
+        for n in (1, min(max(2, n_max // 2), n_max), n_max):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
                 grid = standard_grid(n)
@@ -157,7 +156,7 @@ def check_nodes(draws, n_max):
         return CheckResult("invariant nodes", False, "needs at least two draws")
     worst_pos = 0.0
     counts_ok = shared = True
-    for n in (1, 2, n_max):
+    for n in (1, min(2, n_max), n_max):
         sets = []
         for params in draws[:2]:
             level = LevelIndex(n, -1)
@@ -296,34 +295,51 @@ def theta_at_gamma(params, n, eta, Gamma):
     return tilting_angle(coeffs).theta_t
 
 
+@dataclass(frozen=True)
+class ReversalReport:
+    """verify._reversal_residuals at one point, with the antisymmetry
+    residual |theta_below + theta_above| the check reads off it."""
+    applicable: bool
+    gamma_reversal: float
+    identity_residual: float
+    step: float
+    antisymmetry_residual: float
+    theta_below: float
+    theta_above: float
+
+
 def reversal_identity(params, n, eta=-1, eps=1e-6):
-    """topology.verify_reversal_identity of one ModelParams."""
+    """verify._reversal_residuals of one ModelParams: the probe step is eps,
+    or a quarter of the distance to the GR point when level n keeps it."""
     c = params.composites()
     d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, params.g
-    blank = ReversalIdentityReport(
-        applicable=False, reason="", n=n, eta=eta, gamma_reversal=math.nan,
-        identity_residual=math.nan, antisymmetry_residual=math.nan,
-        theta_below=math.nan, theta_above=math.nan,
+    blank = ReversalReport(
+        applicable=False, gamma_reversal=math.nan, identity_residual=math.nan, step=math.nan,
+        antisymmetry_residual=math.nan, theta_below=math.nan, theta_above=math.nan,
     )
     if g == 0.0:
-        return replace(blank, reason="no reversal point in Gamma: g = 0")
+        return blank
     point = boundary_R(params, n, "Gamma")
     if not point.valid:
-        return replace(blank, reason=f"A >= 0 at the candidate Gamma_R ({point.validity_detail})",
-                       gamma_reversal=point.value)
+        return replace(blank, gamma_reversal=point.value)
     bq = block_quantities(params.with_value("Gamma", point.value), n)
     term_root = 16.0 * bq.R * bq.R * g * g * n
     term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
     scale = max(abs(term_root), abs(term_poly), 1e-300)
-    theta_below = theta_at_gamma(params, n, eta, point.value - eps)
-    theta_above = theta_at_gamma(params, n, eta, point.value + eps)
-    return ReversalIdentityReport(
+    step = eps
+    try:
+        gr_point = boundary_GR(params, "Gamma", n=n)
+        if gr_point.valid:
+            step = min(eps, abs(gr_point.value - point.value) / 4)
+    except NoBoundaryError:
+        pass
+    theta_below = theta_at_gamma(params, n, eta, point.value - step)
+    theta_above = theta_at_gamma(params, n, eta, point.value + step)
+    return ReversalReport(
         applicable=True,
-        reason="reversal point exists (A < 0)",
-        n=n,
-        eta=eta,
         gamma_reversal=point.value,
         identity_residual=abs(term_root + term_poly) / scale,
+        step=step,
         antisymmetry_residual=abs(theta_below + theta_above),
         theta_below=theta_below,
         theta_above=theta_above,
@@ -344,11 +360,12 @@ def check_reversal_identity(draws, n_max):
         applicable += 1
         worst_id = max(worst_id, report.identity_residual)
         worst_anti = max(worst_anti, report.antisymmetry_residual)
+        step = report.step
         slope = max(
-            abs(report.theta_below - theta_at_gamma(params, n, -1, report.gamma_reversal - 2 * eps)),
-            abs(report.theta_above - theta_at_gamma(params, n, -1, report.gamma_reversal + 2 * eps)),
-        ) / eps
-        anti_ok &= report.antisymmetry_residual < max(1e-4, 20.0 * eps * slope)
+            abs(report.theta_below - theta_at_gamma(params, n, -1, report.gamma_reversal - 2 * step)),
+            abs(report.theta_above - theta_at_gamma(params, n, -1, report.gamma_reversal + 2 * step)),
+        ) / step
+        anti_ok &= report.antisymmetry_residual < max(1e-4, 20.0 * step * slope)
 
     for params in draws:
         for n in range(1, min(5, n_max) + 1):

@@ -14,20 +14,20 @@ NAMES = [
     "AntiWindingError", "Axis", "BlockQuantities", "BoundaryPoint", "ComplexComposites",
     "DegenerateStateError", "EigenSolution", "ExceptionalPointError", "GapPair",
     "GridTooCoarseError", "LevelIndex", "ModelParams", "NhjcError", "NoBoundaryError",
-    "NodeCountError", "NodeSet", "OnBoundaryError", "ReversalIdentityReport", "SpinTexture",
+    "NodeCountError", "NodeSet", "OnBoundaryError", "SpinTexture",
     "SweepConsistencyError", "SweepResult", "SweepSpec", "SweepSpecError", "TextureCoefficients",
     "TiltingAngle", "UndefinedTiltError", "ValidationError", "all_boundaries",
     "block_quantities", "boundaries", "boundary", "coupling_scale",
     "domain_cutoff", "eigen_solution", "errors", "gaps", "hermite_roots", "load_params", "nodes",
     "oscillator", "params", "params_from_dict", "phi", "phi_pair", "phi_ratio", "run_sweep",
     "spectrum", "standard_grid", "sweep", "texture", "texture_closed_form", "texture_coefficients",
-    "texture_from_wavefunctions", "tilting_angle", "topology", "verify_reversal_identity",
+    "texture_from_wavefunctions", "tilting_angle", "topology",
     "wavefunction_components", "winding_direction", "winding_report",
 ]
 
 
 def test_namespace_is_pinned_and_every_name_resolves():
-    assert nhjc.__all__ == NAMES and len(NAMES) == 59
+    assert nhjc.__all__ == NAMES and len(NAMES) == 57
     for name in NAMES:
         value = getattr(nhjc, name)
         if isinstance(value, types.ModuleType):

@@ -20,7 +20,6 @@ from nhjc import (
     texture_closed_form,
     texture_coefficients,
     tilting_angle,
-    verify_reversal_identity,
     winding_direction,
     winding_report,
 )
@@ -223,30 +222,6 @@ def test_tilting_angle_degenerate_cases():
     assert tilt.theta_t == -0.5 * math.pi and tilt.ratio == -math.inf
     with pytest.raises(UndefinedTiltError):
         tilting_angle(TextureCoefficients(c_z=0.0, c_y=0.0, d_x=1.0))
-
-
-def test_reversal_identity_on_reference_configuration():
-    base = make_reference(Gamma=0.0)
-    for n in range(1, 6):
-        report = verify_reversal_identity(base, n)
-        assert report.applicable
-        assert report.identity_residual < 1e-10
-        assert report.antisymmetry_residual < 1e-4
-        assert report.theta_below == pytest.approx(-report.theta_above, abs=1e-4)
-
-
-def test_reversal_identity_requires_negative_A():
-    strong = ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2)
-    report = verify_reversal_identity(strong, 1)
-    assert not report.applicable
-    assert "A >= 0" in report.reason
-
-
-def test_reversal_identity_without_coupling():
-    p = ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2)
-    report = verify_reversal_identity(p, 2)
-    assert not report.applicable
-    assert "g = 0" in report.reason
 
 
 def test_integral_winding_reports_residual(reference_params):

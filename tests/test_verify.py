@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ import nhjc.sweep
 import nhjc.texture
 import nhjc.topology
 import nhjc.verify
-from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution, verify_reversal_identity
+from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution
 from nhjc.cli import main
 from nhjc.oscillator import hermite_roots
 from nhjc.params import PARAM_NAMES, ParamGrid
@@ -22,11 +23,13 @@ from nhjc.sweep import SweepSpec, run_sweep
 from nhjc.verify import (
     _CHECKS,
     DEFAULT_SEED,
+    _reversal_residuals,
     boundary_margin,
     draw_sets,
     run_suite,
 )
-from reference_verify import check_winding, reference_draw, reference_margin, reference_suite, reversal_identity
+from reference_verify import (check_winding, reference_draw, reference_margin, reference_suite, reversal_identity,
+                              theta_at_gamma)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -232,29 +235,62 @@ def test_boundary_checks_evaluate_the_kernel_as_often_for_any_number_of_draws(ev
     assert counts[0] == counts[1] > 0
 
 
+# draw 3120 of `nhjc verify --draws 3121 --n-max 1`: its GR point at n = 1 sits
+# 8.1e-7 below its Gamma_R = 6.4e-6, inside a probe window of 1e-6, where
+# theta_t jumps by pi; probing with that window failed the check with a tilt
+# antisymmetry of 3.14
+GR_NEAR = ModelParams(omega=0.8307894734165996, Omega=0.830777579126622, g=0.02898151439646397,
+                      kappa=0.27760108218187535, gamma=0.3396381410861405, Gamma=0.7202837438613134)
+
+
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # the reference's records
 def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
-    # draws, the reference point, a point without coupling (no Gamma_R) and
-    # one with A >= 0 at its Gamma_R (not applicable)
+    # draws, the reference point, a point without coupling (no Gamma_R), one
+    # with A >= 0 at its Gamma_R (not applicable) and one probed with a step
+    # shorter than eps at n = 1
     points = seeded_draws(30, 8) + [
         ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2, kappa=0.5, gamma=0.2),
         ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2),
         ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
+        GR_NEAR,
     ]
     grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
-    fields = ("applicable", "gamma_reversal", "identity_residual", "antisymmetry_residual",
-              "theta_below", "theta_above")
     for n in (1, 2, 5):
-        report = verify_reversal_identity(grid, n)
-        assert report.n == n and report.eta == -1 and report.reason == ""
+        applicable, gamma_r, residual, step, thetas = _reversal_residuals(grid, n, 1e-6)
         for k, params in enumerate(points):
             expected = reversal_identity(params, n)
-            scalar = verify_reversal_identity(params, n)
-            assert scalar.reason == expected.reason
-            assert [_bits(getattr(scalar, name)) for name in fields] \
-                == [_bits(getattr(report, name)[k].item()) for name in fields] \
-                == [_bits(getattr(expected, name)) for name in fields]
-    assert report.applicable.any() and not report.applicable.all()
+            far = [theta_at_gamma(params, n, -1, expected.gamma_reversal + m * expected.step)
+                   if expected.applicable else math.nan for m in (-2, 2)]
+            assert [_bits(a[k].item()) for a in (applicable, gamma_r, residual, step, *thetas)] == [
+                _bits(v) for v in (expected.applicable, expected.gamma_reversal, expected.identity_residual,
+                                   expected.step, far[0], expected.theta_below, expected.theta_above, far[1])]
+        assert applicable.any() and not applicable.all()
+    assert 0.0 < reversal_identity(GR_NEAR, 1).step < 1e-6
+
+
+def test_a_gapped_reversal_inside_the_probe_window_passes_the_reversal_check():
+    result = _CHECKS["reversal-identity"]([GR_NEAR], [1])
+    assert result.passed, result.detail
+    assert result.detail.startswith("6 applicable points")
+
+
+def test_a_shifted_reversal_point_fails_the_reversal_check_on_its_identity(monkeypatch):
+    draws = seeded_draws(12, 4)
+    assert run_check("reversal-identity", draws, 4).passed
+    label, form = nhjc.boundaries._FORMS["R", "Gamma"]
+    monkeypatch.setitem(nhjc.boundaries._FORMS, ("R", "Gamma"),
+                        (label, lambda *args: form(*args) * (1.0 + 1e-6)))
+    result = run_check("reversal-identity", draws, 4)
+    worst = float(re.search(r"identity residual (\S+) ", result.detail).group(1))
+    assert not result.passed and worst > _CHECKS["reversal-identity"].bounds["identity"]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_every_check_runs_at_levels_its_draws_were_screened_at(n_max):
+    # draw_sets screens at n = 1..n_max; the dual-route and node checks ran
+    # level 2 at n_max = 1
+    for check in _CHECKS.values():
+        assert set(check.levels(n_max)) <= set(range(1, n_max + 1))
 
 
 def _bits(value):

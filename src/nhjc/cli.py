@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import __version__
@@ -223,7 +224,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():  # a warning prints as one line, as an error does
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON in input file: {exc.msg} "
               f"(line {exc.lineno}, column {exc.colno})", file=sys.stderr)

@@ -153,6 +153,13 @@ def raise_where(flags, error, message: str, **values) -> None:
     raise error(message, index=index)
 
 
+def float_count(count: int, width: int = 1) -> int:
+    """count, or MemoryError if no numpy array holds count x width float64s."""
+    if count * width > sys.maxsize // 8:  # the array's bytes must not pass sys.maxsize
+        raise MemoryError(f"{count} x {width} float64 values are more than one array holds ({sys.maxsize // 8})")
+    return count
+
+
 def quiet_overflow(fn):
     """fn(params, ...) run under np.errstate(over="ignore", divide="ignore")
     when params is a ParamGrid: numpy warns of the inf that float arithmetic

@@ -46,7 +46,8 @@ import numpy as np
 from .boundaries import FAMILIES, SOLVABLE, _solve
 from .csvtext import csv_lines, csv_table, float_cells, text_cells
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
-from .params import N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, minimum, params_from_dict
+from .params import (N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, float_count, minimum,
+                     params_from_dict)
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
 from .texture import TextureCoefficients, branch_coefficients
 from .topology import Windings, tilt_of
@@ -251,6 +252,7 @@ def _write_table(path, spec: SweepSpec, table: dict[str, np.ndarray]) -> None:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep. Deterministic: identical specs give identical rows
     (axes row-major, levels innermost) and byte-identical CSV output."""
+    float_count(math.prod(a.count for a in spec.axes), len(spec.levels))  # a grid-table column: points x levels
     columns = tuple(a.name for a in spec.axes) + ("n", "eta") + tuple(spec.observables) + FLAG_COLUMNS
     volumetric = spec.volumetric if spec.volumetric is not None else len(spec.axes) < 3
     table = _grid_table(spec, columns) if volumetric else dict.fromkeys(columns, np.empty(0))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
-from .params import LevelIndex, ModelParams, ParamGrid, modulus, quotient
+from .params import LevelIndex, ModelParams, ParamGrid, float_count, modulus, quotient
 from .spectrum import block_quantities, eigen_solution
 
 __all__ = [
@@ -109,7 +109,7 @@ class NodeSet:
 def standard_grid(n: int, points: int = STANDARD_POINTS) -> np.ndarray:
     """Uniform symmetric grid on [-L(n), L(n)]; odd count keeps x = 0 sampled."""
     L = domain_cutoff(n)
-    return np.linspace(-L, L, points)
+    return np.linspace(-L, L, float_count(points))
 
 
 def texture_coefficients(params: ModelParams | ParamGrid, level: LevelIndex) -> TextureCoefficients:

@@ -9,12 +9,10 @@ defining scalars, and the reversal-closure identity.
 
 The checks form one table, _CHECKS: each entry holds the name it reports,
 its bounds (each written once there and printed from there), the function
-that evaluates it over a list of draws and a list of levels, and the levels
+that evaluates it over a grid of draws and a list of levels, and the levels
 run_suite runs it at for a given n_max. run_suite goes through the table in
-order; the acceptance gate (tests/test_acceptance.py, criteria 2-7) runs the
-winding, hermitian, dual-route, parity and node entries on its own draws and
-levels, and criterion 9 runs the reversal entry on the reference
-configuration.
+order; the acceptance gate (tests/test_acceptance.py, criteria 2-7 and 9)
+runs entries on its own draws and levels.
 
 The margin rule mirrors the acceptance contract: a draw is rejected while,
 for any tested (n, eta), its branch cut (|B| under A < 0), Cz, Cy or R^2 is
@@ -23,25 +21,20 @@ is within 1e-3 of the degenerate line. The scales are those of
 spectrum.BlockQuantities (scale_B, scale_Cz, scale_Cy, scale_A), the same
 ones the sweep's on_boundary flag uses.
 
-The per-draw checks evaluate all their draws at once: the draws form a
-ParamGrid of one row each, which block_quantities and the public functions
-built on it take in place of ModelParams, in chunks of about _CHUNK_POINTS
-points so that memory stays flat however many draws are asked for. The
-winding check judges the laws on what topology.Windings gives, the routine
-the sweep and winding_report use too. The boundary and reversal-identity checks solve the R/GR/SI closed forms for
-all draws in one call per family and level (boundaries._solve, which the
-sweep overlays use too), so the kernel runs as often for 12 draws as for
-200. Every residual is bit for bit what a loop over the draws gives (the
-loops are kept as the tests' reference). An error raised for one draw names
-its index in the seeded sequence, its six parameters and the level. The
-draws themselves are scored in blocks of candidates the same way
-(draw_sets), accepted in the order a one-at-a-time loop accepts them. The
-node check takes its first two draws as one grid, and the reversal check
-its reference configuration as a grid of one point.
+The draws are one ParamGrid of one row each (shape (draws, 1)) from
+draw_sets to the report, and every check runs its levels through _levels in
+chunks of about _CHUNK_POINTS points, so that memory stays flat however many
+draws are asked for; the node, boundary and reversal checks at eta = -1 only.
+The winding check reads topology.Windings, and the boundary and reversal
+checks solve the closed forms over a chunk at once (boundaries._solve), as
+the sweep does. Every residual is bit for bit what a loop over the draws
+gives (the loops are kept as the tests' reference). An error raised for one
+draw names its index in the seeded sequence, its six parameters, n and eta.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -54,7 +47,7 @@ from .boundaries import _solve
 from .errors import NhjcError, ValidationError
 from .oscillator import phi_pair
 from .params import (N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise,
-                     modulus)
+                     float_count, modulus)
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
@@ -79,6 +72,9 @@ __all__ = ["CheckResult", "run_suite", "draw_sets", "boundary_margin"]
 DEFAULT_SEED = 20240901
 
 BOUNDARY_MARGIN = 1e-3
+
+# the points a draw counts as in a chunk when only its blocks and scalars are held
+_SCALAR_POINTS = 16
 
 _square = elementwise(lambda z: z ** 2, complex)
 _tan = elementwise(math.tan)
@@ -114,52 +110,57 @@ def boundary_margin(grid: ParamGrid, n_values, etas=(-1, 1)) -> np.ndarray:
     return np.where(settled, fixed, margin)
 
 
-def draw_sets(
-    rng: np.random.Generator,
-    count: int,
-    n_max: int = 8,
-    high: float = 1.2,
-    margin: float = BOUNDARY_MARGIN,
-) -> list[ModelParams]:
-    """count parameter sets, each component uniform in [0, high], each
-    redrawn until it sits at least `margin` away from every boundary for
-    n = 1..n_max (and omega, Omega >= 1e-3). Candidates are scored in blocks
-    of as many as are still missing, so no block draws past the last set
-    accepted and rng ends where drawing the candidates one at a time leaves
-    it: the sets are those a loop drawing one candidate at a time accepts."""
-    n_values = range(1, n_max + 1)
-    sets = []
-    while len(sets) < count:
-        block = rng.uniform(0.0, high, (count - len(sets), 6))  # columns in PARAM_NAMES order
-        usable = np.flatnonzero((block[:, 0] >= 1e-3) & (block[:, 1] >= 1e-3))
-        margins = boundary_margin(ParamGrid(*block[usable].T), n_values)
-        sets += [ModelParams(*block[i].tolist()) for i in usable[margins >= margin]]
-    return sets
+def draw_sets(rng: np.random.Generator, count: int, n_max: int = 8, high: float = 1.2,
+              margin: float = BOUNDARY_MARGIN) -> ParamGrid:
+    """count parameter sets as a ParamGrid of shape (count, 1), each component
+    uniform in [0, high], each redrawn until it sits at least `margin` away
+    from every boundary for n = 1..n_max (and omega, Omega >= 1e-3). A block
+    draws as many candidates as are still missing, so rng ends where drawing
+    them one at a time leaves it, and the sets are those such a loop accepts.
+    Each block is scored in chunks of about _CHUNK_POINTS points, counting
+    _SCALAR_POINTS for each level of a candidate."""
+    n_values, step = range(1, n_max + 1), max(1, _CHUNK_POINTS // (_SCALAR_POINTS * max(1, n_max)))
+    rows = np.empty((0, 6))  # columns in PARAM_NAMES order
+    while len(rows) < count:
+        block = rng.uniform(0.0, high, (float_count(count - len(rows), 6), 6))
+        block = block[(block[:, 0] >= 1e-3) & (block[:, 1] >= 1e-3)]
+        kept = np.empty(len(block), bool)
+        for start in range(0, len(block), step):
+            kept[start:start + step] = boundary_margin(ParamGrid(*block[start:start + step].T), n_values) >= margin
+        rows = np.concatenate((rows, block[kept]))
+    return ParamGrid(*(column[:, None] for column in rows.T.copy()))
 
 
-def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: STANDARD_POINTS) -> list[np.ndarray]:
-    """evaluate(chunk, level) for each level n in ns and eta = -1, +1, over
+def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: _SCALAR_POINTS, etas=(-1, 1)) -> list[np.ndarray]:
+    """evaluate(chunk, level) for each level n in ns and eta in etas, over
     chunks of the draws in grid of about _CHUNK_POINTS points (points(n) per
-    draw); block n is evaluated once per chunk and kept on it. Returns each
-    per-draw array evaluate returns, joined over all chunks and levels. A
-    NhjcError names its draw (index in the seeded sequence and parameters)
-    and level."""
+    draw), which keep block n; each per-draw array evaluate returns, joined
+    over all chunks and levels. A NhjcError names its draw and level."""
     parts = []
     for n in dict.fromkeys(ns):
         step = max(1, _CHUNK_POINTS // points(n))
         for start in range(0, len(grid.g), step):
             chunk = grid.take(slice(start, start + step))
-            for eta in (-1, 1):
+            for eta in etas:
                 try:
                     parts.append(evaluate(chunk, LevelIndex(n, eta)))
                 except NhjcError as exc:
                     if exc.index is None:
                         raise type(exc)(f"{exc} (n={n}, eta={eta})") from exc
-                    values = ", ".join(f"{name}={getattr(chunk, name)[exc.index, 0].item()!r}"
-                                       for name in PARAM_NAMES)
+                    values = ", ".join(f"{name}={getattr(chunk, name)[exc.index, 0].item()!r}" for name in PARAM_NAMES)
                     raise type(exc)(f"{exc} (draw {start + exc.index}: {values}, n={n}, eta={eta})",
                                     index=start + exc.index) from exc
     return [np.concatenate([np.ravel(a) for a in field]) for field in zip(*parts)]
+
+
+@contextlib.contextmanager
+def _subset(held):
+    """Maps an NhjcError's index over the held points of a chunk to the chunk's."""
+    try:
+        yield
+    except NhjcError as exc:
+        exc.index = None if exc.index is None else int(np.flatnonzero(held)[exc.index])
+        raise
 
 
 def _worst(*arrays) -> float:
@@ -195,7 +196,7 @@ def _eigen_residuals(chunk, level):
 
 
 def _eigen(draws, levels, residual):
-    worst = _worst(*_levels(ParamGrid.rows(draws), levels, _eigen_residuals, lambda n: 1))
+    worst = _worst(*_levels(draws, levels, _eigen_residuals))
     return worst < residual, f"worst relative residual {worst:.2e} (< {_bound_text(residual)})"
 
 
@@ -208,7 +209,7 @@ def _dual_route_difference(chunk, level):
 
 def _dual_route(draws, levels, difference):
     # both routes' profiles are held at once
-    worst = _worst(*_levels(ParamGrid.rows(draws), levels, _dual_route_difference, lambda n: 2 * STANDARD_POINTS))
+    worst = _worst(*_levels(draws, levels, _dual_route_difference, lambda n: 2 * STANDARD_POINTS))
     return worst < difference, f"worst pointwise difference {worst:.2e} (< {_bound_text(difference)})"
 
 
@@ -221,7 +222,7 @@ def _parity_residuals(chunk, level):
 
 
 def _parity(draws, levels, texture, wavefunction):
-    *sigma, wave = _levels(ParamGrid.rows(draws), levels, _parity_residuals, lambda n: 2 * STANDARD_POINTS)
+    *sigma, wave = _levels(draws, levels, _parity_residuals, lambda n: 2 * STANDARD_POINTS)
     worst, wv = _worst(*sigma), _worst(wave)
     return (worst < texture and wv < wavefunction,
             f"texture residual {worst:.2e} (< {_bound_text(texture)}), "
@@ -237,34 +238,37 @@ def _hermitian_residuals(chunk, level):
 
 def _hermitian(draws, levels, sigma_y, im_energy):
     """The draws with their rates set to zero."""
-    hermitian = ParamGrid.rows([ModelParams(omega=p.omega, Omega=p.Omega, g=p.g) for p in draws])
-    sy, zero_theta, im = _levels(hermitian, levels, _hermitian_residuals)
+    hermitian = ParamGrid(draws.omega, draws.Omega, draws.g, *[np.zeros_like(draws.g)] * 3)
+    sy, zero_theta, im = _levels(hermitian, levels, _hermitian_residuals, lambda n: STANDARD_POINTS)
     worst_sy, exact_theta, worst_im = _worst(sy), bool(zero_theta.all()), _worst(im)
     return (worst_sy < sigma_y and exact_theta and worst_im < im_energy,
             f"max |sigma_y| {worst_sy:.2e} (< {_bound_text(sigma_y)}), theta_t exactly 0: {exact_theta}, "
             f"max |Im E|/(n+1) {worst_im:.2e} (< {_bound_text(im_energy)})")
 
 
+def _node_deviations(chunk, level):
+    """Per draw, from the node routines Windings uses: whether the counts are
+    2n-1 (sigma_z and sigma_y share zy_node_arrays' positions) and 2n
+    (sigma_x), and the largest Newton step |phi_k / phi_k'| (phi_k' = sqrt(2k)
+    phi_{k-1} - x phi_k) from a sigma_z node to a root of H_n or H_{n-1},
+    which interlace: a test apart from the Jacobi solve that placed them."""
+    n, count = level.n, len(chunk.g)
+    windings = Windings(chunk, level)
+    nz, _ = zy_node_arrays(n, windings.coeffs.c_z)
+    steps = [0.0]
+    for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
+        lo, hi = phi_pair(k, x)
+        steps.append(float(np.max(np.abs(hi / (math.sqrt(2 * k) * lo - x * hi)), initial=0.0)))
+    return (np.full(count, len(nz) == 2 * n - 1 and windings.x_nodes[0].shape == (count, 2 * n)),
+            np.full(count, max(steps)))
+
+
 def _nodes(draws, levels, position):
-    """The nodes of the first two draws at eta = -1, one grid of both per
-    level, from the node routines Windings uses: counts 2n-1 (sigma_z and
-    sigma_y share zy_node_arrays' positions) and 2n (sigma_x), and the
-    sigma_z nodes at the roots of H_n and H_{n-1}, which interlace: each
-    within a Newton step |phi_k / phi_k'| (phi_k' = sqrt(2k) phi_{k-1} -
-    x phi_k) of a root, a test apart from the Jacobi solve that placed them."""
-    if len(draws) < 2:
+    """The nodes of the first two draws at eta = -1."""
+    if len(draws.g) < 2:
         return False, "needs at least two draws"
-    grid = ParamGrid.rows(draws[:2])
-    worst_pos = 0.0
-    counts_ok = True
-    for n in dict.fromkeys(levels):
-        windings = Windings(grid, LevelIndex(n, -1))
-        nz, _ = zy_node_arrays(n, windings.coeffs.c_z)
-        counts_ok &= len(nz) == 2 * n - 1 and windings.x_nodes[0].shape == (2, 2 * n)
-        for k, x in ((n, nz[0::2]), (n - 1, nz[1::2])):
-            lo, hi = phi_pair(k, x)
-            step = np.abs(hi / (math.sqrt(2 * k) * lo - x * hi))
-            worst_pos = max(worst_pos, float(np.max(step, initial=0.0)))
+    counts, steps = _levels(draws.take(slice(0, 2)), levels, _node_deviations, lambda n: 2 * n, (-1,))
+    counts_ok, worst_pos = bool(counts.all()), _worst(steps)
     return (counts_ok and worst_pos < position,
             f"counts 2n-1/2n: {counts_ok}, max position deviation {worst_pos:.2e} (< {_bound_text(position)})")
 
@@ -291,8 +295,7 @@ def _winding_laws(chunk, level):
 
 def _winding(draws, levels, residual):
     # Windings holds the 2n sigma_x nodes of each draw and integrates in chunks of its own
-    mismatches, worst, magnitude, direction, coupling = _levels(
-        ParamGrid.rows(draws), levels, _winding_laws, lambda n: 2 * n)
+    mismatches, worst, magnitude, direction, coupling = _levels(draws, levels, _winding_laws, lambda n: 2 * n)
     cases, mismatches, worst = 2 * len(mismatches), int(mismatches.sum()), _worst(worst)
     magnitude_ok, direction_ok, coupling_ok = (bool(a.all()) for a in (magnitude, direction, coupling))
     return (mismatches == 0 and magnitude_ok and direction_ok and coupling_ok and worst < residual,
@@ -312,51 +315,52 @@ def _tilting_residuals(chunk, level):
 
 
 def _tilting(draws, levels, residual):
-    worst_ratio, worst_const = map(_worst, _levels(ParamGrid.rows(draws), levels, _tilting_residuals))
+    worst_ratio, worst_const = map(_worst, _levels(draws, levels, _tilting_residuals, lambda n: STANDARD_POINTS))
     return (worst_ratio < residual and worst_const < residual,
             f"tan(theta)*Cz-Cy residual {worst_ratio:.2e}, "
             f"pointwise ratio-constancy {worst_const:.2e} (both < {_bound_text(residual)})")
 
 
-def _boundary_scalars(draws, levels, scalar):
-    """B at R, Cz at GR (both solved for Gamma) and Cy at SI (solved for
-    gamma), each over its own scale, at eta = -1."""
-    grid = ParamGrid.rows(draws)
-    scalars = []
-    for n in levels:
-        level = LevelIndex(n, -1)
-        r = _solve(grid, "R", "Gamma", n)
-        scalars.append(np.abs(r.block.B[r.valid]) / r.block.scale_B[r.valid])
-        gr = _solve(grid, "GR", "Gamma", n)
-        at = _replaced(grid.take(gr.valid), "Gamma", gr.value[gr.valid])
-        scalars.append(np.abs(texture_coefficients(at, level).c_z) / block_quantities(at, n).scale_Cz)
-        # an SI point no record holds, or where the state is undefined, is skipped
-        si = _solve(grid, "SI", "gamma", n)
-        held = si.valid & np.isfinite(si.value)
-        at = _replaced(grid.take(held), "gamma", si.value[held])
+def _boundary_residuals(chunk, level):
+    """Per draw: B at R, Cz at GR (both solved for Gamma) and Cy at SI (solved
+    for gamma), each over its own scale; nan where the draw has none."""
+    n = level.n
+    r, gr, si = (_solve(chunk, family, name, n) for family, name in (("R", "Gamma"), ("GR", "Gamma"), ("SI", "gamma")))
+    # an SI point no record holds, or where the state is undefined, is skipped
+    si_held = si.valid & np.isfinite(si.value)
+    scalars = np.full((3, *chunk.g.shape), math.nan)
+    scalars[0][r.valid] = np.abs(r.block.B[r.valid]) / r.block.scale_B[r.valid]
+    with _subset(gr.valid):
+        at = _replaced(chunk.take(gr.valid), "Gamma", gr.value[gr.valid])
+        scalars[1][gr.valid] = np.abs(texture_coefficients(at, level).c_z) / block_quantities(at, n).scale_Cz
+    with _subset(si_held):
+        at = _replaced(chunk.take(si_held), "gamma", si.value[si_held])
         bq = block_quantities(at, n)
         defined = ~(bq.exceptional | branch_solution(at, level)[1])
-        scalars.append((np.abs(branch_coefficients(at, level).c_y) / bq.scale_Cy)[defined])
-    checked = sum(map(len, scalars))
-    worst = max([0.0, *np.concatenate(scalars).tolist()])
+        scalars[2][si_held] = np.where(defined, np.abs(branch_coefficients(at, level).c_y) / bq.scale_Cy, math.nan)
+    return tuple(scalars)
+
+
+def _boundary_scalars(draws, levels, scalar):
+    """The boundary points of the draws, at eta = -1."""
+    scalars = np.concatenate(_levels(draws, levels, _boundary_residuals, etas=(-1,)))
+    checked, worst = np.count_nonzero(~np.isnan(scalars)), max([0.0, *scalars.tolist()])
     return (checked > 0 and worst < scalar,
             f"{checked} boundary points, worst normalized scalar {worst:.2e} (< {_bound_text(scalar)})")
 
 
-def _reversal_residuals(grid: ParamGrid, n: int, eps: float):
-    """The reversal-closure identity of level n at each point of the grid:
-
-        16 R^2 g^2 n + (4 n g^2 - d_kg^2)(4 n g^2 + d_Ww^2) = 0
-
-    at the reversal point Gamma_R in Gamma, which with the antisymmetry
-    theta_t(Gamma_R - eps) = -theta_t(Gamma_R + eps) makes the tilt's jump an
-    exact reversal. Returns whether the point is applicable (it has Gamma_R
-    and A < 0 there), Gamma_R (nan without a closed form), the identity's
-    residual relative to its larger term, the probe step eps' and theta_t
-    (eta = -1) at Gamma_R - 2eps', - eps', + eps' and + 2eps' (one row each),
-    all arrays of the grid's shape, nan off the applicable points. eps' is
-    min(eps, |Gamma_GR - Gamma_R| / 4) where level n keeps its GR point, else
-    eps, so that no probe reads theta_t past GR's jump by pi."""
+def _reversal_residuals(grid: ParamGrid, level: LevelIndex, eps: float = 1e-6):
+    """The reversal-closure identity 16 R^2 g^2 n + (4 n g^2 - d_kg^2)(4 n g^2
+    + d_Ww^2) = 0 of level n at the reversal point Gamma_R in Gamma, which with
+    the antisymmetry theta_t(Gamma_R - eps) = -theta_t(Gamma_R + eps) makes the
+    tilt's jump an exact reversal, at each point of the grid. Returns whether
+    the point is applicable (it has Gamma_R and A < 0 there), Gamma_R (nan
+    without a closed form), the identity's residual relative to its larger
+    term, the probe step eps' and theta_t (the level's eta) at Gamma_R - 2eps',
+    - eps', + eps' and + 2eps', eight arrays of the grid's shape, nan off the
+    applicable points. eps' = min(eps, |Gamma_GR - Gamma_R| / 4) where level n
+    keeps its GR point, else eps: no probe reads theta_t past GR's jump by pi."""
+    n = level.n
     r = _solve(grid, "R", "Gamma", n)
     held = r.valid
     at, gamma_r, R = grid.take(held), r.value[held], r.block.R[held]
@@ -364,45 +368,35 @@ def _reversal_residuals(grid: ParamGrid, n: int, eps: float):
     d_Ww, d_kg, g = c.d_Omega_omega, c.d_kappa_gamma, at.g
     term_root = 16.0 * R * R * g * g * n
     term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
-    gr = _solve(at, "GR", "Gamma", n)
-    step = np.where(gr.valid, np.minimum(eps, np.abs(gr.value - gamma_r) / 4), eps)
-    scale = np.maximum(np.maximum(np.abs(term_root), np.abs(term_poly)), 1e-300)
-    values = [np.abs(term_root + term_poly) / scale, step]
-    for k in (-2, -1, 1, 2):
-        coeffs = texture_coefficients(_replaced(at, "Gamma", gamma_r + k * step), LevelIndex(n, -1))
-        values.append(tilting_angle(coeffs).theta_t)
-    on_grid = np.full((len(values), *held.shape), math.nan)
-    on_grid[:, held] = values
-    return held, r.value, on_grid[0], on_grid[1], on_grid[2:]
+    on_grid = np.full((6, *held.shape), math.nan)
+    with _subset(held):
+        gr = _solve(at, "GR", "Gamma", n)
+        step = np.where(gr.valid, np.minimum(eps, np.abs(gr.value - gamma_r) / 4), eps)
+        scale = np.maximum(np.maximum(np.abs(term_root), np.abs(term_poly)), 1e-300)
+        on_grid[:2, held] = np.abs(term_root + term_poly) / scale, step
+        for row, k in enumerate((-2, -1, 1, 2), 2):
+            coeffs = texture_coefficients(_replaced(at, "Gamma", gamma_r + k * step), level)
+            on_grid[row][held] = tilting_angle(coeffs).theta_t
+    return held, r.value, *on_grid
 
 
 def _reversal_identity(draws, levels, identity, antisymmetry):
     """The draws at each level, plus the reference configuration at n = 1..5
     at the strict antisymmetry bound."""
-    eps = 1e-6
-    grid = ParamGrid.rows(draws)
-    worst_id, worst_anti = [0.0], [0.0]
-    anti_ok = True
-    for n in levels:
-        held, _, residual, step, thetas = _reversal_residuals(grid, n, eps)
-        step, (far_below, below, above, far_above) = step[held], thetas[:, held]
-        anti = np.abs(below + above)
-        worst_id += residual[held].tolist()
-        worst_anti += anti.tolist()
-        # the antisymmetry residual grows linearly with the smooth tilt slope;
-        # allow that first-order term on generic draws
-        slope = np.maximum(np.abs(below - far_below), np.abs(above - far_above)) / step
-        anti_ok &= bool(np.all(anti < np.maximum(antisymmetry, 20.0 * step * slope)))
-    applicable = len(worst_id) - 1
-    worst_id, worst_anti = max(worst_id), max(worst_anti)
+    held, _, residual, step, *thetas = _levels(draws, levels, _reversal_residuals, etas=(-1,))
+    step, (far_below, below, above, far_above) = step[held], (theta[held] for theta in thetas)
+    anti = np.abs(below + above)
+    # the antisymmetry residual grows linearly with the smooth tilt slope;
+    # allow that first-order term on generic draws
+    slope = np.maximum(np.abs(below - far_below), np.abs(above - far_above)) / step
+    anti_ok = bool(np.all(anti < np.maximum(antisymmetry, 20.0 * step * slope)))
+    worst_id, worst_anti = max([0.0, *residual[held].tolist()]), max([0.0, *anti.tolist()])
     base = ParamGrid.rows([ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2, kappa=0.5, gamma=0.2)])
-    strict = [_reversal_residuals(base, n, eps) for n in range(1, 6)]
-    applicable += sum(held.item() for held, *_ in strict)
-    strict_ok = all(held.item() and residual.item() < identity and abs(thetas[1] + thetas[2]).item() < antisymmetry
-                    for held, _, residual, _, thetas in strict)
+    strict, _, ref_residual, _, _, ref_below, ref_above, _ = _levels(base, range(1, 6), _reversal_residuals, etas=(-1,))
+    strict_ok = bool(np.all(strict & (ref_residual < identity) & (np.abs(ref_below + ref_above) < antisymmetry)))
     return (worst_id < identity and anti_ok and strict_ok,
-            f"{applicable} applicable points, identity residual {worst_id:.2e} "
-            f"(< {_bound_text(identity)}), worst tilt antisymmetry {worst_anti:.2e} "
+            f"{np.count_nonzero(held) + np.count_nonzero(strict)} applicable points, identity residual "
+            f"{worst_id:.2e} (< {_bound_text(identity)}), worst tilt antisymmetry {worst_anti:.2e} "
             f"(slope-aware bound; reference config < {_bound_text(antisymmetry)}: {strict_ok})")
 
 
@@ -418,16 +412,12 @@ class _Check:
     judge: Callable[..., tuple[bool, str]]
     capped: bool = False  # run_suite gives it only the capped winding draws
 
-    def __call__(self, draws: list[ModelParams], levels: Iterable[int]) -> CheckResult:
+    def __call__(self, draws: ParamGrid, levels: Iterable[int]) -> CheckResult:
         return CheckResult(self.name, *self.judge(draws, levels, **self.bounds))
 
 
 def _every_level(n_max):
     return range(1, n_max + 1)
-
-
-def _ends(n_max):
-    return 1, n_max
 
 
 # The one table of checks: run_suite runs each entry in this order, and the
@@ -437,12 +427,12 @@ _CHECKS: dict[str, _Check] = {
     "eigen": _Check("eigen-solution residuals", {"residual": 1e-11}, _every_level, _eigen),
     "dual-route": _Check("dual-route texture equivalence", {"difference": 1e-11},
                          lambda n_max: (1, min(max(2, n_max // 2), n_max), n_max), _dual_route),
-    "parity": _Check("parity symmetry", {"texture": 1e-12, "wavefunction": 1e-13}, _ends, _parity),
+    "parity": _Check("parity symmetry", {"texture": 1e-12, "wavefunction": 1e-13}, lambda n_max: (1, n_max), _parity),
     "hermitian": _Check("hermitian limit", {"sigma_y": 1e-13, "im_energy": 1e-14}, _every_level,
                         _hermitian),
     "nodes": _Check("invariant nodes", {"position": 1e-10}, lambda n_max: (1, min(2, n_max), n_max), _nodes),
     "winding": _Check("winding laws", {"residual": 0.1}, _every_level, _winding, capped=True),
-    "tilting": _Check("tilting identities", {"residual": 1e-12}, _ends, _tilting),
+    "tilting": _Check("tilting identities", {"residual": 1e-12}, lambda n_max: (1, n_max), _tilting),
     "boundaries": _Check("boundary defining scalars", {"scalar": 1e-12},
                          lambda n_max: (max(1, n_max // 2),), _boundary_scalars),
     "reversal-identity": _Check("reversal-closure identity", {"identity": 1e-10, "antisymmetry": 1e-4},
@@ -465,9 +455,7 @@ def run_suite(draws: int = 200, n_max: int = 8, seed: int = DEFAULT_SEED,
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if quick:
         draws, n_max = min(draws, 50), min(n_max, 6)
-    rng = np.random.default_rng(seed)
-    # windings dominate the cost; cap their draw count, reuse for the rest
-    winding_draws = draw_sets(rng, max(4, draws // 4), n_max)
-    light_draws = winding_draws + draw_sets(rng, draws - len(winding_draws), n_max)
-    return [check(winding_draws if check.capped else light_draws, check.levels(n_max))
-            for check in _CHECKS.values()]
+    grid = draw_sets(np.random.default_rng(seed), max(4, draws), n_max)
+    # windings dominate the cost: their check takes only the first draws
+    capped = grid.take(slice(0, max(4, draws // 4)))
+    return [check(capped if check.capped else grid, check.levels(n_max)) for check in _CHECKS.values()]

@@ -26,6 +26,7 @@ from nhjc import (
     tilting_angle,
     winding_direction,
 )
+from nhjc.params import ParamGrid
 from nhjc.verify import _CHECKS, _bound_text, draw_sets
 from conftest import make_reference
 
@@ -91,7 +92,7 @@ def test_c03_method_equivalence():
 @criterion(4, "hermitian limit: sigma_y vanishes and the tilt is exactly zero")
 def test_c04_hermitian_limit():
     rng = np.random.default_rng(7)
-    draws = [ModelParams(*rng.uniform(0.1, 1.2, 3).tolist()) for _ in range(5)]
+    draws = ParamGrid.rows([ModelParams(*rng.uniform(0.1, 1.2, 3).tolist()) for _ in range(5)])
     return _passes("hermitian", draws, range(1, 21))
 
 
@@ -130,7 +131,7 @@ def test_c08_gap_laws():
 
 @criterion(9, "reversal-closure identity and tilt antisymmetry at Gamma_R")
 def test_c09_reversal_identity():
-    return _passes("reversal-identity", [make_reference(Gamma=0.0)], range(1, 6))
+    return _passes("reversal-identity", ParamGrid.rows([make_reference(Gamma=0.0)]), range(1, 6))
 
 
 @criterion(10, "super-invariance: zero tilt for n in {1, 10, 100}, gap open")

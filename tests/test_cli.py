@@ -344,6 +344,39 @@ def test_out_of_memory_is_a_one_line_computation_error(params_file, capsys, monk
                             "(1000000000000,) and data type float64\n")
 
 
+@pytest.mark.parametrize("command, count", [("texture", sys.maxsize), ("texture", 2 ** 62), ("verify", sys.maxsize),
+                                            ("sweep", sys.maxsize)])
+def test_a_count_past_the_array_limit_is_a_one_line_out_of_memory_error(params_file, tmp_path, capsys, command,
+                                                                         count):
+    # numpy raised IndexError (linspace at sys.maxsize) or ValueError: array is
+    # too big, a traceback; the count is checked before anything is allocated
+    if command == "texture":
+        argv = ["texture", "--params", params_file, "--n", "2", "--grid-points", str(count)]
+    elif command == "verify":
+        argv = ["verify", "--draws", str(count), "--n-max", "1"]
+    else:
+        spec = {"params": PARAMS, "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": count}],
+                "levels": [{"n": 1}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.csv")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: out of memory: {count} x ")
+
+
+def test_a_negative_rate_is_a_one_line_warning(tmp_path, capsys):
+    # Python printed it as "<string>:9: NegativeRateWarning: ...", at the
+    # __init__ the dataclass generates
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"omega": 0.9, "Omega": 1.0, "g": 0.05, "kappa": -0.5, "gamma": 0.2, "Gamma": 0.0}))
+    assert main(["eigen", "--params", str(path), "--n", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["n"] == 1
+    assert captured.err == ("warning: negative decay rate(s) kappa: formulas remain valid but the parameters "
+                            "are unphysical as loss rates\n")
+
+
 @pytest.mark.parametrize("command", ["winding", "texture"])
 def test_level_above_validity_domain_is_usage_error(params_file, command, capsys):
     rc = main([command, "--params", params_file, "--n", "250"])

@@ -1,5 +1,5 @@
 """The behavioural contract: every shipped sweep spec, run at its shipped
-size, writes the same bytes as before, and so do three `nhjc verify` runs.
+size, writes the same bytes as before, and so do five `nhjc verify` runs.
 The sha256 values were taken from the outputs of the code the boundary
 overlays and the boundary checks of verify were evaluated with one point at
 a time; the four surfaces_* and two tilt_scan_* specs replace experiment
@@ -102,6 +102,11 @@ VERIFY_FULL = "f50976257edb658cdf8e51584e2e38d55cadd7625ec532f984d75c53a7ba1a32"
 # the winding line's worst integral residual, 1.78e-15 -> 2.66e-15 with
 # the shell ratio 4 of topology.winding_grids
 VERIFY_SEED_7 = "fc15830ab038dcd17fee662e867525c15bf81345b6af587f1dfc6c67f5009045"
+# below the four-draw floor: every check takes the same four draws; and five
+# draws, of which the winding check takes the first four (taken with the two
+# draw calls run_suite made before it drew once)
+VERIFY_ONE_DRAW = "90672bf1ae7c77d4f89df34ba49f769d4b698a3f788c89442145141ce0ef116d"
+VERIFY_FIVE_DRAWS = "618fbd998449989a65cf9efe53a349b03989591ae21fb9efa8793c6888ae9f9f"
 
 
 def _sha256(data: bytes) -> str:
@@ -146,7 +151,9 @@ def test_quick_verify_report_is_pinned():
 @pytest.mark.parametrize("argv, expected", [
     ([], VERIFY_FULL),
     (["--draws", "50", "--n-max", "8", "--seed", "7"], VERIFY_SEED_7),
-], ids=["full", "seed-7"])
+    (["--draws", "1", "--n-max", "2"], VERIFY_ONE_DRAW),
+    (["--draws", "5", "--n-max", "1"], VERIFY_FIVE_DRAWS),
+], ids=["full", "seed-7", "one-draw", "five-draws"])
 def test_verify_report_is_pinned(argv, expected):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -78,7 +78,7 @@ def test_node_sum_equals_integral_on_random_states(rng):
     from nhjc.verify import draw_sets
 
     for _ in range(12):
-        params = draw_sets(rng, 1, n_max=6)[0]
+        params = draw_sets(rng, 1, n_max=6).point(0)
         for n in (1, 2, 4, 6):
             for eta in (-1, 1):
                 level = LevelIndex(n, eta)
@@ -102,7 +102,7 @@ def test_direction_law_matches_integral(rng):
     from nhjc.verify import draw_sets
 
     for _ in range(10):
-        params = draw_sets(rng, 1, n_max=5)[0]
+        params = draw_sets(rng, 1, n_max=5).point(0)
         level = LevelIndex(5, -1)
         coeffs = texture_coefficients(params, level)
         reports = winding_report(params, level, PLANES)

@@ -17,6 +17,7 @@ import nhjc.topology
 import nhjc.verify
 from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_solution
 from nhjc.cli import main
+from nhjc.errors import DegenerateStateError, NodeCountError
 from nhjc.oscillator import hermite_roots
 from nhjc.params import PARAM_NAMES, ParamGrid
 from nhjc.sweep import SweepSpec, run_sweep
@@ -43,10 +44,14 @@ def run_check(key, draws, n_max):
 
 
 def seeded_draws(count, n_max, seed=DEFAULT_SEED):
-    """The first `count` draws of run_suite's seeded sequence; its winding
-    draws are the first max(4, draws // 4) of them."""
-    rng = np.random.default_rng(seed)
-    return [draw_sets(rng, 1, n_max)[0] for _ in range(count)]
+    """The first `count` draws of run_suite's seeded sequence, as a grid; its
+    winding draws are the first max(4, draws // 4) of them."""
+    return draw_sets(np.random.default_rng(seed), count, n_max)
+
+
+def records(grid):
+    """The draws of a grid as ModelParams, one per row."""
+    return [grid.point(i) for i in range(grid.g.size)]
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 11])
@@ -78,10 +83,22 @@ def test_winding_laws_hold_on_margin_draws_up_to_n_25():
 def test_drawn_sets_match_the_scalar_reference(seed, n_max, margin):
     # margin 0.05 rejects about a third of the candidates, so blocks run short
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert draw_sets(rng, 60, n_max, margin=margin) == [reference_draw(reference, n_max, margin=margin)
-                                                         for _ in range(60)]
+    grid = draw_sets(rng, 60, n_max, margin=margin)
+    assert grid.g.shape == (60, 1)
+    assert records(grid) == [reference_draw(reference, n_max, margin=margin) for _ in range(60)]
     assert rng.bit_generator.state == reference.bit_generator.state
-    assert draw_sets(rng, 1, n_max, margin=margin) == [reference_draw(reference, n_max, margin=margin)]
+    assert records(draw_sets(rng, 1, n_max, margin=margin)) == [reference_draw(reference, n_max, margin=margin)]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+@pytest.mark.parametrize("draws", [1, 5, 200])
+def test_one_draw_call_gives_the_sets_and_rng_state_of_two(seed, draws):
+    # run_suite drew its winding sets and then the rest; it now draws them at once
+    rng, split = np.random.default_rng(seed), np.random.default_rng(seed)
+    winding = records(draw_sets(split, max(4, draws // 4), 2))
+    light = winding + records(draw_sets(split, draws - len(winding), 2))
+    assert records(draw_sets(rng, max(4, draws), 2)) == light
+    assert rng.bit_generator.state == split.bit_generator.state
 
 
 def test_margins_over_a_grid_match_the_scalar_reference():
@@ -153,13 +170,13 @@ def test_a_wrong_node_sum_fails_the_winding_check_and_not_its_reference(monkeypa
     draws = seeded_draws(4, 4)
     result = run_check("winding", draws, 4)
     assert not result.passed and result.detail.startswith("64 cases: method mismatches 64, |n_w|=n False")
-    assert check_winding(draws, 4).passed
+    assert check_winding(records(draws), 4).passed
 
 
 def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):
     # reverse the sigma_x nodes of winding draw 12 (in the second chunk of
     # level 2) at (n, eta) = (2, -1) only
-    params = seeded_draws(15, 4)[12]
+    params = seeded_draws(15, 4).point(12)
     sol = eigen_solution(params, LevelIndex(2, -1))
     rho = abs(sol.c_up) / abs(sol.c_down)
     original = nhjc.texture.ratio_roots
@@ -182,13 +199,47 @@ def test_winding_error_names_the_draw_and_level(monkeypatch, capsys):
     assert f"(draw 12: {values}, n=2, eta=-1)" in err
 
 
+def _draw_named(err, draws, index, n):
+    values = ", ".join(f"{name}={getattr(draws.point(index), name)!r}" for name in PARAM_NAMES)
+    return f"(draw {index}: {values}, n={n}, eta=-1)" in err and err.count("\n") == 1
+
+
+def test_node_check_error_names_the_draw_and_level(monkeypatch, capsys):
+    def broken(n, rho):
+        raise NodeCountError("sigma_x nodes out of order", index=1)
+
+    monkeypatch.setattr(nhjc.topology, "x_node_arrays", broken)
+    assert main(["verify", "--draws", "12", "--n-max", "4"]) == 1
+    assert _draw_named(capsys.readouterr().err, seeded_draws(12, 4), 1, 1)
+
+
+@pytest.mark.parametrize("key, n", [("boundaries", 2), ("reversal-identity", 1)])
+def test_an_error_on_the_boundary_points_names_the_draw_and_level(monkeypatch, key, n):
+    # texture_coefficients runs on the draws that have the boundary point (a
+    # subset of the chunk): the error's index into that subset is mapped back
+    draws, target = seeded_draws(30, 4), 21  # the third draw with a GR point at n = 2, the fourth with R at n = 1
+    original, raised = nhjc.verify.texture_coefficients, []
+
+    def broken(params, level):
+        rows = np.flatnonzero(np.ravel(params.omega) == draws.omega[target, 0])
+        if params.g.ndim == 1 and rows.size:
+            raised.append(int(rows[0]))
+            raise DegenerateStateError("injected", index=raised[-1])
+        return original(params, level)
+
+    monkeypatch.setattr(nhjc.verify, "texture_coefficients", broken)
+    with pytest.raises(DegenerateStateError) as info:
+        run_check(key, draws, 4)
+    assert _draw_named(str(info.value) + "\n", draws, target, n) and raised[0] != target
+
+
 def test_batched_checks_evaluate_the_kernel_at_most_200_times(evaluations):
     # a scalar loop evaluates it 3 892 times for the same draws
     draws = seeded_draws(50, 8)
     calls = evaluations
     calls.clear()  # those of the draws
     for key in BATCHED:
-        assert run_check(key, draws[:12] if key == "winding" else draws, 8).passed
+        assert run_check(key, draws.take(slice(0, 12)) if key == "winding" else draws, 8).passed
     assert 0 < len(calls) <= 200
 
 
@@ -205,7 +256,7 @@ def test_suite_memory_is_bounded_by_the_chunk_not_the_draws():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # only the draw records themselves (a few hundred bytes each) grow
+    # only the grid of draws (48 bytes each) and the per-draw results grow
     assert peaks[1] < 2 * 2 ** 20
     assert peaks[1] - peaks[0] < 2 ** 18
 
@@ -248,7 +299,7 @@ def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
     # draws, the reference point, a point without coupling (no Gamma_R), one
     # with A >= 0 at its Gamma_R (not applicable) and one probed with a step
     # shorter than eps at n = 1
-    points = seeded_draws(30, 8) + [
+    points = records(seeded_draws(30, 8)) + [
         ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2, kappa=0.5, gamma=0.2),
         ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2),
         ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
@@ -256,7 +307,7 @@ def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
     ]
     grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
     for n in (1, 2, 5):
-        applicable, gamma_r, residual, step, thetas = _reversal_residuals(grid, n, 1e-6)
+        applicable, gamma_r, residual, step, *thetas = _reversal_residuals(grid, LevelIndex(n, -1), 1e-6)
         for k, params in enumerate(points):
             expected = reversal_identity(params, n)
             far = [theta_at_gamma(params, n, -1, expected.gamma_reversal + m * expected.step)
@@ -269,7 +320,7 @@ def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
 
 
 def test_a_gapped_reversal_inside_the_probe_window_passes_the_reversal_check():
-    result = _CHECKS["reversal-identity"]([GR_NEAR], [1])
+    result = _CHECKS["reversal-identity"](ParamGrid.rows([GR_NEAR]), [1])
     assert result.passed, result.detail
     assert result.detail.startswith("6 applicable points")
 

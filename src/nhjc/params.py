@@ -41,6 +41,7 @@ exist before it is loaded.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -49,7 +50,7 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import NegativeRateWarning, ValidationError
+from .errors import NegativeRateWarning, NhjcError, ValidationError
 
 __all__ = [
     "ModelParams",
@@ -77,6 +78,11 @@ N_MAX = 200
 # about 2 710 P^2 at n = N_MAX, and |C_up|^2 (the largest square of the norm,
 # inf past float range) is below 660 P^2. P = 1e152 keeps both under 2.8e307.
 PARAM_MAX = 1e152
+
+# profile samples (points x grid points) a pass over a grid holds at once
+SAMPLE_BUDGET = 2 ** 14
+# the samples of a point whose blocks and scalars alone are held
+SCALAR_SAMPLES = 16
 
 
 def elementwise(fn, dtype=float, ufunc: str | None = None):
@@ -158,6 +164,29 @@ def float_count(count: int, width: int = 1) -> int:
     if count * width > sys.maxsize // 8:  # the array's bytes must not pass sys.maxsize
         raise MemoryError(f"{count} x {width} float64 values are more than one array holds ({sys.maxsize // 8})")
     return count
+
+
+def chunks(count: int, samples: int = SCALAR_SAMPLES) -> list[slice]:
+    """The consecutive slices of a batch of count points that hold `samples`
+    profile samples each: max(1, SAMPLE_BUDGET // samples) points a slice."""
+    step = max(1, SAMPLE_BUDGET // samples)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+@contextlib.contextmanager
+def batch_index(part):
+    """Run the body over part of a batch (a slice, a bool mask or an index
+    array of its points): an NhjcError raised with an index into the part
+    leaves with the index of that point in the whole batch."""
+    try:
+        yield
+    except NhjcError as exc:
+        if exc.index is not None:
+            if isinstance(part, slice):
+                exc.index += part.start
+            else:  # the indices of an array, or of a mask's true elements
+                exc.index = int((part.ravel().nonzero()[0] if part.dtype == bool else part.ravel())[exc.index])
+        raise
 
 
 def quiet_overflow(fn):

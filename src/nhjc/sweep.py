@@ -11,9 +11,9 @@ subset of the observables
     nWzx, nWyx  signed winding numbers (node-sum fast path)
     CtZ, CtY    closed-form texture coefficients
 
-Each level is evaluated over the whole grid at once, in blocks of 1024
-points: block n is evaluated once, plus blocks n-1 and n+1 for deltaPlus,
-each kept on its block of points for every level that reads it again.
+Each level is evaluated over the whole grid, a chunk of points at a time
+(params.chunks): block n once, plus blocks n-1 and n+1 for deltaPlus, each
+kept on its chunk of points for every level that reads it again.
 Exceptional, degenerate, n = 0 and on_boundary points (within BOUNDARY_RTOL
 of an R, GR or SI boundary, where the direction-dependent columns are nan)
 are masks within the same arrays. The rows are bit for bit what
@@ -21,9 +21,9 @@ eigen_solution, texture_coefficients, gaps, tilting_angle and winding_report
 give point by point.
 
 Winding numbers are the exact-integer node sums of topology.Windings, which
-solve no sigma_x node. A deterministic 1% subsample of rows is re-derived by
-its phase-unwrapping integral, and a mismatch aborts the sweep naming the
-row; any other error names the grid point, n and eta.
+solve no sigma_x node. A seeded spot_check_fraction of the rows (default 1%)
+is re-derived by its phase-unwrapping integral, and a mismatch aborts the
+sweep naming the row; any other error names the grid point, n and eta.
 
 The table and each overlay are one array per column in row order (levels
 innermost), the table rendered to CSV a block of rows at a time and an
@@ -34,6 +34,7 @@ is solved over the grid of the other axes at once, one call per level.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -46,8 +47,8 @@ import numpy as np
 from .boundaries import FAMILIES, SOLVABLE, _solve
 from .csvtext import csv_lines, csv_table, float_cells, text_cells
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
-from .params import (N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, check_magnitude, float_count, minimum,
-                     params_from_dict)
+from .params import (N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, batch_index, check_magnitude, chunks,
+                     float_count, minimum, params_from_dict)
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
 from .texture import TextureCoefficients, branch_coefficients
 from .topology import Windings, tilt_of
@@ -59,7 +60,6 @@ WINDINGS = ("nWzx", "nWyx")
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
-_GRID_BLOCK = 1024
 _SPOT_CHECK_SEED = 20240901
 
 
@@ -232,7 +232,7 @@ def _json_table(table: dict) -> dict:
 
 
 def _write_table(path, spec: SweepSpec, table: dict[str, np.ndarray]) -> None:
-    """The table as CSV, a block of _GRID_BLOCK rows at a time: the block's
+    """The table as CSV, a chunk of rows at a time (params.chunks): the chunk's
     observables go through one float_cells call, and each axis value, n, eta
     and flag is gathered from its text, rendered once, by grid point and level."""
     counts = [axis.count for axis in spec.axes]
@@ -240,9 +240,8 @@ def _write_table(path, spec: SweepSpec, table: dict[str, np.ndarray]) -> None:
     levels = [text_cells([str(getattr(level, name)) for level in spec.levels]) for name in ("n", "eta")]
     with open(path, "wb") as fh:
         fh.write(",".join(table).encode() + b"\n")
-        for start in range(0, len(table["n"]), _GRID_BLOCK):
-            rows = slice(start, start + _GRID_BLOCK)
-            point, level = np.divmod(np.arange(start, start + len(table["n"][rows])), len(spec.levels))
+        for rows in chunks(len(table["n"])):
+            point, level = np.divmod(np.arange(rows.start, rows.stop), len(spec.levels))
             cells = [text[at] for text, at in zip(axes, np.unravel_index(point, counts))]
             cells += [text[level] for text in levels] + list(float_cells([table[o][rows] for o in spec.observables]))
             cells += [text_cells("01")[table[name][rows].astype(int)] for name in FLAG_COLUMNS]
@@ -261,8 +260,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
-    """Every column of the table. Each level is evaluated over a block of
-    grid points at once; the blocks bound the memory."""
+    """Every column of the table. Each level is evaluated over a chunk of
+    grid points at once (params.chunks); the chunks bound the memory."""
     grid = ParamGrid.product(spec.base, {a.name: a.values() for a in spec.axes})
     size, levels = grid.g.size, len(spec.levels)
     table = {a.name: np.repeat(getattr(grid, a.name), levels) for a in spec.axes}
@@ -270,30 +269,29 @@ def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
     table.update((name, np.empty(size * levels, bool if name in FLAG_COLUMNS else float))
                  for name in columns[len(spec.axes) + 2:])
     winding_rows = []
-    for start in range(0, size, _GRID_BLOCK):
-        block = grid.take(slice(start, start + _GRID_BLOCK))
-        count = block.g.size
+    for points in chunks(size):
+        block = grid.take(points)
         for k, level in enumerate(spec.levels):
-            try:
+            with _named(spec, grid, level), batch_index(points):
                 values, checked = _level_columns(block, level, spec.observables)
-            except NhjcError as exc:
-                raise _named(exc, spec, grid, range(start, start + count), level) from exc
-            rows = slice(start * levels + k, (start + count) * levels, levels)
+            rows = slice(points.start * levels + k, points.stop * levels, levels)
             for name, column in values.items():
                 table[name][rows] = column
-            winding_rows.append((start + checked) * levels + k)
+            winding_rows.append((points.start + checked) * levels + k)
     _spot_check(spec, grid, table, np.sort(np.concatenate(winding_rows)))
     return table
 
 
-def _named(exc: NhjcError, spec: SweepSpec, grid: ParamGrid, points, level: LevelIndex) -> NhjcError:
-    """exc again, naming the grid point points[exc.index] (or the grid), n and eta."""
-    if exc.index is None:
-        at = "on the grid"
-    else:
-        point = points[exc.index]
-        at = "at " + ", ".join(f"{a.name}={getattr(grid, a.name)[point].item()!r}" for a in spec.axes)
-    return type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})")
+@contextlib.contextmanager
+def _named(spec: SweepSpec, grid: ParamGrid, level: LevelIndex):
+    """An NhjcError raised in the body, raised again naming the grid point
+    exc.index (or the grid), n and eta."""
+    try:
+        yield
+    except NhjcError as exc:
+        at = "on the grid" if exc.index is None else "at " + ", ".join(
+            f"{a.name}={getattr(grid, a.name)[exc.index].item()!r}" for a in spec.axes)
+        raise type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})") from exc
 
 
 def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
@@ -318,13 +316,10 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     # the winding direction is undefined on a boundary
     checked = np.flatnonzero(regular & ~on_boundary) if windings else np.empty(0, int)
     if windings:  # a failed check names its point by its index into the grid
-        try:
+        with batch_index(checked):
             held = TextureCoefficients(coeffs.c_z[checked], coeffs.c_y[checked], coeffs.d_x[checked])
             found = Windings(grid.take(checked[:, None]), level, held)
             signed = {obs: found.node_sums(obs[2:]) for obs in windings}
-        except NhjcError as exc:
-            exc.index = None if exc.index is None else int(checked[exc.index])
-            raise
     if {"deltaMinus", "deltaPlus"} & set(observables):
         gp = gaps(grid, n, neighbours="deltaPlus" in observables)
     values = dict(degenerate=degenerate, exceptional=exceptional, on_boundary=on_boundary)
@@ -349,8 +344,8 @@ def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
 
 
 def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarray) -> None:
-    """Re-derive a deterministic 1% subsample of windings via the integral,
-    a level at a time over blocks of _GRID_BLOCK picks, which bounds memory;
+    """Re-derive a seeded spot_check_fraction of the windings via the integral,
+    a level at a time over chunks of picks (params.chunks), which bounds memory;
     winding_rows index the rows with node-sum windings. An error names its point."""
     if not winding_rows.size or spec.spot_check_fraction <= 0.0:
         return
@@ -359,15 +354,13 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarra
     picked = winding_rows[sorted(picks)]
     planes = [obs for obs in spec.observables if obs in WINDINGS]
     levels = len(spec.levels)
-    for block in np.split(picked, range(_GRID_BLOCK, len(picked), _GRID_BLOCK)):
+    for block in (picked[rows] for rows in chunks(len(picked))):
         for k, level in enumerate(spec.levels):
             at = block[block % levels == k]
             if not at.size:
                 continue
-            try:
+            with _named(spec, grid, level), batch_index(at // levels):
                 found = Windings(grid.take(at[:, None] // levels), level).integrals([obs[2:] for obs in planes])
-            except NhjcError as exc:
-                raise _named(exc, spec, grid, at // levels, level) from exc
             fast = np.stack([table[obs][at] for obs in planes], axis=-1)
             slow = np.stack([signed for signed, _ in found.values()], axis=-1)
             for i, j in np.argwhere(fast != slow)[:1].tolist():  # the first by row, then by plane

@@ -45,14 +45,14 @@ import numpy as np
 from .errors import (
     AntiWindingError,
     GridTooCoarseError,
-    NhjcError,
     NodeCountError,
     OnBoundaryError,
     UndefinedTiltError,
     ValidationError,
 )
 from .oscillator import ratio_roots
-from .params import LevelIndex, ModelParams, ParamGrid, elementwise, modulus, quotient, raise_where, where
+from .params import (LevelIndex, ModelParams, ParamGrid, batch_index, chunks, elementwise, modulus, quotient,
+                     raise_where, where)
 from .spectrum import BOUNDARY_RTOL, block_quantities
 from .texture import (
     STANDARD_POINTS,
@@ -257,11 +257,6 @@ def winding_grids(n: int, x_nodes: np.ndarray) -> np.ndarray:
     return grids
 
 
-# profile samples (cases x grid points) evaluated at once: Windings.integrals
-# goes through its points in chunks of about this many, which bounds memory
-_CHUNK_POINTS = 2 ** 14
-
-
 class Windings:
     """The windings of one level (n >= 1, eta) at a batch of points by both
     routes: grid holds one row per point (shape (points, 1), as
@@ -269,8 +264,8 @@ class Windings:
 
     Construction checks the states (texture_coefficients, unless the caller
     passes checked coefficients) and that each rho = |C_up|/|C_down| admits
-    sigma_x nodes; x_nodes is solved on first read. An error carries the
-    index of its point."""
+    sigma_x nodes; x_nodes is solved on first read, integrals in chunks
+    (params.chunks). An error carries the index of its point."""
 
     def __init__(self, grid: ParamGrid, level: LevelIndex, coeffs: TextureCoefficients | None = None):
         self.grid, self.level, block = grid, level, block_quantities(grid, level.n)
@@ -333,19 +328,14 @@ class Windings:
 
     def _integrals(self, planes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         n, positions = self.level.n, self.x_nodes[0]
-        # a winding grid is the standard one plus 2 * 23 shell points around each of the 4n - 1 nodes
-        step = max(1, _CHUNK_POINTS // (STANDARD_POINTS + 2 * _SHELLS.size * (4 * n - 1)))
         parts = {plane: [] for plane in planes}
-        for start in range(0, len(positions), step):
-            rows = slice(start, start + step)
-            grids = winding_grids(n, positions[rows])
-            tex = texture_closed_form(self.grid.take(rows), self.level, grids)
-            try:
+        # a winding grid is the standard one plus 2 * 23 shell points around each of the 4n - 1 nodes
+        for rows in chunks(len(positions), STANDARD_POINTS + 2 * _SHELLS.size * (4 * n - 1)):
+            with batch_index(rows):
+                grids = winding_grids(n, positions[rows])
+                tex = texture_closed_form(self.grid.take(rows), self.level, grids)
                 for plane, part in parts.items():
                     part.append(integral_windings(tex, plane))
-            except NhjcError as exc:
-                exc.index = None if exc.index is None else start + exc.index
-                raise
             del grids, tex  # before the next chunk's are built
         return {plane: tuple(map(np.concatenate, zip(*part))) for plane, part in parts.items()}
 

@@ -23,8 +23,8 @@ ones the sweep's on_boundary flag uses.
 
 The draws are one ParamGrid of one row each (shape (draws, 1)) from
 draw_sets to the report, and every check runs its levels through _levels in
-chunks of about _CHUNK_POINTS points, so that memory stays flat however many
-draws are asked for; the node, boundary and reversal checks at eta = -1 only.
+chunks of params.chunks, so that memory stays flat however many draws are
+asked for; the node, boundary and reversal checks at eta = -1 only.
 The winding check reads topology.Windings, and the boundary and reversal
 checks solve the closed forms over a chunk at once (boundaries._solve), as
 the sweep does. Every residual is bit for bit what a loop over the draws
@@ -34,7 +34,6 @@ draw names its index in the seeded sequence, its six parameters, n and eta.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -46,8 +45,8 @@ import numpy as np
 from .boundaries import _solve
 from .errors import NhjcError, ValidationError
 from .oscillator import phi_pair
-from .params import (N_MAX, PARAM_NAMES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced, elementwise,
-                     float_count, modulus)
+from .params import (N_MAX, PARAM_NAMES, SCALAR_SAMPLES, LevelIndex, ModelParams, ParamGrid, _complex_array,
+                     _replaced, batch_index, chunks, elementwise, float_count, modulus)
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
@@ -60,7 +59,6 @@ from .texture import (
     zy_node_arrays,
 )
 from .topology import (
-    _CHUNK_POINTS,
     PLANES,
     Windings,
     tilting_angle,
@@ -73,8 +71,8 @@ DEFAULT_SEED = 20240901
 
 BOUNDARY_MARGIN = 1e-3
 
-# the points a draw counts as in a chunk when only its blocks and scalars are held
-_SCALAR_POINTS = 16
+DRAW_HIGH = 1.2  # each drawn parameter is uniform in [0, DRAW_HIGH]
+REVERSAL_EPS = 1e-6  # eps of _reversal_residuals, the reversal check's probe step
 
 _square = elementwise(lambda z: z ** 2, complex)
 _tan = elementwise(math.tan)
@@ -110,57 +108,44 @@ def boundary_margin(grid: ParamGrid, n_values, etas=(-1, 1)) -> np.ndarray:
     return np.where(settled, fixed, margin)
 
 
-def draw_sets(rng: np.random.Generator, count: int, n_max: int = 8, high: float = 1.2,
-              margin: float = BOUNDARY_MARGIN) -> ParamGrid:
+def draw_sets(rng: np.random.Generator, count: int, n_max: int = 8, margin: float = BOUNDARY_MARGIN) -> ParamGrid:
     """count parameter sets as a ParamGrid of shape (count, 1), each component
-    uniform in [0, high], each redrawn until it sits at least `margin` away
-    from every boundary for n = 1..n_max (and omega, Omega >= 1e-3). A block
+    uniform in [0, DRAW_HIGH], each redrawn until it sits at least `margin`
+    away from every boundary for n = 1..n_max (omega, Omega >= 1e-3). A block
     draws as many candidates as are still missing, so rng ends where drawing
     them one at a time leaves it, and the sets are those such a loop accepts.
-    Each block is scored in chunks of about _CHUNK_POINTS points, counting
-    _SCALAR_POINTS for each level of a candidate."""
-    n_values, step = range(1, n_max + 1), max(1, _CHUNK_POINTS // (_SCALAR_POINTS * max(1, n_max)))
+    Each block is scored in chunks of params.chunks, a candidate counting
+    SCALAR_SAMPLES for each level."""
     rows = np.empty((0, 6))  # columns in PARAM_NAMES order
     while len(rows) < count:
-        block = rng.uniform(0.0, high, (float_count(count - len(rows), 6), 6))
+        block = rng.uniform(0.0, DRAW_HIGH, (float_count(count - len(rows), 6), 6))
         block = block[(block[:, 0] >= 1e-3) & (block[:, 1] >= 1e-3)]
         kept = np.empty(len(block), bool)
-        for start in range(0, len(block), step):
-            kept[start:start + step] = boundary_margin(ParamGrid(*block[start:start + step].T), n_values) >= margin
+        for part in chunks(len(block), SCALAR_SAMPLES * max(1, n_max)):
+            kept[part] = boundary_margin(ParamGrid(*block[part].T), range(1, n_max + 1)) >= margin
         rows = np.concatenate((rows, block[kept]))
     return ParamGrid(*(column[:, None] for column in rows.T.copy()))
 
 
-def _levels(grid: ParamGrid, ns, evaluate, points=lambda n: _SCALAR_POINTS, etas=(-1, 1)) -> list[np.ndarray]:
+def _levels(grid: ParamGrid, ns, evaluate, samples=lambda n: SCALAR_SAMPLES, etas=(-1, 1)) -> list[np.ndarray]:
     """evaluate(chunk, level) for each level n in ns and eta in etas, over
-    chunks of the draws in grid of about _CHUNK_POINTS points (points(n) per
-    draw), which keep block n; each per-draw array evaluate returns, joined
-    over all chunks and levels. A NhjcError names its draw and level."""
+    chunks of the draws in grid (params.chunks, samples(n) per draw), which
+    keep block n; each per-draw array evaluate returns, joined over all
+    chunks and levels. A NhjcError names its draw and level."""
     parts = []
     for n in dict.fromkeys(ns):
-        step = max(1, _CHUNK_POINTS // points(n))
-        for start in range(0, len(grid.g), step):
-            chunk = grid.take(slice(start, start + step))
+        for rows in chunks(len(grid.g), samples(n)):
+            chunk = grid.take(rows)
             for eta in etas:
                 try:
-                    parts.append(evaluate(chunk, LevelIndex(n, eta)))
+                    with batch_index(rows):
+                        parts.append(evaluate(chunk, LevelIndex(n, eta)))
                 except NhjcError as exc:
                     if exc.index is None:
                         raise type(exc)(f"{exc} (n={n}, eta={eta})") from exc
-                    values = ", ".join(f"{name}={getattr(chunk, name)[exc.index, 0].item()!r}" for name in PARAM_NAMES)
-                    raise type(exc)(f"{exc} (draw {start + exc.index}: {values}, n={n}, eta={eta})",
-                                    index=start + exc.index) from exc
+                    values = ", ".join(f"{name}={getattr(grid, name)[exc.index, 0].item()!r}" for name in PARAM_NAMES)
+                    raise type(exc)(f"{exc} (draw {exc.index}: {values}, n={n}, eta={eta})", index=exc.index) from exc
     return [np.concatenate([np.ravel(a) for a in field]) for field in zip(*parts)]
-
-
-@contextlib.contextmanager
-def _subset(held):
-    """Maps an NhjcError's index over the held points of a chunk to the chunk's."""
-    try:
-        yield
-    except NhjcError as exc:
-        exc.index = None if exc.index is None else int(np.flatnonzero(held)[exc.index])
-        raise
 
 
 def _worst(*arrays) -> float:
@@ -330,10 +315,10 @@ def _boundary_residuals(chunk, level):
     si_held = si.valid & np.isfinite(si.value)
     scalars = np.full((3, *chunk.g.shape), math.nan)
     scalars[0][r.valid] = np.abs(r.block.B[r.valid]) / r.block.scale_B[r.valid]
-    with _subset(gr.valid):
+    with batch_index(gr.valid):
         at = _replaced(chunk.take(gr.valid), "Gamma", gr.value[gr.valid])
         scalars[1][gr.valid] = np.abs(texture_coefficients(at, level).c_z) / block_quantities(at, n).scale_Cz
-    with _subset(si_held):
+    with batch_index(si_held):
         at = _replaced(chunk.take(si_held), "gamma", si.value[si_held])
         bq = block_quantities(at, n)
         defined = ~(bq.exceptional | branch_solution(at, level)[1])
@@ -349,7 +334,7 @@ def _boundary_scalars(draws, levels, scalar):
             f"{checked} boundary points, worst normalized scalar {worst:.2e} (< {_bound_text(scalar)})")
 
 
-def _reversal_residuals(grid: ParamGrid, level: LevelIndex, eps: float = 1e-6):
+def _reversal_residuals(grid: ParamGrid, level: LevelIndex):
     """The reversal-closure identity 16 R^2 g^2 n + (4 n g^2 - d_kg^2)(4 n g^2
     + d_Ww^2) = 0 of level n at the reversal point Gamma_R in Gamma, which with
     the antisymmetry theta_t(Gamma_R - eps) = -theta_t(Gamma_R + eps) makes the
@@ -369,9 +354,9 @@ def _reversal_residuals(grid: ParamGrid, level: LevelIndex, eps: float = 1e-6):
     term_root = 16.0 * R * R * g * g * n
     term_poly = (4.0 * n * g * g - d_kg * d_kg) * (4.0 * n * g * g + d_Ww * d_Ww)
     on_grid = np.full((6, *held.shape), math.nan)
-    with _subset(held):
+    with batch_index(held):
         gr = _solve(at, "GR", "Gamma", n)
-        step = np.where(gr.valid, np.minimum(eps, np.abs(gr.value - gamma_r) / 4), eps)
+        step = np.where(gr.valid, np.minimum(REVERSAL_EPS, np.abs(gr.value - gamma_r) / 4), REVERSAL_EPS)
         scale = np.maximum(np.maximum(np.abs(term_root), np.abs(term_poly)), 1e-300)
         on_grid[:2, held] = np.abs(term_root + term_poly) / scale, step
         for row, k in enumerate((-2, -1, 1, 2), 2):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -51,3 +52,34 @@ def test_importing_the_package_loads_no_module_of_it():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _batching_outside_its_home(path: Path) -> list[str]:
+    """The range(0, ...) chunk loops and assignments to an error's index in a
+    module, each as "module.function: what", but for those of the batching
+    policy (params) and ratio_roots' stacks of Jacobi matrices (oscillator)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    function = {}
+    for node in ast.walk(tree):  # outer functions first, so the innermost one wins
+        if isinstance(node, ast.FunctionDef):
+            function.update((inner, node.name) for inner in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        at = f"{path.stem}.{function.get(node, '<module>')}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+                and len(node.args) > 1 and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0
+                and path.stem != "params" and at != "oscillator.ratio_roots"):
+            found.append(f"{at}: chunk loop")
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AugAssign) else [])
+        if (any(isinstance(t, ast.Attribute) and t.attr == "index" and ast.unparse(t.value) != "self" for t in targets)
+                and at != "params.batch_index"):
+            found.append(f"{at}: error index remap")
+    return found
+
+
+def test_every_pass_over_a_grid_chunks_and_remaps_through_the_batching_policy():
+    # params.chunks and params.batch_index are the one batching policy: a
+    # hand-written chunk loop or index remap elsewhere drifts from it
+    source = Path(__file__).resolve().parents[1] / "src" / "nhjc"
+    assert [hit for path in sorted(source.glob("*.py")) for hit in _batching_outside_its_home(path)] == []

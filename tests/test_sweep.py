@@ -34,11 +34,14 @@ from nhjc import (
     tilting_angle,
     winding_report,
 )
-from nhjc.params import ParamGrid
+from nhjc.params import SAMPLE_BUDGET, SCALAR_SAMPLES, ParamGrid
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
 from reference_boundaries import reference_overlay
 from reference_verify import node_sum
+
+# the grid points, CSV rows and spot-check picks a sweep holds at once
+GRID_BLOCK = SAMPLE_BUDGET // SCALAR_SAMPLES
 
 # draw 122 of the full `nhjc verify` run (seed 20240901): its smallest margin is
 # the SI distance |Cy| of level (8, -1), just above BOUNDARY_MARGIN
@@ -237,16 +240,14 @@ def test_spot_check_error_names_its_grid_point(monkeypatch):
 def test_the_spot_check_solves_one_block_of_picks_at_a_time(monkeypatch):
     # its memory is bounded at any fraction: the sigma_x node solve of a
     # Windings spans its points, so no Windings spans more than a block
-    from nhjc.sweep import _GRID_BLOCK
-
     sizes, integrals = [], nhjc.topology.Windings.integrals
     monkeypatch.setattr(nhjc.topology.Windings, "integrals",
                         lambda self, planes: sizes.append(len(self.rho)) or integrals(self, planes))
-    spec = small_spec(axes=(Axis("Gamma", 0.001, 0.03, 2 * _GRID_BLOCK + 100),), levels=(LevelIndex(1),),
+    spec = small_spec(axes=(Axis("Gamma", 0.001, 0.03, 2 * GRID_BLOCK + 100),), levels=(LevelIndex(1),),
                       observables=("nWzx",), overlays=(), spot_check_fraction=1.0)
     result = run_sweep(spec)
     checked = sum(not math.isnan(row[result.columns.index("nWzx")]) for row in result.rows)
-    assert checked > 2 * _GRID_BLOCK and sizes == [_GRID_BLOCK, _GRID_BLOCK, checked - 2 * _GRID_BLOCK]
+    assert checked > 2 * GRID_BLOCK and sizes == [GRID_BLOCK, GRID_BLOCK, checked - 2 * GRID_BLOCK]
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -722,15 +723,15 @@ def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
     (Axis("omega", 0.8, 1.0, 1100),),  # no closed-form axis: each overlay holds the note
 ])
 def test_a_table_past_two_blocks_and_its_overlays_match_the_cell_formatter(tmp_path, axes):
-    """A sweep of more than two _GRID_BLOCK blocks of rows with every
+    """A sweep of more than two GRID_BLOCK blocks of rows with every
     observable and overlay: the table and each overlay file are what the
     column-at-a-time formatter writes for its rows."""
-    from nhjc.sweep import _GRID_BLOCK, OBSERVABLES
+    from nhjc.sweep import OBSERVABLES
 
     spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=(LevelIndex(2, -1), LevelIndex(0)),
                      observables=OBSERVABLES, overlays=("R", "GR", "SI"), spot_check_fraction=0.0)
     result = run_sweep(spec)
-    assert len(result.rows) > 2 * _GRID_BLOCK
+    assert len(result.rows) > 2 * GRID_BLOCK
     result.to_csv(tmp_path / "table.csv")
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _reference_csv(result.columns, result.rows)
     for family, table in result.overlays.items():

@@ -307,7 +307,7 @@ def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
     ]
     grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
     for n in (1, 2, 5):
-        applicable, gamma_r, residual, step, *thetas = _reversal_residuals(grid, LevelIndex(n, -1), 1e-6)
+        applicable, gamma_r, residual, step, *thetas = _reversal_residuals(grid, LevelIndex(n, -1))
         for k, params in enumerate(points):
             expected = reversal_identity(params, n)
             far = [theta_at_gamma(params, n, -1, expected.gamma_reversal + m * expected.step)

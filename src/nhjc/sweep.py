@@ -2,23 +2,14 @@
 
 A sweep walks a rectangular grid of one to three model parameters (row-major,
 first axis slowest) and, for every grid point and requested level, evaluates a
-subset of the observables
-
-    thetaT      tilting angle of the winding plane
-    deltaMinus  intra-block real-energy gap
-    deltaPlus   nearest adjacent-block real-energy gap
-    imE         imaginary part of the eigenenergy
-    nWzx, nWyx  signed winding numbers (node-sum fast path)
-    CtZ, CtY    closed-form texture coefficients
-
-Each level is evaluated over the whole grid, a chunk of points at a time
-(params.chunks): block n once, plus blocks n-1 and n+1 for deltaPlus, each
-kept on its chunk of points for every level that reads it again.
-Exceptional, degenerate, n = 0 and on_boundary points (within BOUNDARY_RTOL
-of an R, GR or SI boundary, where the direction-dependent columns are nan)
-are masks within the same arrays. The rows are bit for bit what
-eigen_solution, texture_coefficients, gaps, tilting_angle and winding_report
-give point by point.
+subset of the observables, the columns that _COLUMNS defines once each. Each
+level is evaluated over the whole grid, a chunk of points at a time
+(params.chunks), reading block n once and what its columns' rows name, each
+block kept on its chunk of points for every level that reads it again.
+Exceptional, degenerate, n = 0 and on_boundary points (within BOUNDARY_RTOL of
+an R, GR or SI boundary) are masks within the same arrays, the rows bit for bit
+what eigen_solution, texture_coefficients, gaps, tilting_angle and
+winding_report give point by point.
 
 Winding numbers are the exact-integer node sums of topology.Windings, which
 solve no sigma_x node. A seeded spot_check_fraction of the rows (default 1%)
@@ -41,6 +32,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,8 +47,24 @@ from .topology import Windings, tilt_of
 
 __all__ = ["Axis", "SweepSpec", "SweepResult", "run_sweep", "OBSERVABLES"]
 
-OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
-WINDINGS = ("nWzx", "nWyx")
+# One row per column: (its meaning, what it reads beyond block n and the state's coefficients, its value
+# on regular points, at exceptional points and at n = 0), a value a constant or a function of the level's
+# reads (_level_columns). Every column is nan at degenerate points, and a winding also on on_boundary points.
+_COLUMNS = {
+    "thetaT": ("tilting angle of the winding plane", "", lambda at: np.where(
+        (at.c_z != 0.0) | (at.c_y != 0.0), tilt_of(at.c_y, at.c_z).theta_t, math.nan), math.nan, math.nan),
+    "deltaMinus": ("intra-block real-energy gap", "gaps", lambda at: at.gaps.delta_minus, 0.0, math.nan),
+    "deltaPlus": ("nearest adjacent-block real-energy gap", "neighbours", lambda at: at.gaps.delta_plus,
+                  lambda at: at.gaps.delta_plus, math.nan),
+    "imE": ("imaginary part of the eigenenergy", "", lambda at: at.sol.im_energy,
+            lambda at: -(at.level.n - 0.5) * at.grid.kappa, lambda at: eigen_solution(at.grid, at.level).im_energy),
+    "nWzx": ("signed zx winding number (node sum)", "node sums", lambda at: _node_sums(at, "zx"), math.nan, 0.0),
+    "nWyx": ("signed yx winding number (node sum)", "node sums", lambda at: _node_sums(at, "yx"), math.nan, 0.0),
+    "CtZ": ("closed-form texture coefficient Cz", "", lambda at: at.c_z, math.nan, math.nan),
+    "CtY": ("closed-form texture coefficient Cy", "", lambda at: at.c_y, math.nan, math.nan),
+}
+OBSERVABLES = tuple(_COLUMNS)
+WINDINGS = tuple(name for name, row in _COLUMNS.items() if row[1] == "node sums")
 
 FLAG_COLUMNS = ("degenerate", "exceptional", "on_boundary")
 
@@ -100,8 +108,8 @@ class SweepSpec:
             raise SweepSpecError(f"the grid must have at most {sys.maxsize} points, got "
                                  f"{' x '.join(str(a.count) for a in self.axes)}")
         names = {"axis parameter": [a.name for a in self.axes], "observable": list(self.observables),
-                 "overlay family": list(self.overlays)}  # Axis checks its own name
-        for what, known in (("observable", OBSERVABLES), ("overlay family", FAMILIES)):
+                 "overlay family": list(self.overlays), "level": [(l.n, l.eta) for l in self.levels]}
+        for what, known in (("observable", tuple(_COLUMNS)), ("overlay family", FAMILIES)):  # Axis checks its name
             for name in names[what]:
                 if name not in known:
                     raise SweepSpecError(f"unknown {what} {name!r}; known: {known}")
@@ -127,17 +135,19 @@ class SweepSpec:
         """The spec of a JSON object. Numbers must be JSON numbers in float
         range (no strings or booleans), counts and levels integers, and the
         observables and overlays arrays; an unknown key is an error."""
+        if not isinstance(data, dict):
+            raise SweepSpecError(f"a sweep spec must be a JSON object, got {data!r}")
         try:
-            _known([data], "sweep spec")
+            _known(data, "sweep spec")
             base = params_from_dict(data["params"])
             axes = tuple(Axis(a["name"], _spec_number(a, "min"), _spec_number(a, "max"),
-                              _spec_number(a, "count", int)) for a in _known(data["axes"], "axis"))
+                              _spec_number(a, "count", int)) for a in _spec_array(data, "axes", what="axis"))
             levels = tuple(LevelIndex(_spec_number(l, "n", int), _spec_number(l, "eta", int, -1))
-                           for l in _known(data["levels"], "level"))
-            observables = _spec_array(data, "observables", ["thetaT"])
+                           for l in _spec_array(data, "levels", what="level"))
+            observables = _spec_array(data, "observables", list(OBSERVABLES[:1]))  # the first row, the tilt
             overlays = _spec_array(data, "overlays", [])
             spot_check_fraction = _spec_number(data, "spot_check_fraction", default=0.01)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: an int too long for its repr
             raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
         volumetric = data.get("volumetric")
         if not (volumetric is None or isinstance(volumetric, bool)):
@@ -163,19 +173,19 @@ _KEYS = {"sweep spec": {"params", "axes", "levels", "observables", "overlays", "
          "axis": {"name", "min", "max", "count"}, "level": {"n", "eta"}}
 
 
-def _known(items, what: str):
-    """items, where a JSON object with a key a `what` may not have is a SweepSpecError."""
-    for item in items:
-        if unknown := sorted(set(item) - _KEYS[what]) if isinstance(item, dict) else []:
-            raise SweepSpecError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-    return items
+def _known(item: dict, what: str) -> dict:
+    """item, a JSON object, where a key a `what` may not have is a SweepSpecError."""
+    if unknown := sorted(set(item) - _KEYS[what]):
+        raise SweepSpecError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    return item
 
 
-def _spec_array(data: dict, key: str, default: list) -> tuple:
-    """data[key] (default when absent), which must be a JSON array, as a tuple."""
-    if not isinstance(value := data.get(key, default), list):
-        raise SweepSpecError(f"{key!r} must be a JSON array, got {value!r}")
-    return tuple(value)
+def _spec_array(data: dict, key: str, default: list | None = None, what: str = "") -> tuple:
+    """data[key] (default when absent and given), a JSON array (of objects with a `what`'s keys), as a tuple."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, list) or what and not all(isinstance(item, dict) for item in value):
+        raise SweepSpecError(f"{key!r} must be a JSON array{what and ' of objects'}, got {value!r}")
+    return tuple(_known(item, what) for item in value) if what else tuple(value)
 
 
 def _spec_number(data: dict, key: str, kind=float, default=None):
@@ -268,17 +278,15 @@ def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
     table.update((name, np.tile([getattr(level, name) for level in spec.levels], size)) for name in ("n", "eta"))
     table.update((name, np.empty(size * levels, bool if name in FLAG_COLUMNS else float))
                  for name in columns[len(spec.axes) + 2:])
-    winding_rows = []
     for points in chunks(size):
         block = grid.take(points)
         for k, level in enumerate(spec.levels):
             with _named(spec, grid, level), batch_index(points):
-                values, checked = _level_columns(block, level, spec.observables)
+                values = _level_columns(block, level, spec.observables)
             rows = slice(points.start * levels + k, points.stop * levels, levels)
             for name, column in values.items():
                 table[name][rows] = column
-            winding_rows.append((points.start + checked) * levels + k)
-    _spot_check(spec, grid, table, np.sort(np.concatenate(winding_rows)))
+    _spot_check(spec, grid, table)
     return table
 
 
@@ -296,63 +304,55 @@ def _named(spec: SweepSpec, grid: ParamGrid, level: LevelIndex):
 
 def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
     """One level over the grid: {column: array or scalar} for the observables
-    and flags, and the indices of the points whose windings came from the
-    node sum (the spot check's population)."""
-    n, size = level.n, grid.g.size
-    windings = [obs for obs in observables if obs in WINDINGS]
-    if n == 0:
-        im_energy = eigen_solution(grid, level).im_energy
-        values = {obs: im_energy if obs == "imE" else 0.0 if obs in windings else math.nan for obs in observables}
-        return dict(values, degenerate=True, exceptional=False, on_boundary=False), np.empty(0, int)
+    and flags. Each read is evaluated only if a requested row names it."""
+    rows = {name: _COLUMNS[name] for name in observables}
+    reads = {row[1] for row in rows.values()}
+    at = SimpleNamespace(grid=grid, level=level)
 
-    bq = block_quantities(grid, n)
-    sol, degenerate = branch_solution(grid, level)
-    exceptional = bq.exceptional
-    degenerate &= ~exceptional
-    regular = ~(exceptional | degenerate)
+    def value(row_value):  # a constant, or a function of the level's reads
+        return row_value(at) if callable(row_value) else row_value
+    if level.n == 0:
+        values = {name: value(row[4]) for name, row in rows.items()}
+        return dict(values, degenerate=True, exceptional=False, on_boundary=False)
+    bq = block_quantities(grid, level.n)  # evaluated here: branch_solution reads it back
+    at.sol, degenerate = branch_solution(grid, level)
+    degenerate &= ~bq.exceptional
+    regular = ~(bq.exceptional | degenerate)
     coeffs = branch_coefficients(grid, level)
+    at.c_z, at.c_y = coeffs.c_z, coeffs.c_y
     # within float reach of an R (branch cut), GR (Cz = 0) or SI (Cy = 0) point
     on_boundary = regular & (minimum(*bq.distances(coeffs.c_z, coeffs.c_y)) < BOUNDARY_RTOL)
-    # the winding direction is undefined on a boundary
-    checked = np.flatnonzero(regular & ~on_boundary) if windings else np.empty(0, int)
-    if windings:  # a failed check names its point by its index into the grid
-        with batch_index(checked):
+    if "node sums" in reads:  # the winding direction is undefined on a boundary
+        at.checked = checked = np.flatnonzero(regular & ~on_boundary)
+        with batch_index(checked):  # a failed check names its point by its index into the grid
             held = TextureCoefficients(coeffs.c_z[checked], coeffs.c_y[checked], coeffs.d_x[checked])
-            found = Windings(grid.take(checked[:, None]), level, held)
-            signed = {obs: found.node_sums(obs[2:]) for obs in windings}
-    if {"deltaMinus", "deltaPlus"} & set(observables):
-        gp = gaps(grid, n, neighbours="deltaPlus" in observables)
-    values = dict(degenerate=degenerate, exceptional=exceptional, on_boundary=on_boundary)
-    for obs in observables:
-        if obs == "thetaT":
-            defined = regular & ((coeffs.c_z != 0.0) | (coeffs.c_y != 0.0))
-            column = np.where(defined, tilt_of(coeffs.c_y, coeffs.c_z).theta_t, math.nan)
-        elif obs == "deltaMinus":
-            column = np.where(regular, gp.delta_minus, np.where(exceptional, 0.0, math.nan))
-        elif obs == "deltaPlus":
-            column = np.where(degenerate, math.nan, gp.delta_plus)
-        elif obs == "imE":
-            column = np.where(regular, sol.im_energy,
-                              np.where(exceptional, -(n - 0.5) * grid.kappa, math.nan))
-        elif obs in ("CtZ", "CtY"):
-            column = np.where(regular, coeffs.c_z if obs == "CtZ" else coeffs.c_y, math.nan)
-        else:  # integer windings on the checked points, nan elsewhere
-            column = np.full(size, math.nan)
-            column[checked] = signed[obs]
-        values[obs] = column
-    return values, checked
+            at.windings = Windings(grid.take(checked[:, None]), level, held)
+    if reads & {"gaps", "neighbours"}:
+        at.gaps = gaps(grid, level.n, neighbours="neighbours" in reads)
+    values = dict(degenerate=degenerate, exceptional=bq.exceptional, on_boundary=on_boundary)
+    for name, (_, _, on_regular, on_exceptional, _) in rows.items():
+        values[name] = np.where(regular, on_regular(at), np.where(bq.exceptional, value(on_exceptional), math.nan))
+    return values
 
 
-def _spot_check(spec: SweepSpec, grid: ParamGrid, table, winding_rows: np.ndarray) -> None:
-    """Re-derive a seeded spot_check_fraction of the windings via the integral,
-    a level at a time over chunks of picks (params.chunks), which bounds memory;
-    winding_rows index the rows with node-sum windings. An error names its point."""
-    if not winding_rows.size or spec.spot_check_fraction <= 0.0:
+def _node_sums(at, plane: str) -> np.ndarray:
+    """A winding column: the node sums in the plane on the checked points, nan elsewhere."""
+    signed = np.full(at.grid.g.size, math.nan)
+    signed[at.checked] = at.windings.node_sums(plane)
+    return signed
+
+
+def _spot_check(spec: SweepSpec, grid: ParamGrid, table) -> None:
+    """Re-derive a seeded spot_check_fraction of the node-sum windings (those
+    at n >= 1 and not nan) via the integral, a level at a time over chunks of
+    picks (params.chunks), which bounds memory. An error names its point."""
+    planes = [obs for obs in spec.observables if obs in WINDINGS]
+    if not planes or spec.spot_check_fraction <= 0.0:
         return
+    winding_rows = np.flatnonzero((table["n"] > 0) & ~np.isnan(table[planes[0]]))
     count = max(1, round(spec.spot_check_fraction * len(winding_rows)))
     picks = random.Random(_SPOT_CHECK_SEED).sample(range(len(winding_rows)), min(count, len(winding_rows)))
     picked = winding_rows[sorted(picks)]
-    planes = [obs for obs in spec.observables if obs in WINDINGS]
     levels = len(spec.levels)
     for block in (picked[rows] for rows in chunks(len(picked))):
         for k, level in enumerate(spec.levels):

@@ -428,14 +428,15 @@ def test_sweep_axis_ends_are_held_to_the_bound(tmp_path, capsys, low):
         assert "'g' must have magnitude <= 1e+152" in _one_line_usage_error(rc, capsys)
 
 
-def _sweep_spec_error(tmp_path, capsys, **extra):
+def _sweep_spec_error(tmp_path, capsys, whole=None, **extra):
+    """The usage error of a sweep spec: the valid one below with extra keys, or whole in its place."""
     spec = {
         "params": PARAMS,
         "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": 2}],
         "levels": [{"n": 1, "eta": -1}],
         "observables": ["nWzx"],
     }
-    spec.update(extra)
+    spec = spec | extra if whole is None else whole
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
@@ -486,12 +487,18 @@ def test_winding_without_coupling_prints_null_planes(tmp_path, capsys):
     ({"overlays": ["GR", "R", "GR"]}, "each overlay family may be named once"),
     ({"axes": [{"name": "g", "min": 0.0, "max": 0.1, "count": 2}] * 2},
      "each axis parameter may be named once, got ['g', 'g']"),
+    ({"levels": [{"n": 1}, {"n": 1, "eta": -1}]}, "each level may be named once, got [(1, -1), (1, -1)]"),
+    ({"levels": {"n": 1}}, "'levels' must be a JSON array of objects, got {'n': 1}"),
+    ({"levels": [1]}, "'levels' must be a JSON array of objects, got [1]"),
+    ({"axes": ["Gamma"]}, "'axes' must be a JSON array of objects, got ['Gamma']"),
+    ({"whole": [1]}, "a sweep spec must be a JSON object, got [1]"),
 ], ids=["top-level typo", "two unknown keys", "axis key", "level key", "overlays R string",
         "overlays SI string", "observables string", "observables object", "repeated observable",
-        "repeated overlay", "repeated axis"])
+        "repeated overlay", "repeated axis", "repeated level", "levels object", "levels of numbers",
+        "axes of strings", "spec array"])
 def test_sweep_spec_typos_and_repeats_are_usage_errors(tmp_path, capsys, extra, message):
     # each of these exited 0 ignoring the key, read a string as its letters,
-    # or wrote a table whose header repeated a column
+    # wrote a table whose header or rows repeated, or printed a Python exception
     assert message in _sweep_spec_error(tmp_path, capsys, **extra)
 
 

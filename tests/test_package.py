@@ -83,3 +83,26 @@ def test_every_pass_over_a_grid_chunks_and_remaps_through_the_batching_policy():
     # hand-written chunk loop or index remap elsewhere drifts from it
     source = Path(__file__).resolve().parents[1] / "src" / "nhjc"
     assert [hit for path in sorted(source.glob("*.py")) for hit in _batching_outside_its_home(path)] == []
+
+
+def _column_names_outside_the_table(path: Path, columns) -> list[str]:
+    """Each string constant of a module that names a sweep column, as
+    "line: name", but for those inside the table of columns (_COLUMNS);
+    a docstring never equals a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    table = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "_COLUMNS" for t in node.targets)
+             for inner in ast.walk(node.value)}
+    return [f"{line}: {name}" for line, name in sorted(
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in columns and id(node) not in table)]
+
+
+def test_each_sweep_column_is_named_only_in_its_table():
+    # a column's meaning, reads and flagged values live in one row of
+    # nhjc.sweep._COLUMNS: a name spelt out elsewhere in the module (a tuple
+    # of names, a branch on one) is a second home that drifts from it
+    from nhjc.sweep import OBSERVABLES
+
+    source = Path(__file__).resolve().parents[1] / "src" / "nhjc" / "sweep.py"
+    assert _column_names_outside_the_table(source, set(OBSERVABLES)) == []

@@ -35,6 +35,7 @@ from nhjc import (
     winding_report,
 )
 from nhjc.params import SAMPLE_BUDGET, SCALAR_SAMPLES, ParamGrid
+from nhjc.sweep import OBSERVABLES, WINDINGS
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
 from conftest import make_reference
 from reference_boundaries import reference_overlay
@@ -366,12 +367,10 @@ def test_on_boundary_and_boundary_margin_share_normalisers():
     assert [bool(f) for f in flags] == [m < 1e-9 for m in margins]
 
 
-ALL_OBSERVABLES = ("thetaT", "deltaMinus", "deltaPlus", "imE", "nWzx", "nWyx", "CtZ", "CtY")
-
-
 def _scalar_row(params, level, observables):
     """The observables and flags of one grid point, one public scalar call at
-    a time: the per-point reference for the grid evaluation."""
+    a time: the per-point reference for the grid evaluation. It reads nothing
+    of the sweep's table: a column it has no branch for fails at a regular point."""
     nan = math.nan
     if level.n == 0:
         im_energy = eigen_solution(params, level).im_energy
@@ -431,7 +430,7 @@ GRID_LEVELS = (LevelIndex(0), LevelIndex(1, -1), LevelIndex(1, 1), LevelIndex(2,
 @pytest.mark.parametrize("case", sorted(GRID_CASES))
 def test_grid_evaluation_matches_scalar_api(case):
     base, axes = GRID_CASES[case]
-    spec = SweepSpec(base=base, axes=axes, levels=GRID_LEVELS, observables=ALL_OBSERVABLES,
+    spec = SweepSpec(base=base, axes=axes, levels=GRID_LEVELS, observables=OBSERVABLES,
                      spot_check_fraction=0.0, volumetric=True)
     result = run_sweep(spec)
     expected = []
@@ -440,7 +439,7 @@ def test_grid_evaluation_matches_scalar_api(case):
         for axis, value in zip(axes, point):
             params = params.with_value(axis.name, value)
         for level in GRID_LEVELS:
-            expected.append([*point, level.n, level.eta, *_scalar_row(params, level, ALL_OBSERVABLES)])
+            expected.append([*point, level.n, level.eta, *_scalar_row(params, level, OBSERVABLES)])
     assert [list(map(_bits, row)) for row in result.rows] == [list(map(_bits, row)) for row in expected]
 
 
@@ -504,7 +503,7 @@ _spec_dicts = st.fixed_dictionaries(
             {"n": _valid_or(1, _number)}, optional={"eta": _number}), max_size=3) | _json),
     },
     optional={
-        "observables": _valid_or(["thetaT"], st.lists(st.sampled_from(ALL_OBSERVABLES + ("x",))) | _json),
+        "observables": _valid_or(["thetaT"], st.lists(st.sampled_from(OBSERVABLES + ("x",))) | _json),
         "overlays": _valid_or(["R"]),
         "spot_check_fraction": _number,
         "volumetric": _valid_or(None),
@@ -519,6 +518,8 @@ _spec_dicts = st.fixed_dictionaries(
 @example(data=dict(VALID_SPEC, params={"omega": 0.9, "Omega": 1.0, "g": 10 ** 400}))
 @example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": 0.0, "max": 0.1, "count": 10 ** 5000}]))
 @example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": "0.0", "max": 0.1, "count": 3}]))
+@example(data=dict(VALID_SPEC, observables=10 ** 5000))  # no repr: int() stops at 4 300 digits
+@example(data=dict(VALID_SPEC, levels=10 ** 5000))
 @settings(max_examples=400, deadline=None)
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # drawn rates may be negative
 def test_malformed_specs_raise_spec_or_validation_errors(data):
@@ -699,14 +700,13 @@ def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
     from nhjc.sweep import FLAG_COLUMNS, SweepResult
 
     axes, levels = WRITER_CASES[case]
-    observables = ("thetaT", "nWzx", "imE", "nWyx", "deltaMinus")
-    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=levels, observables=observables,
+    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=levels, observables=OBSERVABLES,
                      spot_check_fraction=0.0, volumetric=True)
-    columns = tuple(a.name for a in axes) + ("n", "eta") + observables + FLAG_COLUMNS
+    columns = tuple(a.name for a in axes) + ("n", "eta") + OBSERVABLES + FLAG_COLUMNS
     size = math.prod(a.count for a in axes) * len(levels)
     rng = random.Random(20240901)
-    kinds = {"nWzx": "int/nan", "nWyx": "int/nan", **dict.fromkeys(FLAG_COLUMNS, "bool")}
-    drawn = zip(*(_random_column(rng, kinds.get(name, "float"), size) for name in observables + FLAG_COLUMNS))
+    kinds = {**dict.fromkeys(WINDINGS, "int/nan"), **dict.fromkeys(FLAG_COLUMNS, "bool")}
+    drawn = zip(*(_random_column(rng, kinds.get(name, "float"), size) for name in OBSERVABLES + FLAG_COLUMNS))
     points = itertools.product(*(a.values().tolist() for a in axes))
     rows = [(*point, level.n, level.eta, *next(drawn)) for point in points for level in levels]
     table = {name: np.array(column) for name, column in zip(columns, zip(*rows))}
@@ -726,8 +726,6 @@ def test_a_table_past_two_blocks_and_its_overlays_match_the_cell_formatter(tmp_p
     """A sweep of more than two GRID_BLOCK blocks of rows with every
     observable and overlay: the table and each overlay file are what the
     column-at-a-time formatter writes for its rows."""
-    from nhjc.sweep import OBSERVABLES
-
     spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=(LevelIndex(2, -1), LevelIndex(0)),
                      observables=OBSERVABLES, overlays=("R", "GR", "SI"), spot_check_fraction=0.0)
     result = run_sweep(spec)
@@ -810,3 +808,31 @@ def test_a_repeated_observable_or_overlay_is_rejected_and_the_columns_are_the_ta
     assert result.columns == tuple(result.table) == ("Gamma", "n", "eta", "imE", "thetaT",
                                                      "degenerate", "exceptional", "on_boundary")
     assert {len(row) for row in result.rows} == {len(result.columns)}
+
+
+def test_a_new_column_is_one_row_of_the_table(monkeypatch, tmp_path):
+    # a scratch column, Re E of the branch solution, with a constant at
+    # exceptional points and a function at n = 0: the row alone puts it in the
+    # spec, the CSV and the JSON, and its flagged values are the row's
+    spec = dict(base=EP_BASE, axes=(Axis("g", 0.0, 0.4, 5),), levels=(LevelIndex(0), LevelIndex(1, -1)))
+    with pytest.raises(SweepSpecError, match="unknown observable 'reE'"):
+        SweepSpec(**spec, observables=("reE",))
+    monkeypatch.setitem(nhjc.sweep._COLUMNS, "reE", ("real part of the eigenenergy", "", lambda at: at.sol.re_energy,
+                                                     123.0, lambda at: eigen_solution(at.grid, at.level).re_energy))
+    result = run_sweep(SweepSpec(**spec, observables=("thetaT", "reE")))
+    result.to_csv(tmp_path / "out.csv")
+    result.to_json(tmp_path / "out.json")
+    columns = ["g", "n", "eta", "thetaT", "reE", "degenerate", "exceptional", "on_boundary"]
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[0] == ",".join(columns)
+    payload = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert payload["columns"] == columns and len(payload["rows"]) == len(result.rows) == 10
+    kinds = set()
+    for g, n, eta, _, re_energy, degenerate, exceptional, _ in result.rows:
+        kind = "n = 0" if n == 0 else "exceptional" if exceptional else "degenerate" if degenerate else "regular"
+        if kind in ("n = 0", "regular"):
+            expected = eigen_solution(EP_BASE.with_value("g", g), LevelIndex(n, eta)).re_energy
+        else:
+            expected = 123.0 if exceptional else math.nan
+        assert _bits(re_energy) == _bits(expected), (g, n, kind)
+        kinds.add(kind)
+    assert kinds == {"n = 0", "exceptional", "degenerate", "regular"}

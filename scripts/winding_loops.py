@@ -19,17 +19,14 @@ from nhjc import (
     winding_report,
 )
 from nhjc.csvtext import csv_table
-from nhjc.params import N_MAX
+from nhjc.params import check_level
 
 POINTS = ((0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9))
 
 
 def level_n(text: str) -> int:
     """--n: a level of the validity domain, 1 <= n <= N_MAX."""
-    n = int(text)
-    if not 1 <= n <= N_MAX:
-        raise argparse.ArgumentTypeError(f"must be in [1, {N_MAX}], got {n}")
-    return n
+    return check_level(int(text), low=1, name="", error=argparse.ArgumentTypeError)
 
 
 def main() -> int:

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from . import __version__
 from .boundaries import FAMILIES, SOLVABLE, all_boundaries, boundary
 from .errors import NhjcError, SweepSpecError, ValidationError
-from .params import N_MAX, LevelIndex, load_params
+from .params import LevelIndex, check_level, load_params
 from .spectrum import block_quantities, eigen_solution, gaps
 
 USAGE_ERROR = 2
@@ -126,19 +126,12 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _oscillator_level(args) -> LevelIndex:
-    """The --n/--eta level of a command that samples oscillator functions."""
-    if args.n > N_MAX:
-        raise ValidationError(f"--n must be <= {N_MAX} (validity domain), got {args.n}")
-    return LevelIndex(args.n, args.eta)
-
-
 def _cmd_texture(args) -> int:
     from .csvtext import csv_table
     from .texture import standard_grid, texture_closed_form
 
     params = load_params(args.params)
-    level = _oscillator_level(args)
+    level = LevelIndex(check_level(args.n, name="--n"), args.eta)  # it samples oscillator functions
     if not 2 <= args.grid_points <= sys.maxsize:
         raise ValidationError(f"--grid-points must be in [2, {sys.maxsize}], got {args.grid_points}")
     grid = standard_grid(level.n, args.grid_points)
@@ -155,7 +148,7 @@ def _cmd_winding(args) -> int:
     from .topology import winding_report
 
     params = load_params(args.params)
-    level = _oscillator_level(args)
+    level = LevelIndex(check_level(args.n, name="--n"), args.eta)
     planes = ("zx", "yx") if args.plane == "both" else (args.plane,)
     reports = winding_report(params, level, planes)
     for report in reports.values():

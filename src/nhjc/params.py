@@ -382,36 +382,22 @@ class LevelIndex:
             raise ValidationError(f"eta must be +1 or -1, got {self.eta!r}")
 
 
-_PARAM_KEYS = {"omega", "Omega", "g", "g_rel", "kappa", "gamma", "Gamma"}
-
-
 def params_from_dict(data: dict) -> ModelParams:
     """Build ModelParams from a JSON-style mapping.
 
     Exactly one of ``g`` / ``g_rel`` must be present; ``g_rel`` means
-    g = g_rel * g_s with g_s = sqrt(omega*Omega)/2. Unknown keys are rejected.
+    g = g_rel * g_s with g_s = sqrt(omega*Omega)/2. An unknown or missing key
+    is an error, and so is a value that is not a JSON number in float range.
     """
-    if not isinstance(data, dict):
-        raise ValidationError(f"parameter object must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - _PARAM_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown parameter key(s): {', '.join(map(repr, unknown))}")
-    for required in ("omega", "Omega"):
-        if required not in data:
-            raise ValidationError(f"missing required parameter {required!r}")
-    has_g, has_rel = "g" in data, "g_rel" in data
-    if has_g == has_rel:
+    read_object(data, "parameter set", ("omega", "Omega"), ("g", "g_rel") + RATE_NAMES)
+    if ("g" in data) == ("g_rel" in data):
         raise ValidationError("exactly one of 'g' and 'g_rel' must be given")
-    omega = _number(data, "omega")
-    Omega = _number(data, "Omega")
-    if has_rel:
-        if not (omega > 0.0 and Omega > 0.0):
+    number = functools.partial(read_number, data, what="parameter set")
+    values = {name: number(name) for name in PARAM_NAMES}  # g is 0 here when g_rel is given
+    if "g_rel" in data:
+        if not (values["omega"] > 0.0 and values["Omega"] > 0.0):
             raise ValidationError("g_rel requires positive omega and Omega")
-        g = _number(data, "g_rel") * coupling_scale(omega, Omega)
-    else:
-        g = _number(data, "g")
-    values = dict(omega=omega, Omega=Omega, g=g, kappa=_number(data, "kappa"),
-                  gamma=_number(data, "gamma"), Gamma=_number(data, "Gamma"))
+        values["g"] = number("g_rel") * coupling_scale(values["omega"], values["Omega"])
     for name, value in values.items():
         check_magnitude(name, value)
     return ModelParams(**values)
@@ -425,22 +411,65 @@ def check_magnitude(name: str, value: float) -> None:
                               f"(validity domain), got {value!r}")
 
 
-def _number(data: dict, key: str) -> float:
-    """data[key] (0 when absent) as a float; anything but a JSON number in
-    float range (a string or a boolean too) is a ValidationError."""
-    value = data.get(key, 0.0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond float range
-            pass
-    raise ValidationError(f"parameter {key!r} must be a number, got {value!r}")
-
-
 def load_params(path: str | Path) -> ModelParams:
     """Read a parameter JSON file (see params_from_dict for the schema)."""
+    return params_from_dict(load_json(path))
+
+
+# The readers of outside input (parameter files, sweep specs, CLI levels):
+# each raises the error class its caller names, with a one-line message that
+# names the value's key and the object it belongs to.
+
+def load_json(path: str | Path):
+    """The JSON value of a UTF-8 file. An integer literal reads as its int,
+    or past float range as the float it rounds to (+-inf), which no number
+    reader accepts; int() would stop at 4 300 digits."""
     with open(path, "r", encoding="utf-8") as fh:
-        # integers read as floats: one past float range is inf, one past
-        # int()'s digit limit no ValueError
-        data = json.load(fh, parse_int=float)
-    return params_from_dict(data)
+        return json.load(fh, parse_int=_json_int)
+
+
+def _json_int(text: str) -> int | float:
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
+def shown(value) -> str:
+    """repr(value) for a message, which never raises: an int past int()'s
+    4 300 digits (or a list holding one) has no repr and shows as its type."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"<{type(value).__name__} too long to show>"
+
+
+def read_object(data, what: str, required, optional=(), error=ValidationError) -> dict:
+    """data, if it is a JSON object with every required key and no key
+    outside required and optional; else error naming the object as a `what`."""
+    if not isinstance(data, dict):
+        raise error(f"a {what} must be a JSON object, got {shown(data)}")
+    if unknown := sorted(map(shown, set(data).difference(required, optional))):
+        raise error(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in data:
+            raise error(f"missing required {what} key {key!r}")
+    return data
+
+
+def read_number(data: dict, key: str, what: str, default=0.0, kind=float, error=ValidationError):
+    """data[key] (default when absent) as a kind: a JSON number in float
+    range, an int for kind int; anything else (a string or a boolean too) is
+    an error naming the key of the `what`."""
+    value = data.get(key, default)
+    if (isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return kind(value)
+    raise error(f"{what} {key!r} must be {'an integer' if kind is int else 'a number'} in float range, "
+                f"got {shown(value)}")
+
+
+def check_level(n: int, low: int = 0, name: str = "n", error=ValidationError) -> int:
+    """n, if low <= n <= N_MAX (a level of the validity domain); else error
+    naming it (no name: the message starts at "must")."""
+    if not low <= n <= N_MAX:
+        raise error((f"{name} " if name else "") + f"must be in [{low}, {N_MAX}], got {shown(n)}")
+    return n

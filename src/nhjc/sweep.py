@@ -26,6 +26,7 @@ is solved over the grid of the other axes at once, one call per level.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import random
@@ -39,8 +40,8 @@ import numpy as np
 from .boundaries import FAMILIES, SOLVABLE, _solve
 from .csvtext import csv_lines, csv_table, float_cells, text_cells
 from .errors import NhjcError, SweepConsistencyError, SweepSpecError
-from .params import (N_MAX, SWEEPABLE, LevelIndex, ModelParams, ParamGrid, batch_index, check_magnitude, chunks,
-                     float_count, minimum, params_from_dict)
+from .params import (SWEEPABLE, LevelIndex, ModelParams, ParamGrid, batch_index, check_level, check_magnitude, chunks,
+                     float_count, load_json, minimum, params_from_dict, read_number, read_object, shown)
 from .spectrum import BOUNDARY_RTOL, block_quantities, branch_solution, eigen_solution, gaps
 from .texture import TextureCoefficients, branch_coefficients
 from .topology import Windings, tilt_of
@@ -80,7 +81,7 @@ class Axis:
 
     def __post_init__(self):
         if self.name not in SWEEPABLE:
-            raise SweepSpecError(f"axis parameter must be one of {SWEEPABLE}, got {self.name!r}")
+            raise SweepSpecError(f"axis parameter must be one of {SWEEPABLE}, got {shown(self.name)}")
         if self.count < 2:
             raise SweepSpecError(f"axis {self.name}: count must be >= 2, got {self.count}")
         if not (self.start < self.stop):
@@ -112,18 +113,17 @@ class SweepSpec:
         for what, known in (("observable", tuple(_COLUMNS)), ("overlay family", FAMILIES)):  # Axis checks its name
             for name in names[what]:
                 if name not in known:
-                    raise SweepSpecError(f"unknown {what} {name!r}; known: {known}")
+                    raise SweepSpecError(f"unknown {what} {shown(name)}; known: {known}")
         for what, listed in names.items():
             if len(set(listed)) != len(listed):
                 raise SweepSpecError(f"each {what} may be named once, got {listed}")
         if not self.levels:
             raise SweepSpecError("at least one level is required")
-        top = max(level.n for level in self.levels)
-        if top > N_MAX:
-            raise SweepSpecError(f"levels must have n <= {N_MAX} (validity domain), got {top}")
+        for level in self.levels:
+            check_level(level.n, name="level n", error=SweepSpecError)
         fraction = self.spot_check_fraction
         if not (isinstance(fraction, (int, float)) and 0.0 <= fraction <= 1.0):  # nan fails too
-            raise SweepSpecError(f"spot_check_fraction must be a number in [0, 1], got {fraction!r}")
+            raise SweepSpecError(f"spot_check_fraction must be a number in [0, 1], got {shown(fraction)}")
         for axis in self.axes:
             # every grid value lies between the axis ends; ModelParams checks them
             for value in (axis.start, axis.stop):
@@ -132,72 +132,44 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        """The spec of a JSON object. Numbers must be JSON numbers in float
-        range (no strings or booleans), counts and levels integers, and the
-        observables and overlays arrays; an unknown key is an error."""
-        if not isinstance(data, dict):
-            raise SweepSpecError(f"a sweep spec must be a JSON object, got {data!r}")
-        try:
-            _known(data, "sweep spec")
-            base = params_from_dict(data["params"])
-            axes = tuple(Axis(a["name"], _spec_number(a, "min"), _spec_number(a, "max"),
-                              _spec_number(a, "count", int)) for a in _spec_array(data, "axes", what="axis"))
-            levels = tuple(LevelIndex(_spec_number(l, "n", int), _spec_number(l, "eta", int, -1))
-                           for l in _spec_array(data, "levels", what="level"))
-            observables = _spec_array(data, "observables", list(OBSERVABLES[:1]))  # the first row, the tilt
-            overlays = _spec_array(data, "overlays", [])
-            spot_check_fraction = _spec_number(data, "spot_check_fraction", default=0.01)
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: an int too long for its repr
-            raise SweepSpecError(f"malformed sweep spec: {exc!r}") from exc
+        """The spec of a JSON object, read by the readers of nhjc.params.
+        Numbers must be JSON numbers in float range (no strings or booleans),
+        counts and levels integers, and the observables and overlays arrays;
+        an unknown or missing key is an error."""
+        read_object(data, "sweep spec", *_KEYS["sweep spec"], error=SweepSpecError)
+        base = params_from_dict(data["params"])
+        axes = tuple(Axis(a["name"], _number(a, "min", "axis"), _number(a, "max", "axis"),
+                          _number(a, "count", "axis", kind=int)) for a in _spec_array(data, "axes", "axis"))
+        levels = tuple(LevelIndex(_number(l, "n", "level", kind=int), _number(l, "eta", "level", -1, int))
+                       for l in _spec_array(data, "levels", "level"))
+        observables = _spec_array(data, "observables", default=list(OBSERVABLES[:1]))  # the first row, the tilt
+        overlays = _spec_array(data, "overlays", default=[])
+        spot_check_fraction = _number(data, "spot_check_fraction", "sweep spec", 0.01)
         volumetric = data.get("volumetric")
         if not (volumetric is None or isinstance(volumetric, bool)):
-            raise SweepSpecError(f"volumetric must be true, false or null, got {volumetric!r}")
+            raise SweepSpecError(f"volumetric must be true, false or null, got {shown(volumetric)}")
         return cls(base=base, axes=axes, levels=levels, observables=observables, overlays=overlays,
                    spot_check_fraction=spot_check_fraction, volumetric=volumetric)
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh, parse_int=_json_int))
+        return cls.from_dict(load_json(path))
 
 
-def _json_int(text: str) -> int | float:
-    """An integer literal: its int, or past float range the float it rounds
-    to (+-inf), which no number or count accepts; int() stops at 4 300 digits."""
-    value = float(text)
-    return int(text) if math.isfinite(value) else value
+# the required and the optional keys of a sweep spec, of each of its axes and of each of its levels
+_KEYS = {"sweep spec": (("params", "axes", "levels"), ("observables", "overlays", "spot_check_fraction",
+                                                     "volumetric")),
+         "axis": (("name", "min", "max", "count"),), "level": (("n",), ("eta",))}
+
+_number = functools.partial(read_number, error=SweepSpecError)
 
 
-# the keys a sweep spec, each of its axes and each of its levels may have
-_KEYS = {"sweep spec": {"params", "axes", "levels", "observables", "overlays", "spot_check_fraction", "volumetric"},
-         "axis": {"name", "min", "max", "count"}, "level": {"n", "eta"}}
-
-
-def _known(item: dict, what: str) -> dict:
-    """item, a JSON object, where a key a `what` may not have is a SweepSpecError."""
-    if unknown := sorted(set(item) - _KEYS[what]):
-        raise SweepSpecError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-    return item
-
-
-def _spec_array(data: dict, key: str, default: list | None = None, what: str = "") -> tuple:
-    """data[key] (default when absent and given), a JSON array (of objects with a `what`'s keys), as a tuple."""
-    value = data[key] if default is None else data.get(key, default)
+def _spec_array(data: dict, key: str, what: str = "", default: list | None = None) -> tuple:
+    """data[key] (default when absent), a JSON array (of the JSON objects of a `what`, read_object), as a tuple."""
+    value = data.get(key, default)
     if not isinstance(value, list) or what and not all(isinstance(item, dict) for item in value):
-        raise SweepSpecError(f"{key!r} must be a JSON array{what and ' of objects'}, got {value!r}")
-    return tuple(_known(item, what) for item in value) if what else tuple(value)
-
-
-def _spec_number(data: dict, key: str, kind=float, default=None):
-    """data[key] (default when absent and given) as a kind: a JSON number in
-    float range, an int for kind int; anything else is a SweepSpecError."""
-    value = data[key] if default is None else data.get(key, default)
-    if (isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return kind(value)
-    huge = isinstance(value, int) and not isinstance(value, bool)  # its repr may not exist
-    raise SweepSpecError(f"{key!r} must be {'an integer' if kind is int else 'a number'} in float"
-                         f" range, got {'an integer past it' if huge else repr(value)}")
+        raise SweepSpecError(f"{key!r} must be a JSON array{what and ' of objects'}, got {shown(value)}")
+    return tuple(read_object(item, what, *_KEYS[what], error=SweepSpecError) for item in value) if what else tuple(value)
 
 
 @dataclass

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NodeCountError, ValidationError
 from .oscillator import domain_cutoff, hermite_roots, phi_pair, phi_ratio, ratio_roots
-from .params import LevelIndex, ModelParams, ParamGrid, float_count, modulus, quotient
+from .params import LevelIndex, ModelParams, ParamGrid, check_level, float_count, modulus, quotient
 from .spectrum import block_quantities, eigen_solution
 
 __all__ = [
@@ -280,6 +280,7 @@ def nodes(params: ModelParams, level: LevelIndex, component: str) -> NodeSet:
     """
     if level.n < 1:
         raise ValidationError("nodes are defined for n >= 1")
+    check_level(level.n)
     if component in ("z", "y"):
         coeffs = texture_coefficients(params, level)
         positions, signs = zy_node_arrays(level.n, coeffs.c_z if component == "z" else coeffs.c_y)

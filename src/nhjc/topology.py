@@ -51,8 +51,8 @@ from .errors import (
     ValidationError,
 )
 from .oscillator import ratio_roots
-from .params import (LevelIndex, ModelParams, ParamGrid, batch_index, chunks, elementwise, modulus, quotient,
-                     raise_where, where)
+from .params import (LevelIndex, ModelParams, ParamGrid, batch_index, check_level, chunks, elementwise, modulus,
+                     quotient, raise_where, where)
 from .spectrum import BOUNDARY_RTOL, block_quantities
 from .texture import (
     STANDARD_POINTS,
@@ -351,6 +351,7 @@ def winding_report(params: ModelParams, level: LevelIndex, planes) -> dict[str, 
     The Windings (and its sigma_x ratio check) is built only if a plane is
     live: at g = Gamma = 0, eta = +1, Cz = Cy = 0 and both planes are null.
     """
+    check_level(level.n)
     for plane in planes:
         _plane_components(plane)
     if level.n == 0:

@@ -45,8 +45,8 @@ import numpy as np
 from .boundaries import _solve
 from .errors import NhjcError, ValidationError
 from .oscillator import phi_pair
-from .params import (N_MAX, PARAM_NAMES, SCALAR_SAMPLES, LevelIndex, ModelParams, ParamGrid, _complex_array,
-                     _replaced, batch_index, chunks, elementwise, float_count, modulus)
+from .params import (PARAM_NAMES, SCALAR_SAMPLES, LevelIndex, ModelParams, ParamGrid, _complex_array, _replaced,
+                     batch_index, check_level, chunks, elementwise, float_count, modulus)
 from .spectrum import block_quantities, branch_solution, eigen_solution
 from .texture import (
     STANDARD_POINTS,
@@ -434,8 +434,7 @@ def run_suite(draws: int = 200, n_max: int = 8, seed: int = DEFAULT_SEED,
     """
     if not 1 <= draws <= sys.maxsize:
         raise ValidationError(f"draws must be >= 1 and <= {sys.maxsize}, got {draws}")
-    if not 1 <= n_max <= N_MAX:
-        raise ValidationError(f"n_max must be in [1, {N_MAX}] (validity domain), got {n_max}")
+    check_level(n_max, low=1, name="n_max")
     if not seed >= 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if quick:

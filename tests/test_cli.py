@@ -428,15 +428,23 @@ def test_sweep_axis_ends_are_held_to_the_bound(tmp_path, capsys, low):
         assert "'g' must have magnitude <= 1e+152" in _one_line_usage_error(rc, capsys)
 
 
-def _sweep_spec_error(tmp_path, capsys, whole=None, **extra):
-    """The usage error of a sweep spec: the valid one below with extra keys, or whole in its place."""
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+_AXIS = {"name": "Gamma", "min": 0.0, "max": 0.05, "count": 2}
+
+
+def _sweep_spec_error(tmp_path, capsys, whole=None, drop=None, **extra):
+    """The usage error of a sweep spec: the valid one below with extra keys
+    and without the key drop, or whole in its place."""
     spec = {
         "params": PARAMS,
-        "axes": [{"name": "Gamma", "min": 0.0, "max": 0.05, "count": 2}],
+        "axes": [_AXIS],
         "levels": [{"n": 1, "eta": -1}],
         "observables": ["nWzx"],
     }
-    spec = spec | extra if whole is None else whole
+    spec = _without(spec | extra, drop) if whole is None else whole
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
@@ -492,14 +500,35 @@ def test_winding_without_coupling_prints_null_planes(tmp_path, capsys):
     ({"levels": [1]}, "'levels' must be a JSON array of objects, got [1]"),
     ({"axes": ["Gamma"]}, "'axes' must be a JSON array of objects, got ['Gamma']"),
     ({"whole": [1]}, "a sweep spec must be a JSON object, got [1]"),
+    ({"drop": "params"}, "error: missing required sweep spec key 'params'\n"),
+    ({"drop": "axes"}, "error: missing required sweep spec key 'axes'\n"),
+    ({"drop": "levels"}, "error: missing required sweep spec key 'levels'\n"),
+    ({"axes": [_without(_AXIS, "name")]}, "error: missing required axis key 'name'\n"),
+    ({"axes": [_without(_AXIS, "min")]}, "error: missing required axis key 'min'\n"),
+    ({"axes": [_without(_AXIS, "max")]}, "error: missing required axis key 'max'\n"),
+    ({"axes": [_without(_AXIS, "count")]}, "error: missing required axis key 'count'\n"),
+    ({"levels": [{"eta": -1}]}, "error: missing required level key 'n'\n"),
+    ({"params": _without(PARAMS, "omega")}, "error: missing required parameter set key 'omega'\n"),
+    ({"params": _without(PARAMS, "Omega")}, "error: missing required parameter set key 'Omega'\n"),
 ], ids=["top-level typo", "two unknown keys", "axis key", "level key", "overlays R string",
         "overlays SI string", "observables string", "observables object", "repeated observable",
         "repeated overlay", "repeated axis", "repeated level", "levels object", "levels of numbers",
-        "axes of strings", "spec array"])
+        "axes of strings", "spec array", "no params", "no axes", "no levels", "axis without name",
+        "axis without min", "axis without max", "axis without count", "level without n", "params without omega",
+        "params without Omega"])
 def test_sweep_spec_typos_and_repeats_are_usage_errors(tmp_path, capsys, extra, message):
     # each of these exited 0 ignoring the key, read a string as its letters,
     # wrote a table whose header or rows repeated, or printed a Python exception
+    # (a missing key as "malformed sweep spec: KeyError('levels')")
     assert message in _sweep_spec_error(tmp_path, capsys, **extra)
+
+
+@pytest.mark.parametrize("key", ["omega", "Omega"])
+def test_a_missing_parameter_is_named(tmp_path, capsys, key):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(_without(PARAMS, key)))
+    rc = main(["eigen", "--params", str(path), "--n", "1"])
+    assert _one_line_usage_error(rc, capsys) == f"error: missing required parameter set key {key!r}\n"
 
 
 def test_sweep_error_names_the_grid_point(tmp_path, capsys, monkeypatch):

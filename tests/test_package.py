@@ -54,15 +54,21 @@ def test_importing_the_package_loads_no_module_of_it():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _enclosing_functions(tree: ast.AST) -> dict:
+    """{node: the name of the innermost function holding it}."""
+    function = {}
+    for node in ast.walk(tree):  # outer functions first, so the innermost one wins
+        if isinstance(node, ast.FunctionDef):
+            function.update((inner, node.name) for inner in ast.walk(node))
+    return function
+
+
 def _batching_outside_its_home(path: Path) -> list[str]:
     """The range(0, ...) chunk loops and assignments to an error's index in a
     module, each as "module.function: what", but for those of the batching
     policy (params) and ratio_roots' stacks of Jacobi matrices (oscillator)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    function = {}
-    for node in ast.walk(tree):  # outer functions first, so the innermost one wins
-        if isinstance(node, ast.FunctionDef):
-            function.update((inner, node.name) for inner in ast.walk(node))
+    function = _enclosing_functions(tree)
     found = []
     for node in ast.walk(tree):
         at = f"{path.stem}.{function.get(node, '<module>')}"
@@ -106,3 +112,32 @@ def test_each_sweep_column_is_named_only_in_its_table():
 
     source = Path(__file__).resolve().parents[1] / "src" / "nhjc" / "sweep.py"
     assert _column_names_outside_the_table(source, set(OBSERVABLES)) == []
+
+
+def _input_reads_outside_the_readers(path: Path) -> list[str]:
+    """The json.load and json.loads calls and the comparisons against N_MAX
+    of a module, each as "module.function: what", but for the one loader
+    (params.load_json), the one level check (params.check_level) and the
+    guard of hermite_roots for direct calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    function = _enclosing_functions(tree)
+    found = []
+    for node in ast.walk(tree):
+        at = f"{path.stem}.{function.get(node, '<module>')}"
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads")
+                and at != "params.load_json"):
+            found.append(f"{at}: {ast.unparse(node.func)}")
+        if (isinstance(node, ast.Compare) and any(ast.unparse(side).split(".")[-1] == "N_MAX"
+                                                  for side in [node.left, *node.comparators])
+                and at not in ("params.check_level", "oscillator.hermite_roots")):
+            found.append(f"{at}: N_MAX comparison")
+    return found
+
+
+def test_outside_input_is_read_only_by_the_readers_in_params():
+    # nhjc.params.load_json, read_object, read_number and check_level are the
+    # one reader of parameter files, sweep specs and levels: a second JSON
+    # loader or level-range check elsewhere drifts from their rules
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "nhjc").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    assert [hit for path in paths for hit in _input_reads_outside_the_readers(path)] == []

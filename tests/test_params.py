@@ -85,6 +85,11 @@ def test_json_object_requires_exactly_one_coupling_key():
 def test_json_object_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown"):
         params_from_dict({"omega": 0.9, "Omega": 1.0, "g": 0.1, "coupling": 2})
+    # an int of more than 4 300 digits has no repr: its message ended in a bare ValueError
+    with pytest.raises(ValidationError, match=r"^unknown parameter set key\(s\): <int too long to show>$"):
+        params_from_dict({"omega": 0.9, "Omega": 1.0, "g": 0.1, 10 ** 5000: 2})
+    with pytest.raises(ValidationError, match="^parameter set 'omega' must be a number in float range, got <int"):
+        params_from_dict({"omega": 10 ** 5000, "Omega": 1.0, "g": 0.1})
 
 
 def test_load_params_roundtrip(tmp_path):

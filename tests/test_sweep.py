@@ -520,6 +520,10 @@ _spec_dicts = st.fixed_dictionaries(
 @example(data=dict(VALID_SPEC, axes=[{"name": "Gamma", "min": "0.0", "max": 0.1, "count": 3}]))
 @example(data=dict(VALID_SPEC, observables=10 ** 5000))  # no repr: int() stops at 4 300 digits
 @example(data=dict(VALID_SPEC, levels=10 ** 5000))
+@example(data=dict(VALID_SPEC, params={"omega": 10 ** 5000, "Omega": 1.0, "g": 0.1}))
+@example(data=dict(VALID_SPEC, params={"omega": 0.9, "Omega": 1.0, "g": 0.1, 10 ** 5000: 1.0}))
+@example(data=dict(VALID_SPEC, volumetric=10 ** 5000))
+@example(data=dict(VALID_SPEC, observables=[10 ** 5000]))
 @settings(max_examples=400, deadline=None)
 @pytest.mark.filterwarnings("ignore::nhjc.errors.NegativeRateWarning")  # drawn rates may be negative
 def test_malformed_specs_raise_spec_or_validation_errors(data):

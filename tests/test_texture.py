@@ -248,6 +248,9 @@ def test_nodes_reject_vacuum_level(reference_params):
         nodes(reference_params, LevelIndex(0), "z")
     with pytest.raises(ValidationError):
         nodes(reference_params, LevelIndex(2, -1), "w")
+    for component in "zyx":  # z and y ended in a bare ValueError from hermite_roots
+        with pytest.raises(ValidationError, match=r"^n must be in \[0, 200\], got 201$"):
+            nodes(reference_params, LevelIndex(201), component)
 
 
 @given(params=params_strategy, n=st.integers(1, 10), eta=st.sampled_from([-1, 1]))

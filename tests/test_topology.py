@@ -15,6 +15,7 @@ from nhjc import (
     NodeSet,
     OnBoundaryError,
     UndefinedTiltError,
+    ValidationError,
     boundary,
     nodes,
     texture_closed_form,
@@ -228,6 +229,12 @@ def test_integral_winding_reports_residual(reference_params):
     report = winding_report(reference_params, LevelIndex(2, -1), ("zx",))["zx"]
     assert report["integral_residual"] < 1e-10
     assert abs(report["integral"]) == 2
+
+
+def test_winding_report_past_the_validity_domain_is_a_validation_error(reference_params):
+    # it ended in a bare ValueError from hermite_roots
+    with pytest.raises(ValidationError, match=r"^n must be in \[0, 200\], got 201$"):
+        winding_report(reference_params, LevelIndex(201), ("zx",))
 
 
 def test_winding_grids_are_sorted_rows_of_one_width_inside_the_domain():

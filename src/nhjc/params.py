@@ -261,12 +261,12 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "Omega"):
             value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValidationError(f"{name} must be positive, got {value!r}")
+            if not 0.0 < value <= sys.float_info.max:  # an int past float range too
+                raise ValidationError(f"{name} must be positive, got {shown(value)}")
         for name in ("g",) + RATE_NAMES:
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValidationError(f"{name} must be finite, got {shown(value)}")
         if self.has_negative_rates:
             bad = [n for n in RATE_NAMES if getattr(self, n) < 0.0]
             warnings.warn(
@@ -364,7 +364,11 @@ def _replaced(params: ModelParams | ParamGrid, name: str, value) -> ModelParams 
         grid = ParamGrid(**fields)
         finite = _finite(value)
         if not finite.all():
-            grid.point(int(finite.argmin()))
+            index = int(finite.argmin())
+            try:
+                grid.point(index)
+            except ValidationError as exc:  # named by its index, as a batch's errors are
+                raise ValidationError(*exc.args, index=index) from None
         return grid
 
 
@@ -380,6 +384,31 @@ class LevelIndex:
             raise ValidationError(f"n must be an integer >= 0, got {self.n!r}")
         if self.eta not in (+1, -1):
             raise ValidationError(f"eta must be +1 or -1, got {self.eta!r}")
+
+
+# The paper's reference configuration and its four winding states. Each call
+# builds new records: a record keeps what is computed from it (kept), and a
+# shared one would carry its kept blocks from caller to caller.
+
+def reference_config(**changes) -> ModelParams:
+    """The configuration of configs/reference.json, with the named parameters
+    changed: omega = 0.9 in units of Omega = 1, the coupling at one tenth of
+    the natural scale sqrt(omega*Omega)/2, kappa = 0.5, gamma = 0.2 and
+    Gamma = 0.1."""
+    return ModelParams(**{"omega": 0.9, "Omega": 1.0, "g": 0.1 * coupling_scale(0.9, 1.0),
+                          "kappa": 0.5, "gamma": 0.2, "Gamma": 0.1, **changes})
+
+
+# the level at which the four winding states bracket the three special points
+WINDING_LEVEL = LevelIndex(4, -1)
+
+
+def winding_states() -> list[ModelParams]:
+    """The reference configuration at four (Gamma, gamma) states. At
+    WINDING_LEVEL the zx direction flips from state 1 to 2 (across GR) and
+    from 2 to 3 (across R), and the yx direction only from 3 to 4 (across SI)."""
+    return [reference_config(Gamma=Gamma, gamma=gamma)
+            for Gamma, gamma in ((0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9))]
 
 
 def params_from_dict(data: dict) -> ModelParams:
@@ -420,12 +449,16 @@ def load_params(path: str | Path) -> ModelParams:
 # each raises the error class its caller names, with a one-line message that
 # names the value's key and the object it belongs to.
 
-def load_json(path: str | Path):
+def load_json(path: str | Path, error=ValidationError):
     """The JSON value of a UTF-8 file. An integer literal reads as its int,
     or past float range as the float it rounds to (+-inf), which no number
-    reader accepts; int() would stop at 4 300 digits."""
+    reader accepts; int() would stop at 4 300 digits. A value nested past
+    the decoder's recursion limit is an error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        try:
+            return json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            raise error("the JSON of the input file is nested too deeply to decode") from None
 
 
 def _json_int(text: str) -> int | float:

@@ -83,7 +83,7 @@ class Axis:
         if self.name not in SWEEPABLE:
             raise SweepSpecError(f"axis parameter must be one of {SWEEPABLE}, got {shown(self.name)}")
         if self.count < 2:
-            raise SweepSpecError(f"axis {self.name}: count must be >= 2, got {self.count}")
+            raise SweepSpecError(f"axis {self.name}: count must be >= 2, got {shown(self.count)}")
         if not (self.start < self.stop):
             raise SweepSpecError(f"axis {self.name}: start must be < stop")
 
@@ -107,7 +107,7 @@ class SweepSpec:
             raise SweepSpecError(f"1 to 3 axes required, got {len(self.axes)}")
         if math.prod(a.count for a in self.axes) > sys.maxsize:
             raise SweepSpecError(f"the grid must have at most {sys.maxsize} points, got "
-                                 f"{' x '.join(str(a.count) for a in self.axes)}")
+                                 f"{' x '.join(shown(a.count) for a in self.axes)}")
         names = {"axis parameter": [a.name for a in self.axes], "observable": list(self.observables),
                  "overlay family": list(self.overlays), "level": [(l.n, l.eta) for l in self.levels]}
         for what, known in (("observable", tuple(_COLUMNS)), ("overlay family", FAMILIES)):  # Axis checks its name
@@ -153,7 +153,7 @@ class SweepSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_dict(load_json(path))
+        return cls.from_dict(load_json(path, SweepSpecError))
 
 
 # the required and the optional keys of a sweep spec, of each of its axes and of each of its levels
@@ -253,7 +253,7 @@ def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
     for points in chunks(size):
         block = grid.take(points)
         for k, level in enumerate(spec.levels):
-            with _named(spec, grid, level), batch_index(points):
+            with _named(grid, spec.axes, n=level.n, eta=level.eta), batch_index(points):
                 values = _level_columns(block, level, spec.observables)
             rows = slice(points.start * levels + k, points.stop * levels, levels)
             for name, column in values.items():
@@ -263,15 +263,16 @@ def _grid_table(spec: SweepSpec, columns) -> dict[str, np.ndarray]:
 
 
 @contextlib.contextmanager
-def _named(spec: SweepSpec, grid: ParamGrid, level: LevelIndex):
+def _named(grid: ParamGrid, axes, **level):
     """An NhjcError raised in the body, raised again naming the grid point
-    exc.index (or the grid), n and eta."""
+    exc.index by its values on the axes (or the grid), and the level."""
     try:
         yield
     except NhjcError as exc:
-        at = "on the grid" if exc.index is None else "at " + ", ".join(
-            f"{a.name}={getattr(grid, a.name)[exc.index].item()!r}" for a in spec.axes)
-        raise type(exc)(f"{exc} ({at}, n={level.n}, eta={level.eta})") from exc
+        at = ["on the grid"] if exc.index is None else [
+            f"{a.name}={getattr(grid, a.name)[exc.index].item()!r}" for a in axes]
+        where = ", ".join(at + [f"{key}={value}" for key, value in level.items()])
+        raise type(exc)(f"{exc} ({'' if exc.index is None else 'at '}{where})") from exc
 
 
 def _level_columns(grid: ParamGrid, level: LevelIndex, observables):
@@ -331,7 +332,7 @@ def _spot_check(spec: SweepSpec, grid: ParamGrid, table) -> None:
             at = block[block % levels == k]
             if not at.size:
                 continue
-            with _named(spec, grid, level), batch_index(at // levels):
+            with _named(grid, spec.axes, n=level.n, eta=level.eta), batch_index(at // levels):
                 found = Windings(grid.take(at[:, None] // levels), level).integrals([obs[2:] for obs in planes])
             fast = np.stack([table[obs][at] for obs in planes], axis=-1)
             slow = np.stack([signed for signed, _ in found.values()], axis=-1)
@@ -358,7 +359,8 @@ def _overlay(spec: SweepSpec, family: str) -> dict[str, np.ndarray]:
     grid = ParamGrid.product(spec.base, {a.name: a.values() for a in other_axes})
     values, valid = np.empty((grid.g.size, len(levels))), np.empty((grid.g.size, len(levels)), bool)
     for k, n in enumerate(levels):
-        point = _solve(grid, family, solve_axis.name, n)
+        with _named(grid, other_axes, n=n):
+            point = _solve(grid, family, solve_axis.name, n)
         values[:, k], valid[:, k] = point.value, point.valid
     table = {a.name: np.repeat(getattr(grid, a.name), len(levels)) for a in other_axes}
     if family == "R":

@@ -1,27 +1,19 @@
 import numpy as np
 import pytest
 
-from nhjc import ModelParams, coupling_scale
-
-# reference configuration used across the suite: omega = 0.9 in units of
-# Omega = 1, coupling at one tenth of the natural scale sqrt(omega*Omega)/2
-G_SCALE = coupling_scale(0.9, 1.0)
-G_REF = 0.1 * G_SCALE
-
-
-def make_reference(Gamma=0.1, gamma=0.2, kappa=0.5, g=G_REF):
-    return ModelParams(omega=0.9, Omega=1.0, g=g, kappa=kappa, gamma=gamma, Gamma=Gamma)
+from nhjc import ModelParams
+from nhjc.params import reference_config
 
 
 @pytest.fixture
 def reference_params():
-    """Dissipative benchmark point: kappa=0.5, gamma=0.2, Gamma=0.1."""
-    return make_reference()
+    """The reference configuration (nhjc.params.reference_config)."""
+    return reference_config()
 
 
 @pytest.fixture
 def hermitian_params():
-    return ModelParams(omega=0.9, Omega=1.0, g=G_REF)
+    return reference_config(kappa=0.0, gamma=0.0, Gamma=0.0)
 
 
 @pytest.fixture

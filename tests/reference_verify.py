@@ -33,6 +33,7 @@ from nhjc import (
     winding_direction,
 )
 from nhjc.errors import AntiWindingError, NegativeRateWarning, NhjcError, NoBoundaryError
+from nhjc.params import reference_config
 from nhjc.topology import integral_windings, winding_grids
 from nhjc.verify import BOUNDARY_MARGIN, CheckResult
 from reference_boundaries import boundary_GR, boundary_R, boundary_SI
@@ -370,8 +371,7 @@ def check_reversal_identity(draws, n_max):
     for params in draws:
         for n in range(1, min(5, n_max) + 1):
             probe(params, n)
-    base = ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2,
-                       kappa=0.5, gamma=0.2)
+    base = reference_config(Gamma=0.0)
     strict = [reversal_identity(base, n, eps=eps) for n in range(1, 6)]
     applicable += sum(r.applicable for r in strict)
     strict_ok = all(r.applicable and r.identity_residual < 1e-10

@@ -26,9 +26,8 @@ from nhjc import (
     tilting_angle,
     winding_direction,
 )
-from nhjc.params import ParamGrid
+from nhjc.params import WINDING_LEVEL, ParamGrid, reference_config, winding_states
 from nhjc.verify import _CHECKS, _bound_text, draw_sets
-from conftest import make_reference
 
 
 def criterion(number, title):
@@ -48,7 +47,7 @@ def criterion(number, title):
 
 @criterion(1, "gapped-reversal transition value and runtime")
 def test_c01_gapped_reversal_value():
-    base = make_reference(Gamma=0.0)
+    base = reference_config(Gamma=0.0)
     boundary(base, "GR", 1, "Gamma")  # warm-up
     start = time.perf_counter()
     point = boundary(base, "GR", 1, "Gamma")
@@ -115,28 +114,28 @@ def test_c07_invariant_nodes():
 
 @criterion(8, "gap laws: closing at reversal points, open at the gapped reversal")
 def test_c08_gap_laws():
-    base = make_reference(Gamma=0.0)
+    base = reference_config(Gamma=0.0)
     closing = 0.0
     for n in range(1, 6):
         point = boundary(base, "R", n, "Gamma")
         assert point.valid
-        value = gaps(make_reference(Gamma=point.value), n).delta_minus
+        value = gaps(reference_config(Gamma=point.value), n).delta_minus
         closing = max(closing, value)
         assert value < 1e-10
     gr = boundary(base, "GR", 2, "Gamma")
-    open_gap = gaps(make_reference(Gamma=gr.value), 2).delta_minus
+    open_gap = gaps(reference_config(Gamma=gr.value), 2).delta_minus
     assert open_gap > 1e-3
     return f"max gap at reversal {closing:.1e}, gap at gapped reversal {open_gap:.3f}"
 
 
 @criterion(9, "reversal-closure identity and tilt antisymmetry at Gamma_R")
 def test_c09_reversal_identity():
-    return _passes("reversal-identity", ParamGrid.rows([make_reference(Gamma=0.0)]), range(1, 6))
+    return _passes("reversal-identity", ParamGrid.rows([reference_config(Gamma=0.0)]), range(1, 6))
 
 
 @criterion(10, "super-invariance: zero tilt for n in {1, 10, 100}, gap open")
 def test_c10_super_invariance():
-    base = make_reference(Gamma=0.05)
+    base = reference_config(Gamma=0.05)
     point = boundary(base, "SI", 1, "gamma")
     at = base.with_value("gamma", point.value)
     worst = 0.0
@@ -151,11 +150,9 @@ def test_c10_super_invariance():
 
 @criterion(11, "direction-flip certificates across the four representative states")
 def test_c11_direction_flips():
-    points = [(0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9)]
     signs = []
-    for Gamma, gamma in points:
-        coeffs = texture_coefficients(make_reference(Gamma=Gamma, gamma=gamma),
-                                      LevelIndex(4, -1))
+    for params in winding_states():
+        coeffs = texture_coefficients(params, WINDING_LEVEL)
         signs.append((winding_direction(coeffs, "zx"), winding_direction(coeffs, "yx")))
     s_zx = [s[0] for s in signs]
     s_yx = [s[1] for s in signs]
@@ -170,7 +167,7 @@ def test_c11_direction_flips():
 @criterion(12, "sweep determinism at phase-diagram scale (< 60 s, byte-identical)")
 def test_c12_sweep_determinism(tmp_path):
     spec = SweepSpec(
-        base=make_reference(Gamma=0.0),
+        base=reference_config(Gamma=0.0),
         axes=(Axis("Gamma", 0.0, 0.12, 121), Axis("g", 0.001, 0.1, 101)),
         levels=(LevelIndex(2, -1),),
         observables=("thetaT", "deltaMinus", "nWzx"),

@@ -15,17 +15,16 @@ import nhjc.topology
 import nhjc.verify
 from nhjc import Axis, DegenerateStateError, LevelIndex, SweepSpec, run_sweep
 from nhjc.cli import main
-from nhjc.params import PARAM_NAMES, ParamGrid
+from nhjc.params import PARAM_NAMES, ParamGrid, reference_config
 from nhjc.topology import Windings
 from nhjc.verify import _CHECKS, DEFAULT_SEED, draw_sets
-from conftest import make_reference
 
 ONE_POINT = 17
 
 # the six passes over a grid, by the function that asks for their chunks
 PASSES = {"_write_table", "_grid_table", "_spot_check", "_integrals", "draw_sets", "_levels"}
 
-PLANE = SweepSpec(base=make_reference(Gamma=0.0), axes=(Axis("Gamma", 0.0, 0.12, 31), Axis("g", 0.001, 0.1, 26)),
+PLANE = SweepSpec(base=reference_config(Gamma=0.0), axes=(Axis("Gamma", 0.0, 0.12, 31), Axis("g", 0.001, 0.1, 26)),
                   levels=(LevelIndex(2, -1), LevelIndex(3, 1)), observables=("thetaT", "deltaPlus", "nWzx", "nWyx"),
                   spot_check_fraction=0.3)
 

@@ -22,29 +22,28 @@ from nhjc import (
 )
 from nhjc.boundaries import FAMILIES, SOLVABLE, _solve
 from nhjc.errors import NegativeRateWarning
-from nhjc.params import PARAM_NAMES, ParamGrid
-from conftest import G_REF, make_reference
+from nhjc.params import PARAM_NAMES, ParamGrid, reference_config
 
-BASE = make_reference(Gamma=0.0)  # kappa=0.5, gamma=0.2, omega=0.9, g at 0.1 of scale
+BASE = reference_config(Gamma=0.0)  # kappa=0.5, gamma=0.2, omega=0.9, g at 0.1 of scale
 
 
 def test_reversal_point_value_and_sign_change():
     point = boundary(BASE, "R", 2, "Gamma")
-    assert point.value == pytest.approx(0.3 * 0.1 / (8.0 * G_REF), rel=1e-12)
+    assert point.value == pytest.approx(0.3 * 0.1 / (8.0 * BASE.g), rel=1e-12)
     assert point.value == pytest.approx(0.0791, abs=5e-5)
     assert point.valid and point.level_dependent
     # oracle: B changes sign across the returned value
-    below = block_quantities(make_reference(Gamma=point.value * 0.999), 2).B
-    above = block_quantities(make_reference(Gamma=point.value * 1.001), 2).B
+    below = block_quantities(reference_config(Gamma=point.value * 0.999), 2).B
+    above = block_quantities(reference_config(Gamma=point.value * 1.001), 2).B
     assert below * above < 0.0
-    at = block_quantities(make_reference(Gamma=point.value), 2)
+    at = block_quantities(reference_config(Gamma=point.value), 2)
     assert abs(at.B) < 1e-12 * abs(0.5 * 0.3 * 0.1)
 
 
 def test_reversal_point_solved_for_each_variable():
     for solved_for in ("kappa", "Gamma", "gamma", "g"):
-        point = boundary(make_reference(), "R", 2, solved_for)
-        at = make_reference().with_value(solved_for, point.value)
+        point = boundary(reference_config(), "R", 2, solved_for)
+        at = reference_config().with_value(solved_for, point.value)
         assert abs(block_quantities(at, 2).B) < 1e-12
 
 
@@ -63,7 +62,7 @@ def test_reversal_invalid_when_A_positive():
 
 def test_gapped_reversal_value_and_level_independence():
     point = boundary(BASE, "GR", 1, "Gamma")
-    assert point.value == pytest.approx(G_REF * 0.1 / 0.3, rel=1e-12)
+    assert point.value == pytest.approx(BASE.g * 0.1 / 0.3, rel=1e-12)
     assert point.value == pytest.approx(0.01581, abs=5e-6)
     assert not point.level_dependent
     assert boundary(BASE, "GR", 1, "Gamma").value == boundary(BASE, "GR", 7, "Gamma").value
@@ -72,7 +71,7 @@ def test_gapped_reversal_value_and_level_independence():
 def test_gapped_reversal_zeroes_the_z_coefficient():
     point = boundary(BASE, "GR", 2, "Gamma")
     assert point.valid
-    at = make_reference(Gamma=point.value)
+    at = reference_config(Gamma=point.value)
     for n in (1, 2, 7):
         for eta in (-1, 1):
             coeffs = texture_coefficients(at, LevelIndex(n, eta))
@@ -85,15 +84,15 @@ def test_gapped_reversal_preemption():
     point = boundary(BASE, "GR", 11, "Gamma")
     assert not point.valid
     assert "preempted" in point.validity_detail
-    at = make_reference(Gamma=point.value)
+    at = reference_config(Gamma=point.value)
     coeffs = texture_coefficients(at, LevelIndex(11, -1))
     assert abs(coeffs.c_z) > 1e-4  # the transition is genuinely gone
 
 
 def test_super_invariant_value_and_coefficient():
-    base = make_reference(Gamma=0.05)
+    base = reference_config(Gamma=0.05)
     point = boundary(base, "SI", 1, "gamma")
-    assert point.value == pytest.approx(0.5 + 0.05 * 0.1 / G_REF, rel=1e-12)
+    assert point.value == pytest.approx(0.5 + 0.05 * 0.1 / BASE.g, rel=1e-12)
     assert point.value == pytest.approx(0.6054, abs=5e-5)
     assert point.valid and not point.level_dependent
     at = base.with_value("gamma", point.value)
@@ -116,10 +115,10 @@ def test_gap_laws_at_the_three_families():
     for n in range(1, 6):
         r_point = boundary(BASE, "R", n, "Gamma")
         assert r_point.valid
-        assert gaps(make_reference(Gamma=r_point.value), n).delta_minus < 1e-10
+        assert gaps(reference_config(Gamma=r_point.value), n).delta_minus < 1e-10
     gr_point = boundary(BASE, "GR", 2, "Gamma")
-    assert gaps(make_reference(Gamma=gr_point.value), 2).delta_minus > 1e-3
-    si_base = make_reference(Gamma=0.05)
+    assert gaps(reference_config(Gamma=gr_point.value), 2).delta_minus > 1e-3
+    si_base = reference_config(Gamma=0.05)
     si_point = boundary(si_base, "SI", 1, "gamma")
     at = si_base.with_value("gamma", si_point.value)
     assert gaps(at, 1).delta_minus > 1e-6
@@ -140,10 +139,10 @@ def test_direction_flip_certificates():
         return winding_direction(texture_coefficients(params, level), plane)
 
     gr = boundary(BASE, "GR", n, "Gamma").value
-    assert s(make_reference(Gamma=gr - 1e-4), "zx") != s(make_reference(Gamma=gr + 1e-4), "zx")
+    assert s(reference_config(Gamma=gr - 1e-4), "zx") != s(reference_config(Gamma=gr + 1e-4), "zx")
     r = boundary(BASE, "R", n, "Gamma").value
-    assert s(make_reference(Gamma=r - 1e-4), "zx") != s(make_reference(Gamma=r + 1e-4), "zx")
-    si_base = make_reference(Gamma=0.05)
+    assert s(reference_config(Gamma=r - 1e-4), "zx") != s(reference_config(Gamma=r + 1e-4), "zx")
+    si_base = reference_config(Gamma=0.05)
     si = boundary(si_base, "SI", 1, "gamma").value
     lo = si_base.with_value("gamma", si - 1e-4)
     hi = si_base.with_value("gamma", si + 1e-4)
@@ -196,7 +195,7 @@ _EDGE_POINTS = [
     ModelParams(omega=0.9, Omega=1.0, g=1e10, kappa=0.5, gamma=0.2, Gamma=1e-310),
     ModelParams(omega=0.9, Omega=1.0, g=1e-200, kappa=0.5, gamma=0.2, Gamma=0.1),
     BASE,
-    make_reference(),
+    reference_config(),
     ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
 ]
 

@@ -54,24 +54,23 @@ def test_importing_the_package_loads_no_module_of_it():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def _enclosing_functions(tree: ast.AST) -> dict:
-    """{node: the name of the innermost function holding it}."""
+def _located_nodes(path: Path) -> list:
+    """Each node of a module, with where it is: "module.function" of the
+    innermost function holding it, or "module.<module>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     function = {}
     for node in ast.walk(tree):  # outer functions first, so the innermost one wins
         if isinstance(node, ast.FunctionDef):
             function.update((inner, node.name) for inner in ast.walk(node))
-    return function
+    return [(node, f"{path.stem}.{function.get(node, '<module>')}") for node in ast.walk(tree)]
 
 
 def _batching_outside_its_home(path: Path) -> list[str]:
     """The range(0, ...) chunk loops and assignments to an error's index in a
     module, each as "module.function: what", but for those of the batching
     policy (params) and ratio_roots' stacks of Jacobi matrices (oscillator)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    function = _enclosing_functions(tree)
     found = []
-    for node in ast.walk(tree):
-        at = f"{path.stem}.{function.get(node, '<module>')}"
+    for node, at in _located_nodes(path):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
                 and len(node.args) > 1 and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0
                 and path.stem != "params" and at != "oscillator.ratio_roots"):
@@ -119,11 +118,8 @@ def _input_reads_outside_the_readers(path: Path) -> list[str]:
     of a module, each as "module.function: what", but for the one loader
     (params.load_json), the one level check (params.check_level) and the
     guard of hermite_roots for direct calls."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    function = _enclosing_functions(tree)
     found = []
-    for node in ast.walk(tree):
-        at = f"{path.stem}.{function.get(node, '<module>')}"
+    for node, at in _located_nodes(path):
         if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads")
                 and at != "params.load_json"):
             found.append(f"{at}: {ast.unparse(node.func)}")
@@ -141,3 +137,39 @@ def test_outside_input_is_read_only_by_the_readers_in_params():
     root = Path(__file__).resolve().parents[1]
     paths = sorted((root / "src" / "nhjc").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
     assert [hit for path in paths for hit in _input_reads_outside_the_readers(path)] == []
+
+
+def _reference_copies(path: Path, states) -> list[str]:
+    """The math.sqrt(0.9) and coupling_scale(0.9, 1.0) calls and the literal
+    tuples or lists of the four winding states in a module, each as
+    "module.function: what", but for those of their home
+    (params.reference_config and params.winding_states)."""
+    found = []
+    for node, at in _located_nodes(path):
+        if at in ("params.reference_config", "params.winding_states"):
+            continue
+        if (isinstance(node, ast.Call) and (ast.unparse(node.func).split(".")[-1], *map(ast.unparse, node.args))
+                in (("sqrt", "0.9"), ("coupling_scale", "0.9", "1.0"))):
+            found.append(f"{at}: {ast.unparse(node)}")
+        if isinstance(node, (ast.Tuple, ast.List)):
+            try:
+                pairs = [tuple(pair) for pair in ast.literal_eval(node)]
+            except (ValueError, TypeError, SyntaxError):  # not a literal, or not a sequence of pairs
+                continue
+            if pairs == states:
+                found.append(f"{at}: the four winding states")
+    return found
+
+
+def test_the_reference_configuration_is_written_only_in_its_home():
+    # nhjc.params.reference_config and winding_states hold the paper's
+    # reference configuration and its four winding states: a copy written out
+    # elsewhere drifts from them (tests/test_params.py tests coupling_scale
+    # and g_rel on the numbers themselves)
+    from nhjc.params import winding_states
+
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src/nhjc", "scripts", "tests") for path in sorted((root / folder).glob("*.py"))
+             if path.name != "test_params.py"]
+    states = [(params.Gamma, params.gamma) for params in winding_states()]
+    assert [hit for path in paths for hit in _reference_copies(path, states)] == []

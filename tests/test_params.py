@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from nhjc import (
     params_from_dict,
 )
 from nhjc.errors import NegativeRateWarning
+from nhjc.params import PARAM_NAMES, RATE_NAMES, load_json, reference_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_valid_reference_point():
@@ -30,7 +34,11 @@ def test_hermitian_limit_is_exact_predicate():
     assert not q.is_hermitian
 
 
-@pytest.mark.parametrize("field,value", [("Omega", 0.0), ("Omega", -1.0), ("omega", 0.0)])
+# an int past float range ended in an OverflowError (math.isfinite), and one
+# past 4 300 digits in a ValueError (its repr in the message)
+@pytest.mark.parametrize("field,value", [("Omega", 0.0), ("Omega", -1.0), ("omega", 0.0),
+                                         pytest.param("omega", 10 ** 400, id="omega-10**400"),
+                                         pytest.param("Omega", -10 ** 5000, id="Omega--10**5000")])
 def test_nonpositive_scales_rejected(field, value):
     kwargs = dict(omega=0.9, Omega=1.0, g=0.1)
     kwargs[field] = value
@@ -90,6 +98,17 @@ def test_json_object_rejects_unknown_keys():
         params_from_dict({"omega": 0.9, "Omega": 1.0, "g": 0.1, 10 ** 5000: 2})
     with pytest.raises(ValidationError, match="^parameter set 'omega' must be a number in float range, got <int"):
         params_from_dict({"omega": 10 ** 5000, "Omega": 1.0, "g": 0.1})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+def test_every_shipped_parameter_set_is_the_reference_configuration(path):
+    # the parameter files and the params of the sweep specs differ from
+    # nhjc.params.reference_config only in their decay rates, bit for bit, and
+    # configs/reference.json not at all
+    data = load_json(path)
+    params = params_from_dict(data.get("params", data))
+    home = reference_config(**{name: getattr(params, name) for name in RATE_NAMES if path.name != "reference.json"})
+    assert [getattr(params, name).hex() for name in PARAM_NAMES] == [getattr(home, name).hex() for name in PARAM_NAMES]
 
 
 def test_load_params_roundtrip(tmp_path):

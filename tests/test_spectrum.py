@@ -15,9 +15,8 @@ from nhjc import (
     eigen_solution,
     gaps,
 )
-from nhjc.params import PARAM_NAMES, ParamGrid
+from nhjc.params import PARAM_NAMES, ParamGrid, reference_config
 from nhjc.spectrum import branch_solution
-from conftest import make_reference
 
 rates = st.floats(0.0, 1.2)
 scales = st.floats(0.05, 1.2)
@@ -49,9 +48,9 @@ def test_hermitian_resonant_block():
 def test_branch_invariants_at_reversal_point():
     # with kappa-gamma = 0.3, Omega-omega = 0.1: B vanishes at
     # Gamma = d_kg d_Ww/(8 g) and the argument sits on the cut (A < 0)
-    g = 0.1 * math.sqrt(0.9) / 2.0
+    g = reference_config().g
     Gamma_R = (0.5 - 0.2) * (1.0 - 0.9) / (8.0 * g)
-    bq = block_quantities(make_reference(Gamma=Gamma_R), 2)
+    bq = block_quantities(reference_config(Gamma=Gamma_R), 2)
     assert bq.B == 0.0
     assert bq.A < 0.0
     assert bq.vartheta == math.pi
@@ -211,7 +210,7 @@ def test_exceptional_point_flag_and_error():
     with pytest.raises(ExceptionalPointError) as scalar:
         eigen_solution(p, LevelIndex(1, -1))
     # over a grid the error names the first such point, with its own A and B
-    points = [make_reference(), p, p]
+    points = [reference_config(), p, p]
     grid = ParamGrid(**{name: np.array([getattr(q, name) for q in points]) for name in PARAM_NAMES})
     with pytest.raises(ExceptionalPointError) as batched:
         eigen_solution(grid, LevelIndex(1, -1))
@@ -227,10 +226,10 @@ def test_gap_pair_hermitian_resonant():
 
 
 def test_gap_closes_exactly_on_reversal_boundary():
-    g = 0.1 * math.sqrt(0.9) / 2.0
+    g = reference_config().g
     for n in range(1, 6):
         Gamma_R = 0.3 * 0.1 / (4.0 * n * g)
-        gp = gaps(make_reference(Gamma=Gamma_R), n)
+        gp = gaps(reference_config(Gamma=Gamma_R), n)
         assert gp.delta_minus < 1e-10
         assert gp.delta_plus > 1e-3
 

@@ -34,10 +34,9 @@ from nhjc import (
     tilting_angle,
     winding_report,
 )
-from nhjc.params import SAMPLE_BUDGET, SCALAR_SAMPLES, ParamGrid
+from nhjc.params import SAMPLE_BUDGET, SCALAR_SAMPLES, ParamGrid, reference_config
 from nhjc.sweep import OBSERVABLES, WINDINGS
 from nhjc.verify import BOUNDARY_MARGIN, boundary_margin
-from conftest import make_reference
 from reference_boundaries import reference_overlay
 from reference_verify import node_sum
 
@@ -53,7 +52,7 @@ DRAW_122 = ModelParams(omega=0.2769484135494958, Omega=1.0669674364656399,
 
 def small_spec(**overrides):
     defaults = dict(
-        base=make_reference(Gamma=0.0),
+        base=reference_config(Gamma=0.0),
         axes=(Axis("Gamma", 0.0, 0.1, 5),),
         levels=(LevelIndex(2, -1),),
         observables=("thetaT", "deltaMinus", "nWzx", "nWyx", "CtZ", "CtY", "imE", "deltaPlus"),
@@ -142,8 +141,8 @@ def test_vacuum_level_rows_are_flagged_not_fatal():
 
 
 def test_on_boundary_points_omit_direction():
-    gr_value = make_reference(Gamma=0.0).g * 0.1 / 0.3
-    base = make_reference(Gamma=0.0)
+    gr_value = reference_config(Gamma=0.0).g * 0.1 / 0.3
+    base = reference_config(Gamma=0.0)
     spec = SweepSpec(
         base=base,
         axes=(Axis("Gamma", gr_value - 1e-12, gr_value + 1e-12, 3),),
@@ -183,7 +182,7 @@ def test_overlay_consistency_with_gap_observable():
 
 
 def test_all_levels_cross_zero_tilt_at_super_invariant_point():
-    base = make_reference(Gamma=0.05)
+    base = reference_config(Gamma=0.05)
     spec = SweepSpec(
         base=base,
         axes=(Axis("gamma", 0.0, 1.2, 241),),
@@ -213,6 +212,11 @@ def test_spec_validation_errors():
         Axis("Gamma", 0.3, 0.1, 5)
     with pytest.raises(SweepSpecError):
         Axis("Omega", 0.1, 0.3, 5)
+    # a count past 4 300 digits ended in a ValueError (its str in the message)
+    with pytest.raises(SweepSpecError, match="got <int too long to show>$"):
+        small_spec(axes=(Axis("g", 0.0, 0.1, 10 ** 5000),))
+    with pytest.raises(SweepSpecError, match="got <int too long to show>$"):
+        Axis("g", 0.0, 0.1, -10 ** 5000)
 
 
 def test_spot_check_disagreement_aborts(monkeypatch):
@@ -275,7 +279,7 @@ def test_spec_json_roundtrip(tmp_path):
 
 def test_3d_sweep_emits_surfaces_only_by_default():
     spec = SweepSpec(
-        base=make_reference(Gamma=0.05),
+        base=reference_config(Gamma=0.05),
         axes=(Axis("gamma", 0.1, 1.0, 3), Axis("Gamma", 0.01, 0.1, 3), Axis("g", 0.02, 0.06, 2)),
         levels=(LevelIndex(1, -1),),
         observables=("thetaT",),
@@ -410,17 +414,17 @@ def _bits(value):
     return type(value), value
 
 
-GR_2 = make_reference(Gamma=0.0).g * 0.1 / 0.3  # gapped-reversal Gamma of the reference, n = 2
+GR_2 = reference_config(Gamma=0.0).g * 0.1 / 0.3  # gapped-reversal Gamma of the reference, n = 2
 # omega = Omega, Gamma = 0: g = 0 is degenerate and g = |kappa - gamma|/2 = 0.2
 # is the exceptional point of block 1
 EP_BASE = ModelParams(omega=1.0, Omega=1.0, g=0.1, kappa=0.5, gamma=0.1)
 GRID_CASES = {
-    "R, GR": (make_reference(Gamma=0.0), (Axis("Gamma", 0.001, 0.12, 49),)),
-    "on GR": (make_reference(Gamma=0.0), (Axis("Gamma", GR_2 - 1e-12, GR_2 + 1e-12, 3),)),
-    "SI": (make_reference(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 41),)),
+    "R, GR": (reference_config(Gamma=0.0), (Axis("Gamma", 0.001, 0.12, 49),)),
+    "on GR": (reference_config(Gamma=0.0), (Axis("Gamma", GR_2 - 1e-12, GR_2 + 1e-12, 3),)),
+    "SI": (reference_config(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 41),)),
     "EP, degenerate": (EP_BASE, (Axis("g", 0.0, 0.4, 5),)),
-    "plane": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.0, 0.1, 6))),
-    "volume": (make_reference(Gamma=0.05), (Axis("gamma", 0.1, 1.0, 3), Axis("Gamma", 0.0, 0.1, 3),
+    "plane": (reference_config(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 7), Axis("g", 0.0, 0.1, 6))),
+    "volume": (reference_config(Gamma=0.05), (Axis("gamma", 0.1, 1.0, 3), Axis("Gamma", 0.0, 0.1, 3),
                                             Axis("g", 0.0, 0.06, 2))),
 }
 GRID_LEVELS = (LevelIndex(0), LevelIndex(1, -1), LevelIndex(1, 1), LevelIndex(2, -1),
@@ -547,15 +551,15 @@ def test_malformed_specs_raise_spec_or_validation_errors(data):
 # gamma (kappa from 0 to 0.4 with gamma = 0.2) and omega = Omega (omega from
 # 0.5 to 1.5 with Omega = 1)
 OVERLAY_CASES = {
-    "one axis": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 5),)),
-    "g, Gamma zero": (make_reference(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 4), Axis("g", 0.0, 0.1, 5))),
-    "kappa = gamma": (make_reference(), (Axis("g", 0.0, 0.1, 3), Axis("kappa", 0.0, 0.4, 5),
+    "one axis": (reference_config(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 5),)),
+    "g, Gamma zero": (reference_config(Gamma=0.0), (Axis("Gamma", 0.0, 0.12, 4), Axis("g", 0.0, 0.1, 5))),
+    "kappa = gamma": (reference_config(), (Axis("g", 0.0, 0.1, 3), Axis("kappa", 0.0, 0.4, 5),
                                          Axis("Gamma", 0.0, 0.1, 3))),
-    "omega = Omega": (make_reference(), (Axis("omega", 0.5, 1.5, 5), Axis("kappa", 0.0, 1.2, 4),
+    "omega = Omega": (reference_config(), (Axis("omega", 0.5, 1.5, 5), Axis("kappa", 0.0, 1.2, 4),
                                          Axis("g", 0.0, 0.1, 3))),
-    "Gamma through kappa = gamma": (make_reference(), (Axis("kappa", 0.0, 0.4, 5), Axis("Gamma", 0.0, 0.2, 3))),
-    "gamma": (make_reference(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 7), Axis("g", 0.005, 0.2, 4))),
-    "no closed form": (make_reference(), (Axis("omega", 0.5, 1.5, 3),)),
+    "Gamma through kappa = gamma": (reference_config(), (Axis("kappa", 0.0, 0.4, 5), Axis("Gamma", 0.0, 0.2, 3))),
+    "gamma": (reference_config(Gamma=0.05), (Axis("gamma", 0.0, 1.2, 7), Axis("g", 0.005, 0.2, 4))),
+    "no closed form": (reference_config(), (Axis("omega", 0.5, 1.5, 3),)),
 }
 
 
@@ -597,7 +601,7 @@ def test_overlay_values_lie_in_the_cells_where_the_direction_flips(n):
     # cell across which thetaT and nWzx change sign, every such cell holds
     # one, and the on_boundary rows are the points inside those cells; the
     # integral route re-derives every winding row
-    spec = SweepSpec(base=make_reference(Gamma=0.0), axes=(Axis("Gamma", 0.0, 25 * GR_2, 2001),),
+    spec = SweepSpec(base=reference_config(Gamma=0.0), axes=(Axis("Gamma", 0.0, 25 * GR_2, 2001),),
                      levels=(LevelIndex(n, -1),), observables=("thetaT", "nWzx"), overlays=("R", "GR"),
                      spot_check_fraction=1.0)
     result = run_sweep(spec)
@@ -704,7 +708,7 @@ def test_the_column_writer_matches_the_column_formatter(tmp_path, case):
     from nhjc.sweep import FLAG_COLUMNS, SweepResult
 
     axes, levels = WRITER_CASES[case]
-    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=levels, observables=OBSERVABLES,
+    spec = SweepSpec(base=reference_config(Gamma=0.05), axes=axes, levels=levels, observables=OBSERVABLES,
                      spot_check_fraction=0.0, volumetric=True)
     columns = tuple(a.name for a in axes) + ("n", "eta") + OBSERVABLES + FLAG_COLUMNS
     size = math.prod(a.count for a in axes) * len(levels)
@@ -730,7 +734,7 @@ def test_a_table_past_two_blocks_and_its_overlays_match_the_cell_formatter(tmp_p
     """A sweep of more than two GRID_BLOCK blocks of rows with every
     observable and overlay: the table and each overlay file are what the
     column-at-a-time formatter writes for its rows."""
-    spec = SweepSpec(base=make_reference(Gamma=0.05), axes=axes, levels=(LevelIndex(2, -1), LevelIndex(0)),
+    spec = SweepSpec(base=reference_config(Gamma=0.05), axes=axes, levels=(LevelIndex(2, -1), LevelIndex(0)),
                      observables=OBSERVABLES, overlays=("R", "GR", "SI"), spot_check_fraction=0.0)
     result = run_sweep(spec)
     assert len(result.rows) > 2 * GRID_BLOCK
@@ -803,7 +807,7 @@ def test_the_shipped_plane_maps_only_functions_numpy_cannot_match(monkeypatch):
 def test_a_repeated_observable_or_overlay_is_rejected_and_the_columns_are_the_tables():
     # ("thetaT", "imE", "thetaT") ran: columns listed 9 names against rows of
     # 8 values, and the CSV header and rows repeated thetaT
-    spec = dict(base=make_reference(), axes=(Axis("Gamma", 0.0, 0.05, 3),), levels=(LevelIndex(1),))
+    spec = dict(base=reference_config(), axes=(Axis("Gamma", 0.0, 0.05, 3),), levels=(LevelIndex(1),))
     with pytest.raises(SweepSpecError, match=r"^each observable may be named once, got \['thetaT', 'imE', 'thetaT'\]$"):
         SweepSpec(**spec, observables=("thetaT", "imE", "thetaT"))
     with pytest.raises(SweepSpecError, match=r"^each overlay family may be named once, got \['R', 'R'\]$"):

@@ -21,8 +21,8 @@ from nhjc import (
     texture_from_wavefunctions,
     wavefunction_components,
 )
-from conftest import make_reference
 from nhjc.oscillator import ratio_roots
+from nhjc.params import reference_config
 from nhjc.texture import x_node_arrays
 from reference_solvers import bisect_x_nodes
 
@@ -102,11 +102,11 @@ def test_exceptional_point_propagates():
 
 def test_vacuum_texture():
     grid = standard_grid(0)
-    tex = texture_closed_form(make_reference(), LevelIndex(0), grid)
+    tex = texture_closed_form(reference_config(), LevelIndex(0), grid)
     middle = len(grid) // 2
     assert tex.sx[middle] == pytest.approx(-1.0 / math.sqrt(math.pi), abs=1e-15)
     assert not tex.sy.any() and not tex.sz.any()
-    wave = texture_from_wavefunctions(make_reference(), LevelIndex(0), grid)
+    wave = texture_from_wavefunctions(reference_config(), LevelIndex(0), grid)
     assert np.array_equal(wave.sx, tex.sx)
 
 

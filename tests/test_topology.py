@@ -24,8 +24,8 @@ from nhjc import (
     winding_direction,
     winding_report,
 )
+from nhjc.params import reference_config
 from nhjc.topology import _AMPLITUDE_FLOOR, _END_SIGNS, PLANES, _alive, node_sum_windings, winding_grids
-from conftest import make_reference
 from reference_verify import node_sum
 
 
@@ -112,20 +112,6 @@ def test_direction_law_matches_integral(rng):
             assert reports[plane]["integral"] == -winding_direction(coeffs, plane) * 5
 
 
-def test_direction_flips_across_the_three_special_points():
-    # four representative states at n=4 bracketing the three boundaries
-    points = [(0.01, 0.2), (0.03, 0.2), (0.06, 0.2), (0.06, 0.9)]
-    signs = []
-    for Gamma, gamma in points:
-        coeffs = texture_coefficients(make_reference(Gamma=Gamma, gamma=gamma),
-                                      LevelIndex(4, -1))
-        signs.append((winding_direction(coeffs, "zx"), winding_direction(coeffs, "yx")))
-    s_zx = [s[0] for s in signs]
-    s_yx = [s[1] for s in signs]
-    assert s_zx[0] != s_zx[1] and s_zx[1] != s_zx[2] and s_zx[2] == s_zx[3]
-    assert s_yx[0] == s_yx[1] == s_yx[2] and s_yx[2] != s_yx[3]
-
-
 def test_winding_loops_script_prints_the_flips_and_writes_the_loops(tmp_path):
     # the states bracket GR (1 -> 2), R (2 -> 3) and SI (3 -> 4) at n = 4
     root = Path(__file__).resolve().parents[1]
@@ -161,8 +147,8 @@ def test_plane_coupling_sign(reference_params):
 
 
 def test_direction_requires_nonzero_coefficient():
-    point = boundary(make_reference(Gamma=0.0), "GR", 1, "Gamma")
-    coeffs = texture_coefficients(make_reference(Gamma=point.value), LevelIndex(2, -1))
+    point = boundary(reference_config(Gamma=0.0), "GR", 1, "Gamma")
+    coeffs = texture_coefficients(reference_config(Gamma=point.value), LevelIndex(2, -1))
     if coeffs.c_z == 0.0:  # lands exactly on the boundary in floats
         with pytest.raises(OnBoundaryError):
             winding_direction(coeffs, "zx")
@@ -197,17 +183,17 @@ def test_tilting_angle_reference(reference_params):
 
 
 def test_tilting_angle_jumps_by_pi_at_gapped_reversal():
-    point = boundary(make_reference(Gamma=0.0), "GR", 1, "Gamma")
+    point = boundary(reference_config(Gamma=0.0), "GR", 1, "Gamma")
     below = tilting_angle(texture_coefficients(
-        make_reference(Gamma=point.value - 1e-6), LevelIndex(2, -1))).theta_t
+        reference_config(Gamma=point.value - 1e-6), LevelIndex(2, -1))).theta_t
     above = tilting_angle(texture_coefficients(
-        make_reference(Gamma=point.value + 1e-6), LevelIndex(2, -1))).theta_t
+        reference_config(Gamma=point.value + 1e-6), LevelIndex(2, -1))).theta_t
     assert below == pytest.approx(-0.5 * math.pi, abs=1e-3)
     assert above == pytest.approx(+0.5 * math.pi, abs=1e-3)
 
 
 def test_tilting_angle_vanishes_for_all_levels_at_super_invariant_point():
-    base = make_reference(Gamma=0.05)
+    base = reference_config(Gamma=0.05)
     point = boundary(base, "SI", 1, "gamma")
     at = base.with_value("gamma", point.value)
     for n in (1, 10, 100):

@@ -19,7 +19,7 @@ from nhjc import GridTooCoarseError, LevelIndex, ModelParams, NhjcError, eigen_s
 from nhjc.cli import main
 from nhjc.errors import DegenerateStateError, NodeCountError
 from nhjc.oscillator import hermite_roots
-from nhjc.params import PARAM_NAMES, ParamGrid
+from nhjc.params import PARAM_NAMES, ParamGrid, reference_config
 from nhjc.sweep import SweepSpec, run_sweep
 from nhjc.verify import (
     _CHECKS,
@@ -300,9 +300,9 @@ def test_reversal_identity_over_a_grid_matches_the_scalar_reference():
     # with A >= 0 at its Gamma_R (not applicable) and one probed with a step
     # shorter than eps at n = 1
     points = records(seeded_draws(30, 8)) + [
-        ModelParams(omega=0.9, Omega=1.0, g=0.1 * math.sqrt(0.9) / 2, kappa=0.5, gamma=0.2),
-        ModelParams(omega=0.9, Omega=1.0, g=0.0, kappa=0.5, gamma=0.2),
-        ModelParams(omega=0.9, Omega=1.0, g=0.8, kappa=0.5, gamma=0.2),
+        reference_config(Gamma=0.0),
+        reference_config(g=0.0, Gamma=0.0),
+        reference_config(g=0.8, Gamma=0.0),
         GR_NEAR,
     ]
     grid = ParamGrid(*(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES))
